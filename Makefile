@@ -93,15 +93,16 @@ bench-wire:
 	$(GO) run ./cmd/simulate -wire-bench BENCH_wire.json -seed 1
 
 # check is the tier-1 gate: everything builds, vets clean, every test
-# passes (shuffled), the whole module is race-clean, the chaos tournament
-# converges, the consistency audit proves the plant coherent, the recovery
-# scenario readmits a failed node without serving stale pages, the
-# multi-process smoke proves the wire path against real child processes,
-# and the serve benchmark shows no regression against the committed
-# baseline.
+# passes (shuffled), the nested bench module's tests pass, the whole module
+# is race-clean, the chaos tournament converges, the consistency audit
+# proves the plant coherent, the recovery scenario readmits a failed node
+# without serving stale pages, the multi-process smoke proves the wire path
+# against real child processes, and the serve benchmark shows no
+# regression against the committed baseline.
 check: build
 	$(GO) vet ./...
 	$(GO) test -shuffle=on ./...
+	cd bench && $(GO) test ./...
 	$(GO) test -race -shuffle=on ./...
 	$(GO) run ./cmd/simulate -chaos -seed 1
 	$(GO) run ./cmd/simulate -audit -seed 1

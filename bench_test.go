@@ -329,7 +329,7 @@ func BenchmarkE16_TriggerPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	mon := trigger.New(trigger.Config{DB: master, Engine: engine},
-		trigger.WithIndexer(st.Indexer), trigger.WithBatchWindow(0))
+		trigger.WithIndexer(st.Indexer))
 	if err := mon.Start(context.Background()); err != nil {
 		b.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func BenchmarkE15_IncrementalPropagation(b *testing.B) {
 			b.Fatal(err)
 		}
 		mon := trigger.New(trigger.Config{DB: master, Engine: engine},
-			trigger.WithIndexer(st.Indexer), trigger.WithBatchWindow(0))
+			trigger.WithIndexer(st.Indexer))
 		if err := mon.Start(context.Background()); err != nil {
 			b.Fatal(err)
 		}

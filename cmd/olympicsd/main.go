@@ -248,11 +248,10 @@ func runAll(f flags) {
 	// after the caches are primed, with the checkpoint pinned at the
 	// prerender LSN so nothing is replayed twice.
 	mon := trigger.New(trigger.Config{
-		Name:        "nagano",
-		DB:          master,
-		Engine:      engine,
-		StartLSN:    master.LSN(),
-		BatchWindow: 20 * time.Millisecond,
+		Name:     "nagano",
+		DB:       master,
+		Engine:   engine,
+		StartLSN: master.LSN(),
 	},
 		trigger.WithIndexer(st.Indexer),
 		trigger.WithTracer(tracer))
@@ -662,11 +661,10 @@ func startMasterPlane(f flags, peers []string) *masterPlane {
 	}
 
 	p.mon = trigger.New(trigger.Config{
-		Name:        "master",
-		DB:          p.master,
-		Engine:      p.engine,
-		StartLSN:    p.master.LSN(),
-		BatchWindow: 20 * time.Millisecond,
+		Name:     "master",
+		DB:       p.master,
+		Engine:   p.engine,
+		StartLSN: p.master.LSN(),
 	}, trigger.WithIndexer(st.Indexer), trigger.WithTracer(tracer))
 	p.mon.RegisterMetrics(p.reg, nil)
 	if err := p.mon.Start(context.Background()); err != nil {

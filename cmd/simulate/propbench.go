@@ -77,7 +77,7 @@ func buildPropStack(name string, fullReRender bool) (*propStack, error) {
 		return nil, err
 	}
 	mon := trigger.New(trigger.Config{DB: master, Engine: engine},
-		trigger.WithIndexer(st.Indexer), trigger.WithBatchWindow(0))
+		trigger.WithIndexer(st.Indexer))
 	if err := mon.Start(nil); err != nil {
 		return nil, err
 	}

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"dupserve/internal/cache"
 	"dupserve/internal/core"
@@ -102,8 +101,7 @@ func main() {
 		return ids
 	}
 	mon := trigger.New(trigger.Config{DB: database, Engine: engine},
-		trigger.WithIndexer(indexer),
-		trigger.WithBatchWindow(5*time.Millisecond))
+		trigger.WithIndexer(indexer))
 	if err := mon.Start(context.Background()); err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"dupserve/internal/cache"
 	"dupserve/internal/core"
@@ -46,8 +45,7 @@ func main() {
 	}
 	serving.ResetCounters()
 	mon := trigger.New(trigger.Config{DB: master, Engine: engine},
-		trigger.WithIndexer(st.Indexer),
-		trigger.WithBatchWindow(5*time.Millisecond))
+		trigger.WithIndexer(st.Indexer))
 	if err := mon.Start(context.Background()); err != nil {
 		log.Fatal(err)
 	}

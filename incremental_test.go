@@ -54,7 +54,7 @@ func newIncrementalStack(t *testing.T, name string, fullReRender bool) *incremen
 		t.Fatal(err)
 	}
 	mon := trigger.New(trigger.Config{DB: master, Engine: engine},
-		trigger.WithIndexer(st.Indexer), trigger.WithBatchWindow(0))
+		trigger.WithIndexer(st.Indexer))
 	if err := mon.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}

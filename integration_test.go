@@ -37,7 +37,6 @@ func TestIntegrationDayInTheLife(t *testing.T) {
 	for i := range cfg.Complexes {
 		cfg.Complexes[i].ReplicationDelay = time.Millisecond
 	}
-	cfg.BatchWindow = 2 * time.Millisecond
 	d, err := deploy.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -12,8 +12,9 @@ import (
 )
 
 // TestCoalescedBurstLeavesNoIncoherentPages proves trigger coalescing is
-// lossless: when a burst of commits lands inside one batch window and the
-// monitor absorbs them into fewer propagations, every page still converges
+// lossless: when a burst of commits piles up on the CDC feed while a batch
+// propagates and the monitor absorbs the backlog into fewer propagations,
+// every page still converges
 // to the state the data dictates. The audit sweep is the oracle — after
 // the burst settles, a probe of the full page set must come back entirely
 // coherent with zero incoherent pages.
@@ -30,9 +31,6 @@ func TestCoalescedBurstLeavesNoIncoherentPages(t *testing.T) {
 				routing.RegionJapan: 1, routing.RegionUS: 2, routing.RegionEurope: 3,
 			},
 		}},
-		// A wide batch window so a rapid burst of commits lands in one
-		// batch and coalesces.
-		BatchWindow: 40 * time.Millisecond,
 	}, deploy.WithTracing(time.Minute), deploy.WithAudit())
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +46,9 @@ func TestCoalescedBurstLeavesNoIncoherentPages(t *testing.T) {
 	cx := d.Complexes()[0]
 	events := d.MasterSite.Events
 
-	// Commit bursts until the monitor reports coalescing. A batch only
-	// absorbs under backpressure once it reaches BatchSize (16), so each
-	// round fires well past that back-to-back.
+	// Commit bursts until the monitor reports coalescing. A batch absorbs
+	// whatever reached the feed while the previous one propagated, so each
+	// round fires its commits back-to-back.
 	var coalesced int64
 	for round := 0; round < 50 && coalesced == 0; round++ {
 		for i, ev := range events {
@@ -68,7 +66,7 @@ func TestCoalescedBurstLeavesNoIncoherentPages(t *testing.T) {
 		coalesced = cx.Monitor().Stats().Coalesced
 	}
 	if coalesced == 0 {
-		t.Fatal("burst never coalesced; batch window not exercised")
+		t.Fatal("burst never coalesced; backlog absorption not exercised")
 	}
 
 	// Quiescent probe: serve every page once and audit. Coalescing must

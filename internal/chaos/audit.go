@@ -151,9 +151,8 @@ func RunAudit(cfg AuditConfig) (*AuditResult, error) {
 	}
 
 	d, err := deploy.New(deploy.Config{
-		Spec:        spec(),
-		Complexes:   topology(),
-		BatchWindow: 2 * time.Millisecond,
+		Spec:      spec(),
+		Complexes: topology(),
 	},
 		deploy.WithTracing(cfg.SLO),
 		deploy.WithAudit(),

@@ -154,9 +154,8 @@ func Run(cfg Config) (*Result, error) {
 
 	inj := fault.New(fault.Config{Seed: cfg.Seed})
 	d, err := deploy.New(deploy.Config{
-		Spec:        spec(),
-		Complexes:   topology(),
-		BatchWindow: 2 * time.Millisecond,
+		Spec:      spec(),
+		Complexes: topology(),
 	},
 		deploy.WithFaults(inj),
 		// Tight, sleepless retries: the burst decision is deterministic per

@@ -81,7 +81,6 @@ func RunFlight(cfg FlightConfig) (*FlightResult, error) {
 					routing.RegionEurope: 10, routing.RegionOther: 10,
 				}},
 		},
-		BatchWindow: 2 * time.Millisecond,
 	},
 		deploy.WithFaults(inj),
 		deploy.WithRetryPolicy(cache.RetryPolicy{

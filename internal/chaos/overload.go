@@ -134,11 +134,10 @@ type OverloadResult struct {
 // control meters) with per-node limiters and stale retention.
 func overloadDeployment(cfg OverloadConfig) (*deploy.Deployment, error) {
 	return deploy.New(deploy.Config{
-		Spec:        spec(),
-		Complexes:   topology(),
-		BatchWindow: 2 * time.Millisecond,
-		Policy:      core.PolicyInvalidate,
-		RenderCost:  httpserver.SpinOverhead(renderSpin),
+		Spec:       spec(),
+		Complexes:  topology(),
+		Policy:     core.PolicyInvalidate,
+		RenderCost: httpserver.SpinOverhead(renderSpin),
 	},
 		deploy.WithOverload(overload.Config{
 			MaxConcurrent: nodeSlots,

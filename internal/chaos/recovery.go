@@ -125,9 +125,8 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	}
 
 	d, err := deploy.New(deploy.Config{
-		Spec:        spec(),
-		Complexes:   recoveryComplexes(),
-		BatchWindow: 2 * time.Millisecond,
+		Spec:      spec(),
+		Complexes: recoveryComplexes(),
 	},
 		deploy.WithRecovery(recoveryPolicy()),
 		deploy.WithAudit(),
@@ -415,9 +414,8 @@ func benchReadmission(cfg RecoveryBenchConfig, warm bool) (RecoveryBenchMode, in
 	}
 	mode := RecoveryBenchMode{Mode: name}
 	d, err := deploy.New(deploy.Config{
-		Spec:        spec(),
-		Complexes:   recoveryComplexes(),
-		BatchWindow: 2 * time.Millisecond,
+		Spec:      spec(),
+		Complexes: recoveryComplexes(),
 	}, deploy.WithRecovery(recovery.Policy{
 		Warm: warm, FailThreshold: 1, ReadmitThreshold: 1, RampStart: 1,
 	}))

@@ -73,8 +73,6 @@ type Config struct {
 	// Complexes in wiring order: a chained complex must appear after its
 	// feed.
 	Complexes []ComplexSpec
-	// BatchWindow for each trigger monitor (default 10ms).
-	BatchWindow time.Duration
 	// PrimaryCost/SecondaryCost for MSIRP advertisements (default 10/20).
 	PrimaryCost   int
 	SecondaryCost int
@@ -85,8 +83,8 @@ type Config struct {
 	// PolicyUpdateInPlace). Overload scenarios use PolicyInvalidate so cache
 	// misses — and therefore the admission limiter — actually see traffic.
 	Policy core.Policy
-	// MaxPending caps each trigger monitor's coalesced backlog (the
-	// backpressure high-water mark). 0 = the monitor's default.
+	// MaxPending caps the transactions in each trigger monitor's batch.
+	// 0 = the monitor's default.
 	MaxPending int
 	// RenderCost, when set, runs before every page render — a knob for
 	// modelling per-page generation work (e.g. httpserver.SpinOverhead).
@@ -215,7 +213,6 @@ type Deployment struct {
 	complexes map[string]*Complex
 	order     []string
 
-	batchWindow time.Duration
 	maxPending  int
 	inj         *fault.Injector
 	retry       *cache.RetryPolicy
@@ -316,9 +313,6 @@ func New(cfg Config, opts ...Option) (*Deployment, error) {
 	if len(cfg.Complexes) == 0 {
 		return nil, errors.New("deploy: no complexes configured")
 	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = 10 * time.Millisecond
-	}
 	if cfg.PrimaryCost == 0 {
 		cfg.PrimaryCost = 10
 	}
@@ -327,11 +321,10 @@ func New(cfg Config, opts ...Option) (*Deployment, error) {
 	}
 
 	d := &Deployment{
-		Master:      db.New("master"),
-		Router:      routing.NewRouter(routing.NumAddresses),
-		complexes:   make(map[string]*Complex),
-		batchWindow: cfg.BatchWindow,
-		maxPending:  cfg.MaxPending,
+		Master:     db.New("master"),
+		Router:     routing.NewRouter(routing.NumAddresses),
+		complexes:  make(map[string]*Complex),
+		maxPending: cfg.MaxPending,
 	}
 	for _, o := range opts {
 		o(d)
@@ -762,10 +755,7 @@ func (d *Deployment) startMonitor(cx *Complex, gen int) error {
 	}
 	cx.mu.Unlock()
 
-	opts := []trigger.Option{
-		trigger.WithIndexer(cx.Site.Indexer),
-		trigger.WithBatchWindow(d.batchWindow),
-	}
+	opts := []trigger.Option{trigger.WithIndexer(cx.Site.Indexer)}
 	if d.maxPending > 0 {
 		opts = append(opts, trigger.WithMaxPending(d.maxPending))
 	}

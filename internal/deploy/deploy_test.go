@@ -26,7 +26,6 @@ func newDeployment(t *testing.T) *Deployment {
 	for i := range cfg.Complexes {
 		cfg.Complexes[i].ReplicationDelay = time.Millisecond
 	}
-	cfg.BatchWindow = 2 * time.Millisecond
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +215,6 @@ func TestRenderWorkersDeployment(t *testing.T) {
 	for i := range cfg.Complexes {
 		cfg.Complexes[i].ReplicationDelay = time.Millisecond
 	}
-	cfg.BatchWindow = 2 * time.Millisecond
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ func faultyDeployment(t *testing.T, inj *fault.Injector, opts ...Option) *Deploy
 	for i := range cfg.Complexes {
 		cfg.Complexes[i].ReplicationDelay = time.Millisecond
 	}
-	cfg.BatchWindow = 2 * time.Millisecond
 	opts = append([]Option{
 		WithFaults(inj),
 		WithRetryPolicy(cache.RetryPolicy{

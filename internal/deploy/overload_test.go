@@ -16,7 +16,6 @@ func newOverloadDeployment(t *testing.T, ocfg overload.Config, budget time.Durat
 	for i := range cfg.Complexes {
 		cfg.Complexes[i].ReplicationDelay = time.Millisecond
 	}
-	cfg.BatchWindow = 2 * time.Millisecond
 	cfg.Policy = core.PolicyInvalidate
 	d, err := New(cfg, WithOverload(ocfg, budget))
 	if err != nil {

@@ -26,7 +26,6 @@ func recoveryDeployment(t *testing.T, p recovery.Policy) *Deployment {
 					routing.RegionEurope: 10, routing.RegionOther: 10,
 				}},
 		},
-		BatchWindow: 2 * time.Millisecond,
 	}, WithRecovery(p))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,9 @@
 package trigger
 
 import (
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -18,110 +21,123 @@ func waitForTransactions(t *testing.T, m *Monitor, n int64) {
 	}
 }
 
-// TestBurstCoalescesIntoOneBatch holds the monitor mid-propagation (via a
-// blocking crash hook that never crashes) while a commit burst accumulates
-// in the feed, then verifies the backlog propagates as ONE merged batch:
-// the sublinear-burst guarantee.
-func TestBurstCoalescesIntoOneBatch(t *testing.T) {
-	entered := make(chan int64)
-	release := make(chan struct{})
-	hook := func(lsn int64) bool {
-		entered <- lsn
-		<-release
-		return false
-	}
-	h := newHarness(t,
-		WithBatchSize(4),
-		WithMaxPending(256),
-		WithBatchWindow(time.Hour), // only batch-size/flush trigger propagation
-		WithCrashHook(hook),
-	)
-	h.registerPage(t, "ev1")
+// holder is a crash hook that never crashes. It records the batch LSN of
+// every propagation and blocks the first one until Release, so commits
+// made meanwhile pile up on the CDC feed and form the next batch.
+type holder struct {
+	held    chan struct{} // closed once the first propagation is blocked
+	release chan struct{}
+	once    sync.Once
 
-	// Fill the first batch; the monitor blocks inside the hook.
-	for i := 0; i < 4; i++ {
-		h.commit(t, "ev1", "s")
-	}
-	<-entered
+	mu   sync.Mutex
+	lsns []int64
+}
 
-	// The burst: 60 more transactions pile up in the feed while propagation
-	// is stalled (the paper's commit storm during a popular event).
-	for i := 0; i < 60; i++ {
-		h.commit(t, "ev1", "s")
-	}
-	release <- struct{}{} // batch 1 (4 txs) propagates
+// newHeldHarness is newHarness with a holder installed as the crash hook.
+func newHeldHarness(t *testing.T, opts ...Option) (*harness, *holder) {
+	t.Helper()
+	hold := &holder{held: make(chan struct{}), release: make(chan struct{})}
+	h := newHarness(t, append(opts, WithCrashHook(hold.hook))...)
+	// Registered after the harness, so it runs before the harness's
+	// Shutdown: a failed test never leaves the monitor blocked.
+	t.Cleanup(hold.Release)
+	return h, hold
+}
 
-	// The backlog must coalesce into a single second batch.
-	<-entered
-	release <- struct{}{}
-
-	// Wait for the feed path to finish the backlog before flushing, so the
-	// flush observes — not performs — the coalescing.
-	waitForTransactions(t, h.monitor, 64)
-	h.monitor.Flush()
-
-	st := h.monitor.Stats()
-	if st.Transactions != 64 {
-		t.Fatalf("transactions propagated = %d, want 64", st.Transactions)
+func (hold *holder) hook(lsn int64) bool {
+	hold.mu.Lock()
+	hold.lsns = append(hold.lsns, lsn)
+	first := len(hold.lsns) == 1
+	hold.mu.Unlock()
+	if first {
+		close(hold.held)
+		<-hold.release
 	}
-	if st.Batches != 2 {
-		t.Fatalf("batches = %d, want 2 (burst must coalesce into one batch)", st.Batches)
+	return false
+}
+
+// Release lets the held first propagation finish. Safe to call more than
+// once.
+func (hold *holder) Release() { hold.once.Do(func() { close(hold.release) }) }
+
+// batchLSNs returns the highest LSN of every batch propagated so far.
+func (hold *holder) batchLSNs() []int64 {
+	hold.mu.Lock()
+	defer hold.mu.Unlock()
+	return append([]int64(nil), hold.lsns...)
+}
+
+// pileUp commits one transaction to row ev1, waits until the monitor is
+// held inside the propagation that transaction woke, then commits n more
+// to ev1 (scores "0".."n-1") and waits until all n wait on the CDC feed.
+// The caller releases the monitor.
+func (hold *holder) pileUp(t *testing.T, h *harness, n int) {
+	t.Helper()
+	h.commit(t, "ev1", "waker")
+	select {
+	case <-hold.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("monitor never entered its first propagation")
 	}
-	if st.Coalesced != 56 {
-		// Batch 2 starts with 4 admitted via the normal path; the other 56
-		// are absorbed by backpressure coalescing.
-		t.Fatalf("coalesced = %d, want 56", st.Coalesced)
+	for i := 0; i < n; i++ {
+		h.commit(t, "ev1", fmt.Sprint(i))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(h.monitor.feed) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d commits reached the feed", len(h.monitor.feed), n)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
-// TestMaxPendingBoundsCoalescing verifies the high-water mark: a backlog
-// larger than MaxPending splits into ceil(backlog/MaxPending) batches
-// rather than one unbounded batch.
-func TestMaxPendingBoundsCoalescing(t *testing.T) {
-	entered := make(chan int64)
-	release := make(chan struct{})
-	hook := func(lsn int64) bool {
-		entered <- lsn
-		<-release
-		return false
-	}
-	h := newHarness(t,
-		WithBatchSize(4),
-		WithMaxPending(16),
-		WithBatchWindow(time.Hour),
-		WithCrashHook(hook),
-	)
+// TestBurstCoalescesIntoOneBatch holds the monitor inside the propagation
+// of a lone commit while a commit burst of 63 accumulates on the feed, then
+// verifies the backlog propagates as ONE merged batch under the default
+// MaxPending (128): the sublinear-burst guarantee.
+func TestBurstCoalescesIntoOneBatch(t *testing.T) {
+	h, hold := newHeldHarness(t)
 	h.registerPage(t, "ev1")
 
-	for i := 0; i < 4; i++ {
-		h.commit(t, "ev1", "s")
-	}
-	<-entered
-	for i := 0; i < 60; i++ {
-		h.commit(t, "ev1", "s")
-	}
-	go func() {
-		for {
-			select {
-			case <-entered:
-				release <- struct{}{}
-			case <-h.monitor.Done():
-				return
-			}
-		}
-	}()
-	release <- struct{}{}
+	// The burst piles up while propagation is stalled (the paper's commit
+	// storm during a popular event).
+	hold.pileUp(t, h, 63)
+	hold.Release()
 	waitForTransactions(t, h.monitor, 64)
-	h.monitor.Flush()
 
 	st := h.monitor.Stats()
-	if st.Transactions != 64 {
-		t.Fatalf("transactions propagated = %d, want 64", st.Transactions)
+	if st.Batches != 2 {
+		t.Fatalf("batches = %d, want 2 (burst must coalesce into one batch)", st.Batches)
 	}
-	// Batch 1 holds 4; the queued backlog of 60 then drains in high-water
-	// slices of min(16, remaining): 16+16+16+12.
-	if st.Batches != 5 {
-		t.Fatalf("batches = %d, want 5 (MaxPending must bound each batch)", st.Batches)
+	if got, want := hold.batchLSNs(), []int64{1, 64}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch LSNs = %v, want %v", got, want)
+	}
+	if st.Coalesced != 62 {
+		// The first backlog transaction wakes the monitor; the other 62
+		// are absorbed from the feed into its batch.
+		t.Fatalf("coalesced = %d, want 62", st.Coalesced)
+	}
+}
+
+// TestMaxPendingBoundsCoalescing verifies the batch cap: the same backlog
+// of 63 under MaxPending 16 leaves in MaxPending slices, 16+16+16+15,
+// without Flush, rather than as one unbounded batch.
+func TestMaxPendingBoundsCoalescing(t *testing.T) {
+	h, hold := newHeldHarness(t, WithMaxPending(16))
+	h.registerPage(t, "ev1")
+
+	hold.pileUp(t, h, 63)
+	hold.Release()
+	waitForTransactions(t, h.monitor, 64)
+
+	st := h.monitor.Stats()
+	// Batch 1 holds the lone LSN 1; the backlog LSNs 2..64 follow as
+	// 2..17, 18..33, 34..49 and 50..64.
+	if got, want := hold.batchLSNs(), []int64{1, 17, 33, 49, 64}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch LSNs = %v, want %v (MaxPending must bound each batch)", got, want)
+	}
+	if st.Batches != 5 || st.Coalesced != 62 {
+		t.Fatalf("batches = %d, coalesced = %d, want 5 and 62", st.Batches, st.Coalesced)
 	}
 	bounds, counts := h.monitor.BatchSizes().Buckets()
 	for i, c := range counts {
@@ -135,7 +151,7 @@ func TestMaxPendingBoundsCoalescing(t *testing.T) {
 // transaction committed immediately before Flush must be propagated by the
 // time Flush returns, regardless of feed-queue timing.
 func TestFlushBacksOffWithoutSpinning(t *testing.T) {
-	h := newHarness(t, WithBatchWindow(time.Hour), WithBatchSize(1024))
+	h := newHarness(t)
 	h.registerPage(t, "ev1")
 	for i := 0; i < 50; i++ {
 		h.commit(t, "ev1", "s")

@@ -84,7 +84,7 @@ func TestCrashRecoveryZeroLoss(t *testing.T) {
 		return false
 	}
 	m1 := New(Config{Name: "t", DB: p.db, Engine: p.engine},
-		WithBatchWindow(0), WithCrashHook(hook))
+		WithCrashHook(hook))
 	if err := m1.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +115,7 @@ func TestCrashRecoveryZeroLoss(t *testing.T) {
 	p.commit(t, "ev4", "s4")
 
 	// The successor starts from the checkpoint and replays LSN 3..5.
-	m2 := New(Config{Name: "t", DB: p.db, Engine: p.engine, StartLSN: m1.Checkpoint()},
-		WithBatchWindow(0))
+	m2 := New(Config{Name: "t", DB: p.db, Engine: p.engine, StartLSN: m1.Checkpoint()})
 	if err := m2.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +141,29 @@ func TestCrashRecoveryZeroLoss(t *testing.T) {
 // crash mid-batch must still release them instead of hanging forever.
 func TestFlushReturnsWhenMonitorCrashes(t *testing.T) {
 	p := newPlant(t, 1)
+	// The hook holds the commit's batch while Flush is called, then
+	// crashes the monitor.
+	entered := make(chan struct{})
+	release := make(chan struct{})
 	m := New(Config{Name: "t", DB: p.db, Engine: p.engine},
-		WithBatchWindow(time.Hour), // only Flush drives propagation
-		WithCrashHook(func(int64) bool { return true }))
+		WithCrashHook(func(int64) bool {
+			close(entered)
+			<-release
+			return true
+		}))
 	if err := m.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	p.commit(t, "ev0", "s0")
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("monitor never propagated the commit")
+	}
 
 	done := make(chan struct{})
 	go func() { m.Flush(); close(done) }()
+	close(release)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -171,8 +183,7 @@ func TestStartLSNSkipsAlreadyPropagatedTransactions(t *testing.T) {
 	p.commit(t, "ev0", "old")
 	p.commit(t, "ev1", "new")
 
-	m := New(Config{Name: "t", DB: p.db, Engine: p.engine, StartLSN: 1},
-		WithBatchWindow(0))
+	m := New(Config{Name: "t", DB: p.db, Engine: p.engine, StartLSN: 1})
 	if err := m.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +206,7 @@ func TestStartLSNSkipsAlreadyPropagatedTransactions(t *testing.T) {
 // cancelled context bounds the wait.
 func TestShutdownIsIdempotentAndBounded(t *testing.T) {
 	p := newPlant(t, 1)
-	m := New(Config{Name: "t", DB: p.db, Engine: p.engine}, WithBatchWindow(0))
+	m := New(Config{Name: "t", DB: p.db, Engine: p.engine})
 	ctx := context.Background()
 	if err := m.Start(ctx); err != nil {
 		t.Fatal(err)
@@ -217,7 +228,6 @@ func TestOnCrashCallbackFiresAfterDone(t *testing.T) {
 	p := newPlant(t, 1)
 	notified := make(chan error, 1)
 	m := New(Config{Name: "t", DB: p.db, Engine: p.engine},
-		WithBatchWindow(0),
 		WithCrashHook(func(int64) bool { return true }),
 		WithOnCrash(func(err error) { notified <- err }))
 	if err := m.Start(context.Background()); err != nil {

@@ -6,10 +6,18 @@
 // and page-rendering code, deliberately separated from the uniprocessors
 // serving requests so that bursts of updates never degraded serving
 // latency. The Monitor mirrors that structure: it consumes the database's
-// change-data-capture feed on its own goroutine, batches transactions that
-// arrive close together, maps each changed row to its ODG vertices, and
-// hands the batch to the DUP engine, which re-renders affected pages and
-// distributes them to the serving caches.
+// change-data-capture feed on its own goroutine, batches transactions, maps
+// each changed row to its ODG vertices, and hands the batch to the DUP
+// engine, which re-renders affected pages and distributes them to the
+// serving caches.
+//
+// Batching is self-clocked: there is no timer. An idle monitor that
+// receives a transaction absorbs whatever else is already on the feed (up
+// to MaxPending, default 128) and propagates at once. Transactions that
+// arrive while a batch propagates queue on the feed and form the next
+// batch. A lone commit therefore never waits, while a commit burst still
+// coalesces into batches as large as the backlog the previous propagation
+// left behind.
 //
 // Availability: the monitor checkpoints the highest LSN it has propagated
 // (LastLSN). If it crashes — organically or via an injected fault hook — a
@@ -74,32 +82,29 @@ type Config struct {
 	// correct "everything so far already propagated by someone" choice of
 	// StartLSN = DB.LSN(); pass that explicitly when taking over).
 	StartLSN int64
-	// BatchSize propagates as soon as a batch holds this many transactions
-	// (default 16).
-	BatchSize int
-	// BatchWindow propagates a partial batch after this much quiet
-	// (default 50ms). Zero disables batching.
+	// Deprecated: BatchWindow is ignored. Batching is self-clocked (see the
+	// package documentation); no timer holds a batch back.
 	BatchWindow time.Duration
-	// MaxPending is the backpressure high-water mark (default 8*BatchSize).
-	// When a batch reaches BatchSize and the feed is still delivering — a
-	// commit burst — the monitor keeps absorbing already-arrived
-	// transactions into the same batch up to MaxPending before propagating
-	// once. The merged batch's changed-vertex frontiers deduplicate, so a
-	// burst costs one ODG traversal over the union instead of one per
-	// BatchSize: propagation work grows sublinearly with burst size.
+	// MaxPending caps the transactions in one batch (default 128). Under a
+	// commit burst the backlog on the feed drains in MaxPending slices, one
+	// propagation each. A merged batch's changed-vertex frontiers
+	// deduplicate, so a burst costs one ODG traversal over the union
+	// instead of one per transaction: propagation work grows sublinearly
+	// with burst size.
 	MaxPending int
 }
+
+// defaultMaxPending is the batch cap when Config.MaxPending is unset.
+const defaultMaxPending = 128
 
 // Monitor consumes a CDC feed and drives a DUP engine. Create with New,
 // begin with Start, release with Shutdown.
 type Monitor struct {
-	name        string
-	engine      *core.Engine
-	indexer     Indexer
-	batchSize   int
-	batchWindow time.Duration
-	maxPending  int
-	now         func() time.Time
+	name       string
+	engine     *core.Engine
+	indexer    Indexer
+	maxPending int
+	now        func() time.Time
 
 	database   *db.DB
 	startLSN   int64
@@ -119,7 +124,7 @@ type Monitor struct {
 	invalidated stats.Counter
 	replayed    stats.Counter    // transactions recovered from the log at Start
 	crashes     stats.Counter    // injected/organic crashes of this monitor
-	coalesced   stats.Counter    // transactions absorbed into already-full batches
+	coalesced   stats.Counter    // transactions absorbed from the feed backlog
 	latency     stats.Summary    // commit -> propagated, seconds
 	batchSizes  *stats.Histogram // transactions per propagated batch
 	batchWait   *stats.Histogram // arrival of first tx -> flush, seconds
@@ -141,24 +146,7 @@ type pendingTx struct {
 // Option configures a Monitor.
 type Option func(*Monitor)
 
-// WithBatchSize propagates as soon as a batch holds n transactions
-// (default 16).
-func WithBatchSize(n int) Option {
-	return func(m *Monitor) {
-		if n > 0 {
-			m.batchSize = n
-		}
-	}
-}
-
-// WithBatchWindow propagates a partial batch after d of quiet (default
-// 50ms). Zero disables batching: every transaction propagates immediately.
-func WithBatchWindow(d time.Duration) Option {
-	return func(m *Monitor) { m.batchWindow = d }
-}
-
-// WithMaxPending sets the backpressure high-water mark (see
-// Config.MaxPending).
+// WithMaxPending sets the batch cap (see Config.MaxPending).
 func WithMaxPending(n int) Option {
 	return func(m *Monitor) {
 		if n > 0 {
@@ -209,38 +197,25 @@ func WithOnReplay(f func(count int, upto int64)) Option {
 // propagating.
 func New(cfg Config, opts ...Option) *Monitor {
 	m := &Monitor{
-		name:        cfg.Name,
-		database:    cfg.DB,
-		engine:      cfg.Engine,
-		startLSN:    cfg.StartLSN,
-		indexer:     DefaultIndexer,
-		batchSize:   16,
-		batchWindow: 50 * time.Millisecond,
-		now:         time.Now,
-		flushC:      make(chan chan struct{}),
-		done:        make(chan struct{}),
-		lastLSN:     cfg.StartLSN,
-		batchSizes:  stats.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256),
+		name:       cfg.Name,
+		database:   cfg.DB,
+		engine:     cfg.Engine,
+		startLSN:   cfg.StartLSN,
+		indexer:    DefaultIndexer,
+		maxPending: defaultMaxPending,
+		now:        time.Now,
+		flushC:     make(chan chan struct{}),
+		done:       make(chan struct{}),
+		lastLSN:    cfg.StartLSN,
+		batchSizes: stats.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256),
 		batchWait: stats.NewHistogram(0.0001, 0.00025, 0.0005, 0.001, 0.0025,
 			0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5),
-	}
-	if cfg.BatchSize > 0 {
-		m.batchSize = cfg.BatchSize
-	}
-	if cfg.BatchWindow != 0 {
-		m.batchWindow = cfg.BatchWindow
 	}
 	if cfg.MaxPending > 0 {
 		m.maxPending = cfg.MaxPending
 	}
 	for _, o := range opts {
 		o(m)
-	}
-	if m.maxPending == 0 {
-		m.maxPending = 8 * m.batchSize
-	}
-	if m.maxPending < m.batchSize {
-		m.maxPending = m.batchSize
 	}
 	return m
 }
@@ -316,16 +291,6 @@ func (m *Monitor) loop(replay []db.Transaction) {
 	defer close(m.done)
 
 	var pending []pendingTx
-	var timer *time.Timer
-	var timerC <-chan time.Time
-
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			timerC = nil
-		}
-	}
 	admit := func(tx db.Transaction) {
 		arrived := m.now()
 		if m.tracer != nil {
@@ -334,7 +299,6 @@ func (m *Monitor) loop(replay []db.Transaction) {
 		pending = append(pending, pendingTx{tx: tx, arrived: arrived})
 	}
 	propagate := func() bool {
-		stopTimer()
 		if len(pending) == 0 {
 			return true
 		}
@@ -344,11 +308,11 @@ func (m *Monitor) loop(replay []db.Transaction) {
 	}
 	replayMax := int64(0)
 	// absorb drains transactions already delivered on the feed into the
-	// current batch, up to the maxPending high-water mark. Under a commit
-	// burst this coalesces what would have been many consecutive batches
-	// into one: the merged changed-vertex sets deduplicate in propagate, so
-	// the DUP traversal cost grows with the union of the frontiers, not the
-	// transaction count. Returns true if the feed closed while draining.
+	// current batch, up to maxPending. Under a commit burst this coalesces
+	// what would have been many consecutive batches into one: the merged
+	// changed-vertex sets deduplicate in propagate, so the DUP traversal
+	// cost grows with the union of the frontiers, not the transaction
+	// count. Returns true if the feed closed while draining.
 	absorb := func() (closed bool) {
 		for len(pending) < m.maxPending {
 			select {
@@ -358,12 +322,30 @@ func (m *Monitor) loop(replay []db.Transaction) {
 				}
 				if tx.LSN > replayMax {
 					admit(tx)
+					m.coalesced.Inc()
 				}
 			default:
 				return false
 			}
 		}
 		return false
+	}
+	// drain is the one propagation step: absorb the backlog, propagate,
+	// and repeat while the batch came out full, so a backlog larger than
+	// maxPending leaves in maxPending slices. Returns true when the monitor
+	// must stop because it crashed or its feed closed.
+	drain := func() (stop bool) {
+		for {
+			closed := absorb()
+			full := len(pending) >= m.maxPending
+			if !propagate() {
+				crashed = true
+				return true
+			}
+			if closed || !full {
+				return closed
+			}
+		}
 	}
 
 	// Recovery replay: everything the database retains past the
@@ -385,68 +367,31 @@ func (m *Monitor) loop(replay []db.Transaction) {
 		}
 	}
 
+	// Live consumption. Nothing is pending between iterations: an arrival
+	// wakes the monitor, which drains at once, and whatever commits during
+	// that propagation waits on the feed to become the next batch.
 	for {
 		select {
 		case tx, ok := <-m.feed:
 			if !ok {
-				propagate()
 				return
 			}
 			if tx.LSN <= replayMax {
 				continue // already recovered from the log
 			}
 			admit(tx)
-			if m.batchWindow <= 0 || len(pending) >= m.batchSize {
-				// Full batch with the feed possibly still delivering:
-				// absorb the backlog before propagating so a burst costs
-				// one traversal, not one per batchSize.
-				closed := false
-				if len(pending) >= m.batchSize {
-					before := len(pending)
-					closed = absorb()
-					m.coalesced.Add(int64(len(pending) - before))
-				}
-				if !propagate() {
-					crashed = true
-					return
-				}
-				if closed {
-					return
-				}
-			} else if timerC == nil {
-				timer = time.NewTimer(m.batchWindow)
-				timerC = timer.C
-			}
-		case <-timerC:
-			timer = nil
-			timerC = nil
-			if !propagate() {
-				crashed = true
+			if drain() {
 				return
 			}
 		case ack := <-m.flushC:
-			// Absorb anything already delivered on the feed and propagate,
-			// in high-water slices so even flush-driven batches respect
-			// MaxPending. Flush (below) re-issues the request until every
-			// transaction committed before the call has flowed through the
-			// feed's internal queue and been propagated.
-			for {
-				closed := absorb()
-				full := len(pending) >= m.maxPending
-				if !propagate() {
-					close(ack)
-					crashed = true
-					return
-				}
-				if closed {
-					close(ack)
-					return
-				}
-				if !full {
-					break
-				}
-			}
+			// Flush (below) re-issues the request until every transaction
+			// committed before the call has flowed through the feed's
+			// internal queue and been propagated.
+			stop := drain()
 			close(ack)
+			if stop {
+				return
+			}
 		}
 	}
 }
@@ -605,8 +550,9 @@ type MonitorStats struct {
 	Replayed int64
 	// Crashes counts monitor crashes (injected or organic).
 	Crashes int64
-	// Coalesced counts transactions absorbed into an already-full batch
-	// under backpressure (the sublinear-burst mechanism).
+	// Coalesced counts transactions absorbed from the feed backlog into a
+	// batch beyond the one that woke the monitor (the sublinear-burst
+	// mechanism).
 	Coalesced int64
 	// Freshness latency, seconds, commit -> propagated.
 	LatencyMean float64
@@ -652,7 +598,7 @@ func (m *Monitor) RegisterMetrics(reg *stats.Registry, labels stats.Labels) {
 	reg.RegisterCounter("trigger_crashes_total",
 		"trigger monitor crashes (injected or organic)", labels, &m.crashes)
 	reg.RegisterCounter("trigger_coalesced_total",
-		"transactions absorbed into already-full batches under backpressure", labels, &m.coalesced)
+		"transactions absorbed from the feed backlog into a batch", labels, &m.coalesced)
 	reg.RegisterHistogram("trigger_batch_size_transactions",
 		"transactions coalesced per batch", labels, m.batchSizes)
 	reg.RegisterHistogram("trigger_batch_wait_seconds",

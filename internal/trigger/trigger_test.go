@@ -3,6 +3,7 @@ package trigger
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -78,7 +79,7 @@ func (h *harness) commit(t *testing.T, row, score string) {
 }
 
 func TestEndToEndUpdateInPlace(t *testing.T) {
-	h := newHarness(t, WithBatchWindow(0))
+	h := newHarness(t)
 	h.registerPage(t, "ev1")
 	h.commit(t, "ev1", "9.81")
 	h.monitor.Flush()
@@ -95,7 +96,7 @@ func TestEndToEndUpdateInPlace(t *testing.T) {
 }
 
 func TestUnrelatedChangeDoesNotTouchPage(t *testing.T) {
-	h := newHarness(t, WithBatchWindow(0))
+	h := newHarness(t)
 	h.registerPage(t, "ev1")
 	h.commit(t, "ev-other", "1")
 	h.monitor.Flush()
@@ -109,47 +110,55 @@ func TestUnrelatedChangeDoesNotTouchPage(t *testing.T) {
 }
 
 func TestBatchingCoalescesDuplicateRows(t *testing.T) {
-	// Ten rapid updates to the same row inside one batch window must cause
-	// exactly one regeneration (the batch dedupes changed vertices).
-	h := newHarness(t, WithBatchSize(100), WithBatchWindow(time.Hour))
+	// Ten rapid updates to the same row that pile up while the monitor is
+	// busy must cause exactly one regeneration (the batch dedupes changed
+	// vertices).
+	h, hold := newHeldHarness(t)
 	h.registerPage(t, "ev1")
-	for i := 0; i < 10; i++ {
-		h.commit(t, "ev1", fmt.Sprintf("%d", i))
-	}
+	hold.pileUp(t, h, 10)
+	hold.Release()
 	h.monitor.Flush()
-	n, ok := h.renders.Load("/page/ev1")
-	if !ok || *(n.(*int)) != 1 {
-		t.Fatalf("renders = %v, want exactly 1", n)
+	n, _ := h.renders.Load("/page/ev1")
+	if *(n.(*int)) != 2 {
+		t.Fatalf("renders = %d, want 2 (one for the waking commit, one for the backlog)", *(n.(*int)))
 	}
 	obj, _ := h.cache.Peek("/page/ev1")
 	if string(obj.Value) != "9" {
 		t.Fatalf("page = %q, want final score", obj.Value)
 	}
 	st := h.monitor.Stats()
-	if st.Batches != 1 || st.Transactions != 10 {
+	if st.Batches != 2 || st.Transactions != 11 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
+// TestBatchSizeTriggersPropagation: a batch that comes out full triggers
+// the next propagation at once, so a backlog larger than MaxPending drains
+// without Flush.
 func TestBatchSizeTriggersPropagation(t *testing.T) {
-	h := newHarness(t, WithBatchSize(3), WithBatchWindow(time.Hour))
+	h, hold := newHeldHarness(t, WithMaxPending(3))
 	h.registerPage(t, "ev1")
-	for i := 0; i < 3; i++ {
-		h.commit(t, "ev1", fmt.Sprintf("%d", i))
-	}
-	// No Flush: the size threshold alone must fire. Poll for effect.
+	hold.pileUp(t, h, 6)
+	hold.Release()
+	// No Flush: the full batches alone must drain the backlog. Poll for
+	// effect.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if obj, ok := h.cache.Peek("/page/ev1"); ok && string(obj.Value) == "2" {
+		if obj, ok := h.cache.Peek("/page/ev1"); ok && string(obj.Value) == "5" {
+			if got, want := hold.batchLSNs(), []int64{1, 4, 7}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch LSNs = %v, want %v", got, want)
+			}
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("batch-size propagation never fired")
+	t.Fatal("full-batch propagation never fired")
 }
 
+// TestBatchWindowTriggersPropagation: with no window to wait out, a lone
+// commit propagates on arrival, without Flush.
 func TestBatchWindowTriggersPropagation(t *testing.T) {
-	h := newHarness(t, WithBatchSize(1000), WithBatchWindow(10*time.Millisecond))
+	h := newHarness(t)
 	h.registerPage(t, "ev1")
 	h.commit(t, "ev1", "42")
 	deadline := time.Now().Add(5 * time.Second)
@@ -159,25 +168,48 @@ func TestBatchWindowTriggersPropagation(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("batch-window propagation never fired")
+	t.Fatal("arrival propagation never fired")
+}
+
+// TestDeprecatedBatchWindowIgnored pins that Config.BatchWindow holds
+// nothing back: even under an hour-long window a lone commit propagates on
+// arrival, without Flush.
+func TestDeprecatedBatchWindowIgnored(t *testing.T) {
+	p := newPlant(t, 1)
+	m := New(Config{DB: p.db, Engine: p.engine, BatchWindow: time.Hour})
+	if err := m.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Shutdown(context.Background()) })
+	p.commit(t, "ev0", "s0")
+	deadline := time.Now().Add(time.Second)
+	for time.Now().Before(deadline) {
+		if obj, _ := p.cache.Peek("/page/ev0"); string(obj.Value) == "s0" {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("lone commit not propagated within 1s under BatchWindow: time.Hour")
 }
 
 func TestShutdownDrainsPending(t *testing.T) {
-	h := newHarness(t, WithBatchSize(1000), WithBatchWindow(time.Hour))
+	h, hold := newHeldHarness(t)
 	h.registerPage(t, "ev1")
-	h.commit(t, "ev1", "7")
-	// Give the feed a moment to deliver, then stop: the final propagation
-	// on shutdown must apply the pending batch.
-	deadline := time.Now().Add(5 * time.Second)
-	for h.monitor.Stats().Transactions == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := h.monitor.Shutdown(context.Background()); err != nil {
+	hold.pileUp(t, h, 2)
+	// Shut down while the backlog still waits on the feed: the monitor
+	// must propagate it before it stops.
+	errc := make(chan error, 1)
+	go func() { errc <- h.monitor.Shutdown(context.Background()) }()
+	hold.Release()
+	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
 	obj, _ := h.cache.Peek("/page/ev1")
-	if string(obj.Value) != "7" {
-		t.Fatalf("pending batch lost on Shutdown: %q", obj.Value)
+	if string(obj.Value) != "1" {
+		t.Fatalf("pending backlog lost on Shutdown: %q", obj.Value)
+	}
+	if st := h.monitor.Stats(); st.Transactions != 3 {
+		t.Fatalf("transactions = %d, want 3", st.Transactions)
 	}
 }
 
@@ -210,7 +242,7 @@ func TestCustomIndexer(t *testing.T) {
 	}
 	e := core.NewEngine(g, c, core.WithGenerator(gen))
 	e.RegisterObject("/extra", []odg.NodeID{"extra:vertex"})
-	m := startMonitor(t, d, e, WithBatchWindow(0), WithIndexer(ix))
+	m := startMonitor(t, d, e, WithIndexer(ix))
 	if _, err := d.Commit(d.NewTx().Put("results", "k", nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +274,11 @@ func TestLatencyMeasured(t *testing.T) {
 		return &cache.Object{Key: key, Value: []byte("x"), Version: version}, nil
 	}
 	e := core.NewEngine(g, c, core.WithGenerator(gen))
-	m := startMonitor(t, d, e, WithBatchWindow(0), WithClock(clock))
+	// The commit propagates on arrival; hold it in the crash hook until the
+	// clock has moved.
+	advanced := make(chan struct{})
+	m := startMonitor(t, d, e, WithClock(clock),
+		WithCrashHook(func(int64) bool { <-advanced; return false }))
 
 	if _, err := d.Commit(d.NewTx().Put("results", "k", nil)); err != nil {
 		t.Fatal(err)
@@ -250,6 +286,7 @@ func TestLatencyMeasured(t *testing.T) {
 	mu.Lock()
 	now = base.Add(3 * time.Second) // propagation "takes" 3s of simulated time
 	mu.Unlock()
+	close(advanced)
 	m.Flush()
 	st := m.Stats()
 	if st.LatencyMax < 2.9 || st.LatencyMax > 3.1 {
@@ -262,7 +299,7 @@ func TestLatencyMeasured(t *testing.T) {
 }
 
 func TestLastLSNAdvances(t *testing.T) {
-	h := newHarness(t, WithBatchWindow(0))
+	h := newHarness(t)
 	h.registerPage(t, "ev1")
 	for i := 0; i < 5; i++ {
 		h.commit(t, "ev1", "s")
@@ -276,7 +313,7 @@ func TestLastLSNAdvances(t *testing.T) {
 func TestManyPagesPerUpdate(t *testing.T) {
 	// A cross-country result update affecting 128 pages (paper, §3.1),
 	// flowing through the full trigger pipeline.
-	h := newHarness(t, WithBatchWindow(0))
+	h := newHarness(t)
 	key := func(i int) cache.Key { return cache.Key(fmt.Sprintf("/cc/p%d", i)) }
 	gen := odg.NodeID(db.RowID("results", "cc:ev1"))
 	for i := 0; i < 128; i++ {
@@ -294,8 +331,11 @@ func TestManyPagesPerUpdate(t *testing.T) {
 	}
 }
 
+// TestConcurrentCommittersSingleMonitor: four committers race one monitor
+// whose small MaxPending splits every backlog they build; every
+// transaction still propagates exactly once, in LSN order.
 func TestConcurrentCommittersSingleMonitor(t *testing.T) {
-	h := newHarness(t, WithBatchSize(8), WithBatchWindow(5*time.Millisecond))
+	h := newHarness(t, WithMaxPending(8))
 	h.registerPage(t, "ev1")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -321,28 +361,40 @@ func TestConcurrentCommittersSingleMonitor(t *testing.T) {
 // TestTracePropagationStages asserts that every committed transaction's
 // trace contains exactly the stages commit -> cdc -> batch -> dup ->
 // render -> push with monotonically non-decreasing boundary timestamps.
+// The batched cases hold the monitor inside a first, lone commit's
+// propagation while a backlog piles up behind it.
 func TestTracePropagationStages(t *testing.T) {
 	cases := []struct {
 		name    string
 		opts    []Option
-		commits int
+		backlog int // commits piled up behind the first; 0 = no hold
 	}{
-		{"unbatched single tx", []Option{WithBatchWindow(0)}, 1},
-		{"windowed batch", []Option{WithBatchWindow(5 * time.Millisecond), WithBatchSize(64)}, 5},
-		{"size-triggered batch", []Option{WithBatchWindow(time.Hour), WithBatchSize(2)}, 4},
+		{"unbatched single tx", nil, 0},
+		// The backlog coalesces into one batch.
+		{"windowed batch", nil, 4},
+		// The backlog leaves in MaxPending slices: 2+1.
+		{"size-triggered batch", []Option{WithMaxPending(2)}, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := trace.New()
-			h := newHarness(t, append(append([]Option(nil), tc.opts...), WithTracer(tr))...)
-			h.registerPage(t, "ev1")
-			for i := 0; i < tc.commits; i++ {
-				h.commit(t, "ev1", fmt.Sprintf("score-%d", i))
+			opts := append(append([]Option(nil), tc.opts...), WithTracer(tr))
+			commits := 1 + tc.backlog
+			if tc.backlog == 0 {
+				h := newHarness(t, opts...)
+				h.registerPage(t, "ev1")
+				h.commit(t, "ev1", "score")
+				h.monitor.Flush()
+			} else {
+				h, hold := newHeldHarness(t, opts...)
+				h.registerPage(t, "ev1")
+				hold.pileUp(t, h, tc.backlog)
+				hold.Release()
+				h.monitor.Flush()
 			}
-			h.monitor.Flush()
 
-			if got := tr.Recorded(); got != int64(tc.commits) {
-				t.Fatalf("traces recorded = %d, want %d (one per transaction)", got, tc.commits)
+			if got := tr.Recorded(); got != int64(commits) {
+				t.Fatalf("traces recorded = %d, want %d (one per transaction)", got, commits)
 			}
 			if tr.InFlight() != 0 {
 				t.Fatalf("in-flight after flush = %d, want 0", tr.InFlight())
@@ -394,7 +446,7 @@ func TestTraceSLOViolation(t *testing.T) {
 	}
 	e := core.NewEngine(g, c, core.WithGenerator(gen))
 	tr := trace.New(trace.WithSLO(60 * time.Second))
-	m := startMonitor(t, d, e, WithTracer(tr), WithBatchWindow(0),
+	m := startMonitor(t, d, e, WithTracer(tr),
 		WithClock(func() time.Time { return base.Add(70 * time.Second) }))
 
 	e.RegisterObject("/page/ev1", []odg.NodeID{odg.NodeID(db.RowID("results", "ev1"))})
@@ -414,17 +466,16 @@ func TestTraceSLOViolation(t *testing.T) {
 // one batch-size and one batch-wait observation per propagated batch.
 func TestBatchHistograms(t *testing.T) {
 	tr := trace.New()
-	h := newHarness(t, WithBatchWindow(time.Hour), WithBatchSize(3), WithTracer(tr))
+	h, hold := newHeldHarness(t, WithTracer(tr))
 	h.registerPage(t, "ev1")
-	for i := 0; i < 3; i++ {
-		h.commit(t, "ev1", fmt.Sprintf("s%d", i))
-	}
+	hold.pileUp(t, h, 3)
+	hold.Release()
 	h.monitor.Flush()
 
 	sizes := h.monitor.BatchSizes()
 	waits := h.monitor.BatchWait()
-	if sizes.Count() == 0 {
-		t.Fatal("batch-size histogram recorded nothing")
+	if sizes.Count() != 2 {
+		t.Fatalf("size observations = %d, want 2 (the lone commit, then the backlog)", sizes.Count())
 	}
 	if sizes.Count() != waits.Count() {
 		t.Fatalf("size observations = %d, wait observations = %d, want equal",
@@ -434,9 +485,8 @@ func TestBatchHistograms(t *testing.T) {
 	if sizes.Count() != batches {
 		t.Fatalf("size observations = %d, batches = %d, want one per batch", sizes.Count(), batches)
 	}
-	// All three commits land before the size-3 threshold flushes, so some
-	// batch must have held more than one transaction.
-	if sizes.Mean() < 1 {
-		t.Fatalf("mean batch size = %v, want >= 1", sizes.Mean())
+	// Batches of 1 and 3.
+	if sizes.Mean() != 2 {
+		t.Fatalf("mean batch size = %v, want 2", sizes.Mean())
 	}
 }

@@ -160,7 +160,7 @@ func TestE2EWirePropagation(t *testing.T) {
 
 	mon := trigger.New(trigger.Config{
 		Name: "e2e", DB: master, Engine: engine,
-		StartLSN: master.LSN(), BatchWindow: 5 * time.Millisecond,
+		StartLSN: master.LSN(),
 	}, trigger.WithIndexer(st.Indexer))
 	if err := mon.Start(context.Background()); err != nil {
 		t.Fatalf("monitor: %v", err)
