@@ -656,9 +656,11 @@ func startMasterPlane(f flags, peers []string) *masterPlane {
 	log.Printf("replicas caught up at lsn %d", p.master.LSN())
 
 	log.Printf("prerendering %d pages into %d node caches over the wire...", len(st.Pages()), len(peers))
-	if err := st.PrerenderAll(p.master.LSN(), func(o *cache.Object) { p.group.ApplyPut(o) }); err != nil {
+	var prerendered []*cache.Object
+	if err := st.PrerenderAll(p.master.LSN(), func(o *cache.Object) { prerendered = append(prerendered, o) }); err != nil {
 		log.Fatal(err)
 	}
+	p.group.ApplyBatch(prerendered)
 
 	p.mon = trigger.New(trigger.Config{
 		Name:     "master",

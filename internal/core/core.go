@@ -86,6 +86,17 @@ type Store interface {
 	ApplyInvalidatePrefix(prefix string) int
 }
 
+// BatchStore is a Store that takes a whole wave of fresh objects in one
+// call (*wire.GroupClient ships it as one frame per node). The engine finds
+// it by type assertion and then hands each regenerated set over at once —
+// the phase-1 fragments, then the phase-2 page wave — instead of calling
+// ApplyPut per object.
+type BatchStore interface {
+	Store
+	// ApplyBatch installs freshly generated objects, in order.
+	ApplyBatch(objs []*cache.Object)
+}
+
 // Assembler is the engine's contract with an incremental page-assembly
 // renderer (*fragment.Engine implements it). Before phase-1 fragment
 // regeneration the engine opens a batch, pinning the batch version as the
@@ -177,6 +188,7 @@ type stageTiming struct {
 type Engine struct {
 	graph  *odg.Graph
 	store  Store
+	batch  BatchStore // store, when it takes whole waves; else nil
 	gen    Generator
 	policy Policy
 	mapper ConservativeMapper
@@ -302,6 +314,7 @@ func NewEngine(graph *odg.Graph, store Store, opts ...Option) *Engine {
 		policy:   PolicyUpdateInPlace,
 		staleAcc: make(map[cache.Key]float64),
 	}
+	e.batch, _ = store.(BatchStore)
 	for _, o := range opts {
 		o(e)
 	}
@@ -381,7 +394,7 @@ func (e *Engine) OnChange(version int64, changed ...odg.NodeID) Result {
 
 // updateInPlace regenerates the affected objects in dependency order
 // (fragments before the pages that embed them) and broadcasts each fresh
-// object to the store.
+// object to the store — per object, or per set to a BatchStore.
 func (e *Engine) updateInPlace(res *Result, version int64, affected []odg.NodeID) {
 	if e.gen == nil {
 		// Degrade to invalidation rather than serving stale data.
@@ -440,30 +453,59 @@ func (e *Engine) assemble(res *Result, version int64, affected []odg.NodeID, tm 
 }
 
 // regenerateSet regenerates an ordered set of objects, concurrently when
-// the engine has workers configured.
+// the engine has workers configured. With a BatchStore the fresh objects
+// are collected by index and handed over in one ApplyBatch, in set order.
 func (e *Engine) regenerateSet(res *Result, version int64, ordered []odg.NodeID, tm *stageTiming) {
-	if e.workers > 1 && len(ordered) > 1 {
-		e.regenerateParallel(res, version, ordered, tm)
-		return
+	var wave []*cache.Object
+	if e.batch != nil {
+		wave = make([]*cache.Object, len(ordered))
 	}
-	for _, id := range ordered {
-		updated, invalidated, err := e.regenerateOne(version, id, tm)
-		if updated {
-			res.Updated++
+	if e.workers > 1 && len(ordered) > 1 {
+		e.regenerateParallel(res, version, ordered, wave, tm)
+	} else {
+		for i, id := range ordered {
+			updated, invalidated, err := e.regenerateOne(version, id, wave, i, tm)
+			if updated {
+				res.Updated++
+			}
+			if invalidated {
+				res.Invalidated++
+			}
+			if err != nil {
+				res.Errors = append(res.Errors, err)
+			}
 		}
-		if invalidated {
-			res.Invalidated++
-		}
-		if err != nil {
-			res.Errors = append(res.Errors, err)
-		}
+	}
+	if wave != nil {
+		e.applyWave(version, wave, tm)
 	}
 }
 
-// regenerateOne renders a single object and applies it, or invalidates it
-// on failure — never leave a known-stale page in the cache. Safe for
-// concurrent use; result accounting is the caller's job.
-func (e *Engine) regenerateOne(version int64, id odg.NodeID, tm *stageTiming) (updated, invalidated bool, err error) {
+// applyWave hands a collected wave to the BatchStore in one call, leaving
+// out the empty slots of failed renders (already invalidated).
+func (e *Engine) applyWave(version int64, wave []*cache.Object, tm *stageTiming) {
+	objs := wave[:0]
+	for _, obj := range wave {
+		if obj != nil {
+			objs = append(objs, obj)
+		}
+	}
+	if len(objs) == 0 {
+		return
+	}
+	pushStart := time.Now()
+	e.batch.ApplyBatch(objs)
+	tm.push.Add(int64(time.Since(pushStart)))
+	for _, obj := range objs {
+		e.emit(TraceEvent{Version: version, Key: obj.Key, Action: "update", Reason: "affected"})
+	}
+}
+
+// regenerateOne renders a single object and applies it — or, given a wave,
+// leaves it at wave[i] for applyWave — or invalidates it at once on
+// failure: never leave a known-stale page in the cache. Safe for concurrent
+// use; result accounting is the caller's job.
+func (e *Engine) regenerateOne(version int64, id odg.NodeID, wave []*cache.Object, i int, tm *stageTiming) (updated, invalidated bool, err error) {
 	renderStart := time.Now()
 	obj, genErr := e.gen(cache.Key(id), version)
 	tm.render.Add(int64(time.Since(renderStart)))
@@ -477,6 +519,10 @@ func (e *Engine) regenerateOne(version int64, id odg.NodeID, tm *stageTiming) (u
 	}
 	if obj.Version == 0 {
 		obj.Version = version
+	}
+	if wave != nil {
+		wave[i] = obj
+		return true, false, nil
 	}
 	pushStart := time.Now()
 	e.store.ApplyPut(obj)
@@ -495,11 +541,11 @@ func (e *Engine) emit(ev TraceEvent) {
 // regenerateParallel renders the ordered affected set with e.workers
 // goroutines, one dependency level at a time: all of a level's objects may
 // render concurrently because their predecessors completed in earlier
-// levels.
-func (e *Engine) regenerateParallel(res *Result, version int64, ordered []odg.NodeID, tm *stageTiming) {
+// levels. A wave, when given, is filled by index into ordered.
+func (e *Engine) regenerateParallel(res *Result, version int64, ordered []odg.NodeID, wave []*cache.Object, tm *stageTiming) {
 	inSet := make(map[odg.NodeID]int, len(ordered)) // id -> level
-	var levels [][]odg.NodeID
-	for _, id := range ordered {
+	var levels [][]int                              // indices into ordered
+	for i, id := range ordered {
 		lvl := 0
 		for _, p := range e.graph.Predecessors(id) {
 			if pl, ok := inSet[p]; ok && pl+1 > lvl {
@@ -510,20 +556,19 @@ func (e *Engine) regenerateParallel(res *Result, version int64, ordered []odg.No
 		for len(levels) <= lvl {
 			levels = append(levels, nil)
 		}
-		levels[lvl] = append(levels[lvl], id)
+		levels[lvl] = append(levels[lvl], i)
 	}
 	var mu sync.Mutex
 	for _, level := range levels {
 		sem := make(chan struct{}, e.workers)
 		var wg sync.WaitGroup
-		for _, id := range level {
-			id := id
+		for _, i := range level {
 			wg.Add(1)
 			sem <- struct{}{}
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				updated, invalidated, err := e.regenerateOne(version, id, tm)
+				updated, invalidated, err := e.regenerateOne(version, ordered[i], wave, i, tm)
 				mu.Lock()
 				if updated {
 					res.Updated++

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"dupserve/internal/cache"
@@ -60,9 +61,21 @@ func (d *decoder) uvarint(what string) uint64 {
 		d.fail(what)
 		return 0
 	}
+	if n > 1 && d.b[n-1] == 0 {
+		// A zero final byte pads the value: accepting it would give one
+		// value two encodings.
+		d.fail(what + " not minimally encoded")
+		return 0
+	}
 	d.b = d.b[n:]
 	return v
 }
+
+// uvarintSize is the length of v's uvarint encoding.
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// bytesSize is the length of an n-byte length-prefixed field.
+func bytesSize(n int) int { return uvarintSize(uint64(n)) + n }
 
 func (d *decoder) bytes(what string) []byte {
 	n := d.uvarint(what + " length")
@@ -105,10 +118,15 @@ func (d *decoder) done() error {
 // appendTime appends a wall-clock instant as unix nanoseconds (two's
 // complement via zigzag is unnecessary: all times here are after 1970).
 func appendTime(dst []byte, t time.Time) []byte {
+	return appendUvarint(dst, timeNanos(t))
+}
+
+// timeNanos is the uvarint appendTime writes for t; the zero time is 0.
+func timeNanos(t time.Time) uint64 {
 	if t.IsZero() {
-		return appendUvarint(dst, 0)
+		return 0
 	}
-	return appendUvarint(dst, uint64(t.UnixNano()))
+	return uint64(t.UnixNano())
 }
 
 func (d *decoder) time(what string) time.Time {
@@ -214,6 +232,79 @@ func DecodeObject(p []byte) (*cache.Object, error) {
 		return nil, err
 	}
 	return obj, nil
+}
+
+// objectSize is len(EncodeObject(nil, obj)), computed without encoding.
+func objectSize(obj *cache.Object) int {
+	return bytesSize(len(obj.Key)) + bytesSize(len(obj.ContentType)) +
+		uvarintSize(uint64(obj.Version)) + uvarintSize(timeNanos(obj.StoredAt)) +
+		bytesSize(len(obj.Value))
+}
+
+// EncodeObjects renders an ordered batch of cache objects as a TypePutBatch
+// payload: the object count, then each object's EncodeObject bytes behind a
+// length prefix.
+func EncodeObjects(dst []byte, objs []*cache.Object) []byte {
+	dst = appendUvarint(dst, uint64(len(objs)))
+	for _, obj := range objs {
+		dst = appendUvarint(dst, uint64(objectSize(obj)))
+		dst = EncodeObject(dst, obj)
+	}
+	return dst
+}
+
+// DecodeObjects parses a TypePutBatch payload, in order. It decodes every
+// object before returning any, so a malformed payload yields none.
+func DecodeObjects(p []byte) ([]*cache.Object, error) {
+	d := &decoder{b: p}
+	n := d.uvarint("object count")
+	if d.err == nil && n > uint64(len(d.b)) {
+		// Every object takes at least one byte; reject before allocating.
+		d.fail("object count exceeds payload")
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	objs := make([]*cache.Object, 0, n)
+	for i := uint64(0); i < n; i++ {
+		b := d.bytes("object")
+		if d.err != nil {
+			return nil, d.err
+		}
+		obj, err := DecodeObject(b)
+		if err != nil {
+			return nil, err
+		}
+		objs = append(objs, obj)
+	}
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return objs, nil
+}
+
+// batchPayloads encodes objs as TypePutBatch payloads of at most MaxPayload
+// bytes each, in order. It fails only for an object too large for any
+// frame.
+func batchPayloads(objs []*cache.Object) ([][]byte, error) {
+	var out [][]byte
+	for len(objs) > 0 {
+		// The full batch's count prefix bounds every sub-batch's.
+		n, size := 0, uvarintSize(uint64(len(objs)))
+		for ; n < len(objs); n++ {
+			s := bytesSize(objectSize(objs[n]))
+			if size+s > MaxPayload {
+				break
+			}
+			size += s
+		}
+		if n == 0 {
+			return nil, fmt.Errorf("wire: object %q does not fit in one frame", objs[0].Key)
+		}
+		out = append(out, EncodeObjects(make([]byte, 0, size), objs[:n]))
+		objs = objs[n:]
+	}
+	return out, nil
 }
 
 // EncodeString renders a bare string payload (TypeInvalidate key,

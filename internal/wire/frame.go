@@ -65,6 +65,9 @@ const (
 	// Dispatcher forwarding a connection); the ack carries the outcome and
 	// the served object.
 	TypeServe
+	// TypePutBatch installs an ordered wave of cache objects on a node in
+	// one round trip; a wave larger than MaxPayload spans several frames.
+	TypePutBatch
 	numTypes
 )
 
@@ -79,6 +82,7 @@ var typeNames = [numTypes]string{
 	TypeInvalidatePrefix: "invalidate-prefix",
 	TypePing:             "ping",
 	TypeServe:            "serve",
+	TypePutBatch:         "put-batch",
 }
 
 // String names the frame type.
@@ -95,8 +99,9 @@ func (t Type) String() string {
 const Version = 1
 
 // MaxPayload bounds a frame's payload. A length field beyond it means a
-// corrupt or hostile stream, not a big message: the largest legitimate
-// payload is one rendered page plus headers, far below 16 MiB.
+// corrupt or hostile stream, not a big message: senders split anything
+// larger (a page wave goes out as several TypePutBatch frames), so no
+// legitimate frame exceeds it.
 const MaxPayload = 16 << 20
 
 // headerSize is the fixed prefix before the payload; trailerSize the CRC.

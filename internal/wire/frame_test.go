@@ -230,6 +230,39 @@ func TestObjectCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestObjectsCodecRoundTrip round-trips put-batch payloads — empty, one
+// object, and a mix of zero and set fields — in order, and pins objectSize
+// to the encoder it mirrors.
+func TestObjectsCodecRoundTrip(t *testing.T) {
+	objs := []*cache.Object{
+		{Key: "/en/home", Value: []byte("<html>home</html>"), ContentType: "text/html", Version: 9,
+			StoredAt: time.Unix(0, 1e18).UTC()},
+		{Key: "/ja/medals"},
+		{Key: "frag:medals", Value: bytes.Repeat([]byte("x"), 300), Version: 1 << 40},
+	}
+	for _, obj := range objs {
+		if got, want := objectSize(obj), len(EncodeObject(nil, obj)); got != want {
+			t.Fatalf("objectSize(%s) = %d, EncodeObject wrote %d", obj.Key, got, want)
+		}
+	}
+	for _, batch := range [][]*cache.Object{nil, objs[:1], objs} {
+		got, err := DecodeObjects(EncodeObjects(nil, batch))
+		if err != nil {
+			t.Fatalf("%d objects: decode: %v", len(batch), err)
+		}
+		if len(got) != len(batch) {
+			t.Fatalf("%d objects: decoded %d", len(batch), len(got))
+		}
+		for i, want := range batch {
+			g := got[i]
+			if g.Key != want.Key || g.ContentType != want.ContentType || g.Version != want.Version ||
+				!g.StoredAt.Equal(want.StoredAt) || !bytes.Equal(g.Value, want.Value) {
+				t.Fatalf("object %d mismatch: %+v", i, g)
+			}
+		}
+	}
+}
+
 // TestScalarCodecsRoundTrip covers the string, uint, pong and serve-result
 // payloads.
 func TestScalarCodecsRoundTrip(t *testing.T) {
@@ -268,15 +301,18 @@ func TestCodecRejectsMalformedPayloads(t *testing.T) {
 	payloads := map[string][]byte{
 		"txn":    EncodeTransaction(nil, tx),
 		"object": EncodeObject(nil, &cache.Object{Key: "k", Value: []byte("v")}),
-		"pong":   EncodePong(nil, Pong{Ready: true, Load: 2}),
+		"objects": EncodeObjects(nil, []*cache.Object{
+			{Key: "k", Value: []byte("v")}, {Key: "k2", Version: 3}}),
+		"pong": EncodePong(nil, Pong{Ready: true, Load: 2}),
 		"serve": EncodeServeResult(nil, ServeResult{
 			Object: &cache.Object{Key: "k", Value: []byte("v")}}),
 	}
 	decode := map[string]func([]byte) error{
-		"txn":    func(b []byte) error { _, err := DecodeTransaction(b); return err },
-		"object": func(b []byte) error { _, err := DecodeObject(b); return err },
-		"pong":   func(b []byte) error { _, err := DecodePong(b); return err },
-		"serve":  func(b []byte) error { _, err := DecodeServeResult(b); return err },
+		"txn":     func(b []byte) error { _, err := DecodeTransaction(b); return err },
+		"object":  func(b []byte) error { _, err := DecodeObject(b); return err },
+		"objects": func(b []byte) error { _, err := DecodeObjects(b); return err },
+		"pong":    func(b []byte) error { _, err := DecodePong(b); return err },
+		"serve":   func(b []byte) error { _, err := DecodeServeResult(b); return err },
 	}
 	for name, full := range payloads {
 		for n := 0; n < len(full); n++ {
@@ -294,5 +330,18 @@ func TestCodecRejectsMalformedPayloads(t *testing.T) {
 	huge = appendUvarint(huge, 1<<40)                                 // change count
 	if _, err := DecodeTransaction(huge); !errors.Is(err, ErrCodec) {
 		t.Fatalf("hostile change count: got %v", err)
+	}
+	// A put-batch count beyond the remaining bytes is rejected before
+	// allocation, one beyond the objects present is a truncation, and a
+	// padded count is not a second encoding of the same batch.
+	one := payloads["objects"][1:] // the objects after the count
+	for name, p := range map[string][]byte{
+		"hostile object count":  appendUvarint(nil, 1<<40),
+		"object count too high": append(appendUvarint(nil, 3), one...),
+		"padded object count":   append([]byte{0x82, 0x00}, one...),
+	} {
+		if _, err := DecodeObjects(p); !errors.Is(err, ErrCodec) {
+			t.Fatalf("%s: got %v, want ErrCodec", name, err)
+		}
 	}
 }

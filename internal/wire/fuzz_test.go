@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"time"
 
+	"dupserve/internal/cache"
 	"dupserve/internal/db"
 )
 
@@ -58,6 +60,27 @@ func FuzzDecodeTransaction(f *testing.F) {
 		}
 		if tx2.LSN != tx.LSN || len(tx2.Changes) != len(tx.Changes) {
 			t.Fatalf("decode not stable: %+v vs %+v", tx, tx2)
+		}
+	})
+}
+
+// FuzzDecodeObjects asserts the put-batch codec never panics and holds the
+// format canonical: anything it accepts re-encodes byte-identically.
+func FuzzDecodeObjects(f *testing.F) {
+	f.Add(EncodeObjects(nil, []*cache.Object{
+		{Key: "/en/home", Value: []byte("<html/>"), ContentType: "text/html", Version: 4,
+			StoredAt: time.Unix(0, 99)},
+		{Key: "frag:medals"}}))
+	f.Add(EncodeObjects(nil, nil))
+	f.Add([]byte{0x02, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		objs, err := DecodeObjects(data)
+		if err != nil {
+			return
+		}
+		if re := EncodeObjects(nil, objs); !bytes.Equal(re, data) {
+			t.Fatalf("accepted batch does not re-encode canonically:\n in  %x\n out %x", data, re)
 		}
 	})
 }

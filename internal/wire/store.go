@@ -11,9 +11,10 @@ import (
 )
 
 // RegisterStore exposes store over s as a push target: TypePush installs an
-// object, TypeInvalidate / TypeInvalidatePrefix drop entries and ack with
-// the removal count. A serving node registers its local cache here; the
-// master's GroupClient fans broadcasts out to one such endpoint per node.
+// object, TypePutBatch an ordered wave of them, TypeInvalidate /
+// TypeInvalidatePrefix drop entries and ack with the removal count. A
+// serving node registers its local cache here; the master's GroupClient
+// fans broadcasts out to one such endpoint per node.
 func RegisterStore(s *Server, store core.Store) {
 	s.Handle(TypePush, func(payload []byte) ([]byte, error) {
 		obj, err := DecodeObject(payload)
@@ -21,6 +22,17 @@ func RegisterStore(s *Server, store core.Store) {
 			return nil, err
 		}
 		store.ApplyPut(obj)
+		return nil, nil
+	})
+	s.Handle(TypePutBatch, func(payload []byte) ([]byte, error) {
+		// Decode the whole frame first: a malformed one installs nothing.
+		objs, err := DecodeObjects(payload)
+		if err != nil {
+			return nil, err
+		}
+		for _, obj := range objs {
+			store.ApplyPut(obj)
+		}
 		return nil, nil
 	})
 	s.Handle(TypeInvalidate, func(payload []byte) ([]byte, error) {
@@ -67,6 +79,27 @@ func (sc *StoreClient) Put(obj *cache.Object) error {
 	return err
 }
 
+// PutBatch installs objs on the remote node in order, as TypePutBatch
+// frames of at most MaxPayload bytes each.
+func (sc *StoreClient) PutBatch(objs []*cache.Object) error {
+	payloads, err := batchPayloads(objs)
+	if err != nil {
+		return err
+	}
+	return sc.putPayloads(payloads)
+}
+
+// putPayloads sends encoded TypePutBatch payloads one after another, each
+// acked before the next leaves, so the node applies them in order.
+func (sc *StoreClient) putPayloads(payloads [][]byte) error {
+	for _, p := range payloads {
+		if _, err := sc.c.Call(context.Background(), TypePutBatch, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Invalidate drops key on the remote node, reporting whether it was held.
 func (sc *StoreClient) Invalidate(key cache.Key) (int, error) {
 	resp, err := sc.c.Call(context.Background(), TypeInvalidate, EncodeString(nil, string(key)))
@@ -109,11 +142,12 @@ type pendingSet struct {
 
 func (p *pendingSet) empty() bool { return len(p.keys) == 0 && len(p.prefixes) == 0 }
 
-// GroupClient is the wire analogue of cache.Group: it implements core.Store
-// by fanning every put and invalidation out to a set of remote nodes,
-// applying the same bounded-retry-then-downgrade policy BroadcastPut uses
-// locally. The extra failure mode TCP adds — the downgrade invalidation
-// itself failing because the connection is gone — is covered by per-node
+// GroupClient is the wire analogue of cache.Group: it implements
+// core.BatchStore by fanning every page wave and invalidation out to a set
+// of remote nodes, a wave to all nodes in parallel, applying per node the
+// same bounded-retry-then-downgrade policy BroadcastPut uses locally. The
+// extra failure mode TCP adds — the downgrade invalidation itself failing
+// because the connection is gone — is covered by per-node
 // pending-invalidation debt replayed on the next contact.
 type GroupClient struct {
 	mu      sync.Mutex
@@ -144,7 +178,9 @@ func WithGroupRetryPolicy(p cache.RetryPolicy) GroupClientOption {
 }
 
 // WithGroupDowngradeHook installs the downgrade callback (same contract as
-// cache.WithDowngradeHook). The observability journal wires in here.
+// cache.WithDowngradeHook), called once per downgraded key. Members are
+// pushed concurrently, so the hook must be safe for concurrent use. The
+// observability journal wires in here.
 func WithGroupDowngradeHook(h func(node string, key cache.Key)) GroupClientOption {
 	return func(g *GroupClient) { g.downgrade = h }
 }
@@ -291,53 +327,87 @@ func (g *GroupClient) PendingDebt() int {
 	return n
 }
 
-// ApplyPut implements core.Store: push obj to every member with bounded
-// retries, downgrading a node to invalidation on exhaustion — and to
-// recorded debt if even the invalidation cannot be delivered.
-func (g *GroupClient) ApplyPut(obj *cache.Object) {
+// ApplyPut implements core.Store as a batch of one.
+func (g *GroupClient) ApplyPut(obj *cache.Object) { g.ApplyBatch([]*cache.Object{obj}) }
+
+// ApplyBatch implements core.BatchStore. The batch is encoded once and
+// pushed to every member at the same time, one goroutine each, and the call
+// returns when every member is done, so a slow or dead node delays only its
+// own copy. Each member settles its older debt first, then takes the whole
+// batch under the retry policy; on exhaustion every key downgrades to an
+// invalidation, and an invalidation that cannot be delivered becomes debt.
+func (g *GroupClient) ApplyBatch(objs []*cache.Object) {
+	if len(objs) == 0 {
+		return
+	}
 	g.mu.Lock()
 	retry, downgrade := g.retry, g.downgrade
 	g.mu.Unlock()
+	// Only an object too large for any frame fails to encode; no node can
+	// take the batch then, so every member downgrades it.
+	payloads, encErr := batchPayloads(objs)
+	var wg sync.WaitGroup
+	for _, m := range g.members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Settle older debt first so operations arrive in a safe order: an
+			// undelivered invalidation must not outlive a newer successful push.
+			g.settle(m)
+			if encErr == nil && g.push(m, payloads, retry) {
+				// A fresh object supersedes any debt recorded for its key
+				// while this broadcast was in flight.
+				for _, obj := range objs {
+					g.clearDebt(m.Name(), obj.Key, "")
+				}
+				return
+			}
+			g.downgradeBatch(m, objs, downgrade)
+		}()
+	}
+	wg.Wait()
+}
+
+// push delivers an encoded batch to m with bounded retries, reporting
+// whether it landed.
+func (g *GroupClient) push(m *StoreClient, payloads [][]byte, retry cache.RetryPolicy) bool {
 	sleep := retry.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	for _, m := range g.members {
-		// Settle older debt first so operations arrive in a safe order: an
-		// undelivered invalidation must not outlive a newer successful push.
-		g.settle(m)
-		backoff := retry.Backoff
-		delivered := false
-		for attempt := 1; attempt <= retry.MaxAttempts; attempt++ {
-			err := m.Put(obj)
-			if err == nil {
-				delivered = true
-				// A fresh object supersedes any debt recorded for this key
-				// while this broadcast was in flight.
-				g.clearDebt(m.Name(), obj.Key, "")
-				break
-			}
-			g.pushFailures.Inc()
-			if attempt < retry.MaxAttempts {
-				g.pushRetries.Inc()
-				sleep(backoff)
-				backoff *= 2
-				if backoff > retry.MaxBackoff {
-					backoff = retry.MaxBackoff
-				}
-			}
+	backoff := retry.Backoff
+	for attempt := 1; attempt <= retry.MaxAttempts; attempt++ {
+		if m.putPayloads(payloads) == nil {
+			return true
 		}
-		if !delivered {
-			g.pushDowngrades.Inc()
-			if _, err := m.Invalidate(obj.Key); err != nil {
-				// The degraded remedy itself could not be delivered: the node
-				// may hold a stale copy. Record the debt; the flusher and the
-				// next contact replay it before the node serves unchecked.
-				g.addDebt(m.Name(), obj.Key, "")
-			}
-			if downgrade != nil {
-				downgrade(m.Name(), obj.Key)
-			}
+		g.pushFailures.Inc()
+		if attempt < retry.MaxAttempts {
+			g.pushRetries.Inc()
+			sleep(backoff)
+			backoff = min(2*backoff, retry.MaxBackoff)
+		}
+	}
+	return false
+}
+
+// downgradeBatch invalidates on m every key of a batch it could not take.
+// Once one invalidation fails the link is down and the rest would fail too,
+// so that key and every later one become recorded debt: the node may hold
+// stale copies, and the flusher and the next contact replay the debt before
+// the node serves unchecked.
+func (g *GroupClient) downgradeBatch(m *StoreClient, objs []*cache.Object, hook func(node string, key cache.Key)) {
+	linkDown := false
+	for _, obj := range objs {
+		g.pushDowngrades.Inc()
+		if !linkDown {
+			_, err := m.Invalidate(obj.Key)
+			linkDown = err != nil
+		}
+		if linkDown {
+			g.addDebt(m.Name(), obj.Key, "")
+		}
+		if hook != nil {
+			hook(m.Name(), obj.Key)
 		}
 	}
 }
@@ -378,11 +448,11 @@ func (g *GroupClient) ApplyInvalidatePrefix(prefix string) int {
 // families (e.g. {"transport": "wire"}).
 func (g *GroupClient) RegisterMetrics(reg *stats.Registry, labels stats.Labels) {
 	reg.RegisterCounter("push_retries_total",
-		"wire push attempts retried after a per-node failure", labels, &g.pushRetries)
+		"wire batch push attempts retried after a per-node failure", labels, &g.pushRetries)
 	reg.RegisterCounter("push_failures_total",
-		"individual per-node wire push attempts that failed", labels, &g.pushFailures)
+		"individual per-node wire batch push attempts that failed", labels, &g.pushFailures)
 	reg.RegisterCounter("push_downgrades_total",
-		"wire pushes downgraded to invalidation after retry exhaustion", labels, &g.pushDowngrades)
+		"keys downgraded to invalidation after a node's batch push exhausted retries", labels, &g.pushDowngrades)
 	reg.RegisterCounter("wire_pending_replays_total",
 		"pending invalidations replayed after a link recovered", labels, &g.pendingReplays)
 	reg.RegisterFunc("wire_pending_invalidations",

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -418,5 +419,298 @@ func TestGroupClientFanOutAndDebt(t *testing.T) {
 	}
 	if _, ok := c2.Get("/en/home"); ok {
 		t.Fatal("stale entry survived debt replay")
+	}
+}
+
+// opLog is a node-side store in front of a cache that logs the puts and
+// invalidations it applies, in arrival order.
+type opLog struct {
+	*cache.Cache
+	mu  sync.Mutex
+	ops []string
+}
+
+func (l *opLog) record(op string) {
+	l.mu.Lock()
+	l.ops = append(l.ops, op)
+	l.mu.Unlock()
+}
+
+func (l *opLog) ApplyPut(obj *cache.Object) {
+	l.record("put " + string(obj.Key))
+	l.Cache.ApplyPut(obj)
+}
+
+func (l *opLog) ApplyInvalidate(key cache.Key) int {
+	l.record("inv " + string(key))
+	return l.Cache.ApplyInvalidate(key)
+}
+
+// since returns the ops logged after the first n.
+func (l *opLog) since(n int) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.ops[n:]...)
+}
+
+func (l *opLog) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.ops)
+}
+
+// batchNode is one serving node for the group tests: its logged cache
+// behind RegisterStore on a loopback server with its own transport metrics.
+type batchNode struct {
+	name    string
+	store   *opLog
+	server  *Server
+	metrics *Metrics
+	addr    string
+}
+
+func startBatchNode(t *testing.T, name string) *batchNode {
+	t.Helper()
+	n := &batchNode{name: name, store: &opLog{Cache: cache.New(name)}, metrics: NewMetrics()}
+	n.server = NewServer(name, WithServerMetrics(n.metrics))
+	RegisterStore(n.server, n.store)
+	addr, err := n.server.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("%s listen: %v", name, err)
+	}
+	t.Cleanup(n.server.Close)
+	n.addr = addr.String()
+	return n
+}
+
+// wave returns n objects /k0../k<n-1> at version v.
+func wave(n int, v int64) []*cache.Object {
+	objs := make([]*cache.Object, n)
+	for i := range objs {
+		objs[i] = &cache.Object{Key: cache.Key(fmt.Sprintf("/k%d", i)),
+			Value: []byte(fmt.Sprintf("k%d@v%d", i, v)), Version: v}
+	}
+	return objs
+}
+
+// TestGroupClientBatchIsOneFramePerNode: a 300-object wave over four nodes
+// crosses the wire as exactly one put-batch frame (and one ack) per node.
+func TestGroupClientBatchIsOneFramePerNode(t *testing.T) {
+	var nodes []*batchNode
+	var members []*StoreClient
+	for i := 0; i < 4; i++ {
+		n := startBatchNode(t, fmt.Sprintf("up%d", i))
+		nodes = append(nodes, n)
+		members = append(members, NewStoreClient(n.name, Dial(n.name, n.addr)))
+	}
+	g := NewGroupClient(members, WithFlushInterval(time.Hour))
+	defer g.Close()
+
+	objs := wave(300, 1)
+	g.ApplyBatch(objs)
+	for _, n := range nodes {
+		if got := n.metrics.FramesReceived.Value(); got != 1 {
+			t.Fatalf("%s received %d frames for one wave, want 1", n.name, got)
+		}
+		if got := n.metrics.FramesSent.Value(); got != 1 {
+			t.Fatalf("%s sent %d frames for one wave, want 1 ack", n.name, got)
+		}
+		if got := n.store.since(0); len(got) != len(objs) || got[0] != "put /k0" || got[299] != "put /k299" {
+			t.Fatalf("%s applied %d ops, want the 300 puts in order", n.name, len(got))
+		}
+	}
+}
+
+// TestGroupClientBatchDowngradeAndSettle partitions one of three nodes:
+// that node alone takes MaxAttempts batch attempts, then every key
+// downgrades (hook per key, debt per undeliverable invalidation) while the
+// others receive the whole wave. After the heal the debt settles before the
+// next wave reaches the node, so the stale copies die and the fresh page
+// that re-uses a debt key survives.
+func TestGroupClientBatchDowngradeAndSettle(t *testing.T) {
+	up0, up1, cut := startBatchNode(t, "up0"), startBatchNode(t, "up1"), startBatchNode(t, "cut")
+	var partitioned atomic.Bool
+	clientFor := func(n *batchNode, opts ...ClientOption) *StoreClient {
+		opts = append(opts, WithCallTimeout(time.Second),
+			WithReconnectBackoff(time.Millisecond, 5*time.Millisecond))
+		return NewStoreClient(n.name, Dial(n.name, n.addr, opts...))
+	}
+	var hookMu sync.Mutex
+	var downgraded []string
+	const attempts = 3
+	g := NewGroupClient(
+		[]*StoreClient{clientFor(up0), clientFor(up1), clientFor(cut, WithPartitionCheck(partitioned.Load))},
+		WithGroupRetryPolicy(cache.RetryPolicy{
+			MaxAttempts: attempts, Backoff: time.Millisecond, MaxBackoff: time.Millisecond,
+			Sleep: func(time.Duration) {}}),
+		WithGroupDowngradeHook(func(node string, key cache.Key) {
+			hookMu.Lock()
+			downgraded = append(downgraded, node+" "+string(key))
+			hookMu.Unlock()
+		}),
+		// No background flush: only the next wave may settle the debt.
+		WithFlushInterval(time.Hour))
+	defer g.Close()
+
+	g.ApplyBatch(wave(10, 1))
+	partitioned.Store(true)
+	g.ApplyBatch(wave(10, 2))
+
+	if got := g.pushFailures.Value(); got != attempts {
+		t.Fatalf("failed batch attempts = %d, want %d (the cut node's MaxAttempts)", got, attempts)
+	}
+	if got := g.pushRetries.Value(); got != attempts-1 {
+		t.Fatalf("retries = %d, want %d", got, attempts-1)
+	}
+	hookMu.Lock()
+	if len(downgraded) != 10 || downgraded[0] != "cut /k0" || downgraded[9] != "cut /k9" {
+		t.Fatalf("downgrade hook calls = %q, want cut /k0../k9", downgraded)
+	}
+	hookMu.Unlock()
+	if got := g.PendingDebt(); got != 10 {
+		t.Fatalf("pending debt = %d, want one invalidation per key", got)
+	}
+	for _, n := range []*batchNode{up0, up1} {
+		for _, obj := range wave(10, 2) {
+			if got, ok := n.store.Peek(obj.Key); !ok || got.Version != 2 {
+				t.Fatalf("%s: %s not at v2 beside the partitioned node", n.name, obj.Key)
+			}
+		}
+	}
+	if got, ok := cut.store.Peek("/k5"); !ok || got.Version != 1 {
+		t.Fatal("test premise broken: the cut node should still hold v1")
+	}
+
+	partitioned.Store(false)
+	mark := cut.store.len()
+	next := []*cache.Object{
+		{Key: "/k0", Value: []byte("k0@v3"), Version: 3},
+		{Key: "/new", Value: []byte("new@v3"), Version: 3},
+	}
+	g.ApplyBatch(next)
+	if got := g.PendingDebt(); got != 0 {
+		t.Fatalf("pending debt after the next wave = %d, want 0", got)
+	}
+	ops := cut.store.since(mark)
+	if len(ops) != 12 {
+		t.Fatalf("cut node ops after heal = %q, want 10 invalidations then 2 puts", ops)
+	}
+	for i, op := range ops[:10] {
+		if !strings.HasPrefix(op, "inv ") {
+			t.Fatalf("op %d after heal = %q: the wave overtook the debt (%q)", i, op, ops)
+		}
+	}
+	if ops[10] != "put /k0" || ops[11] != "put /new" {
+		t.Fatalf("wave ops = %q, want put /k0, put /new", ops[10:])
+	}
+	if got, ok := cut.store.Peek("/k0"); !ok || got.Version != 3 {
+		t.Fatal("the fresh /k0 did not survive the debt replay")
+	}
+	if cut.store.Contains("/k5") {
+		t.Fatal("stale /k5 survived the debt replay")
+	}
+}
+
+// TestPutBatchSplitsAtMaxPayload sends a wave larger than one frame can
+// carry: it arrives complete and in order over several frames, none above
+// the cap; an object no frame can carry is an error, not a panic.
+func TestPutBatchSplitsAtMaxPayload(t *testing.T) {
+	const size = 4 << 20
+	objs := make([]*cache.Object, 5)
+	for i := range objs {
+		objs[i] = &cache.Object{Key: cache.Key(fmt.Sprintf("/big%d", i)),
+			Value: bytes.Repeat([]byte{byte('a' + i)}, size), Version: 1}
+	}
+	payloads, err := batchPayloads(objs)
+	if err != nil {
+		t.Fatalf("batchPayloads: %v", err)
+	}
+	if len(payloads) < 2 {
+		t.Fatalf("%d MiB wave fit in %d payloads, want a split", 5*size>>20, len(payloads))
+	}
+	for i, p := range payloads {
+		if len(p) > MaxPayload {
+			t.Fatalf("payload %d is %d bytes, above MaxPayload", i, len(p))
+		}
+	}
+
+	n := startBatchNode(t, "big")
+	sc := NewStoreClient("big", Dial("big", n.addr, WithCallTimeout(10*time.Second)))
+	defer sc.Close()
+	if err := sc.PutBatch(objs); err != nil {
+		t.Fatalf("PutBatch: %v", err)
+	}
+	if got := n.metrics.FramesReceived.Value(); got != int64(len(payloads)) {
+		t.Fatalf("node received %d frames, want %d", got, len(payloads))
+	}
+	want := []string{"put /big0", "put /big1", "put /big2", "put /big3", "put /big4"}
+	if got := n.store.since(0); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("node applied %q, want %q", got, want)
+	}
+	if got, ok := n.store.Peek("/big4"); !ok || !bytes.Equal(got.Value, objs[4].Value) {
+		t.Fatal("last object arrived damaged")
+	}
+
+	tooBig := &cache.Object{Key: "/huge", Value: make([]byte, MaxPayload)}
+	if err := sc.PutBatch([]*cache.Object{tooBig}); err == nil {
+		t.Fatal("PutBatch accepted an object no frame can carry")
+	}
+}
+
+// gatedStore holds every put until its gate opens: a node that has stalled.
+type gatedStore struct {
+	*opLog
+	gate chan struct{}
+}
+
+func (s *gatedStore) ApplyPut(obj *cache.Object) {
+	<-s.gate
+	s.opLog.ApplyPut(obj)
+}
+
+// TestGroupClientBatchStalledNodeDelaysOnlyItself: nodes are pushed in
+// parallel, so while the first member stalls the others already hold the
+// wave; ApplyBatch itself returns only once the stalled node is done.
+func TestGroupClientBatchStalledNodeDelaysOnlyItself(t *testing.T) {
+	stalled := &gatedStore{opLog: &opLog{Cache: cache.New("stalled")}, gate: make(chan struct{})}
+	s := NewServer("stalled")
+	RegisterStore(s, stalled)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer s.Close()
+	up0, up1 := startBatchNode(t, "up0"), startBatchNode(t, "up1")
+	clientFor := func(name, addr string) *StoreClient {
+		return NewStoreClient(name, Dial(name, addr, WithCallTimeout(5*time.Second)))
+	}
+	g := NewGroupClient([]*StoreClient{
+		clientFor("stalled", addr.String()), clientFor("up0", up0.addr), clientFor("up1", up1.addr),
+	}, WithFlushInterval(time.Hour))
+	defer g.Close()
+
+	done := make(chan struct{})
+	go func() {
+		g.ApplyBatch(wave(20, 1))
+		close(done)
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for up0.store.len() < 20 || up1.store.len() < 20 {
+		if time.Now().After(deadline) {
+			close(stalled.gate)
+			t.Fatalf("healthy nodes hold %d and %d of 20 objects while one node stalls",
+				up0.store.len(), up1.store.len())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-done:
+		t.Fatal("ApplyBatch returned before the stalled node took the wave")
+	default:
+	}
+	close(stalled.gate)
+	<-done
+	if got := stalled.len(); got != 20 {
+		t.Fatalf("stalled node applied %d of 20 objects after release", got)
 	}
 }
