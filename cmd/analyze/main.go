@@ -6,14 +6,6 @@
 //	olympicsd -accesslog access.log &
 //	loadgen -url http://localhost:8098 -duration 30s
 //	analyze -log access.log -top 15
-//
-// It doubles as the serve-path benchmark regression guard: -compare diffs a
-// fresh BENCH_serve.json against the committed baseline and exits non-zero
-// on a material regression (any hit-path alloc increase, or a >15% drop in
-// throughput or speedup-vs-baseline):
-//
-//	simulate -serve-bench /tmp/BENCH_serve.json
-//	analyze -compare BENCH_serve.json -fresh /tmp/BENCH_serve.json
 package main
 
 import (
@@ -30,26 +22,7 @@ import (
 func main() {
 	path := flag.String("log", "-", "access log file (- for stdin)")
 	top := flag.Int("top", 10, "number of top pages to print")
-	compare := flag.String("compare", "", "committed BENCH_serve.json to compare against (enables compare mode)")
-	fresh := flag.String("fresh", "", "freshly measured BENCH_serve.json (required with -compare)")
-	maxDrop := flag.Float64("max-drop-pct", 15, "throughput/speedup regression tolerance for -compare, percent")
 	flag.Parse()
-
-	if *compare != "" {
-		if *fresh == "" {
-			log.Fatal("-compare requires -fresh")
-		}
-		regressions := runCompare(*compare, *fresh, *maxDrop)
-		if len(regressions) > 0 {
-			fmt.Fprintln(os.Stderr, "serve-bench regression vs committed baseline:")
-			for _, r := range regressions {
-				fmt.Fprintln(os.Stderr, "  -", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("serve-bench: no regression vs %s (tolerance %.0f%%, allocs strict)\n", *compare, *maxDrop)
-		return
-	}
 
 	var r io.Reader = os.Stdin
 	if *path != "-" {

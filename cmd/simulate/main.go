@@ -33,12 +33,9 @@
 // the plant reconverges and re-advertises. Output is deterministic for a
 // given seed; the process exits non-zero if any invariant breaks.
 //
-// The overload scenario can also run alone, and there is a benchmark mode
-// that records throughput, p50/p99 latency, and shed/stale rates at 1x,
-// 3x, and 5x of capacity as JSON:
+// The overload scenario can also run alone:
 //
 //	simulate -overload -seed 1
-//	simulate -overload-bench BENCH_overload.json
 //
 // Both scenarios end with a consistency audit: every complex's auditor
 // shadow-renders the full page set against its replica at a pinned LSN and
@@ -64,11 +61,9 @@
 //	simulate -recovery -seed 1
 //	simulate -recovery-bench BENCH_recovery.json
 //
-// The wire benchmark drives the framed TCP transport over loopback — a
-// pipelined stream of page pushes into a node cache — and records push
-// throughput plus the client's RPC latency quantiles as JSON:
-//
-//	simulate -wire-bench BENCH_wire.json
+// Throughput, latency and freshness of the live plant are measured by the
+// benchmark ledger (bash bench/run.sh, workloads declared in
+// BENCHMARK.json), not by this command.
 //
 // Traffic runs at a configurable fraction of the paper's 634.7M hits
 // (default 1/1000); printed hit figures are rescaled back to paper volume
@@ -112,126 +107,7 @@ func main() {
 	flightMode := flag.Bool("flight", false, "run the flight-recorder scenario: provoke each anomaly trigger once and report the captured black-box dumps")
 	recoveryMode := flag.Bool("recovery", false, "run the node-recovery scenario: kill a node, commit through the outage, readmit it through warmup + slow-start, then flap it and assert exponential damping")
 	recoveryBench := flag.String("recovery-bench", "", "write the warm-vs-cold readmission benchmark as JSON to this file")
-	wireBench := flag.String("wire-bench", "", "write the loopback wire-transport benchmark (push throughput, RPC latency) as JSON to this file")
-	wirePushes := flag.Int("wire-pushes", 5000, "page pushes for -wire-bench")
-	overloadBench := flag.String("overload-bench", "", "write the 1x/3x/5x overload benchmark as JSON to this file")
-	propBench := flag.String("propagation-bench", "", "write the incremental-propagation benchmark (memoized assembly vs full re-render) as JSON to this file")
-	propBursts := flag.Int("propagation-bursts", 400, "update bursts for -propagation-bench")
-	serveBench := flag.String("serve-bench", "", "write the serve-path saturation benchmark (striped/RCU/zero-alloc vs pre-overhaul baseline across GOMAXPROCS 1/2/4/8) as JSON to this file")
 	flag.Parse()
-
-	if *serveBench != "" {
-		rep, err := runServeBench(*seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "serve-bench:", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*serveBench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "serve-bench:", err)
-			os.Exit(1)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "serve-bench:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "serve-bench:", err)
-			os.Exit(1)
-		}
-		last := rep.Overhauled.HitCells[len(rep.Overhauled.HitCells)-1]
-		fmt.Fprintf(os.Stderr,
-			"serve benchmark written to %s (hit path %.0f req/s @%d procs, %.2fx vs baseline, %.2f allocs/op; mixed %.2fx)\n",
-			*serveBench, last.Throughput, last.GOMAXPROCS, rep.SpeedupAtMax, rep.HitAllocsPerOp, rep.MixedSpeedupAtMax)
-		return
-	}
-
-	if *propBench != "" {
-		rep, err := runPropagationBench(*seed, *propBursts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "propagation-bench:", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*propBench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "propagation-bench:", err)
-			os.Exit(1)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "propagation-bench:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "propagation-bench:", err)
-			os.Exit(1)
-		}
-		if rep.RendersTotal != rep.ChangedFragments {
-			fmt.Fprintf(os.Stderr, "propagation-bench: renders_total=%d != changed_fragments=%d\n",
-				rep.RendersTotal, rep.ChangedFragments)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "propagation benchmark written to %s (renders=%d reuses=%d speedup=%.2fx)\n",
-			*propBench, rep.RendersTotal, rep.ReusesTotal, rep.Speedup)
-		return
-	}
-
-	if *overloadBench != "" {
-		rep, err := chaos.BenchOverload(chaos.OverloadConfig{Seed: *seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "overload-bench:", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*overloadBench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "overload-bench:", err)
-			os.Exit(1)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "overload-bench:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "overload-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "overload benchmark written to %s\n", *overloadBench)
-		return
-	}
-
-	if *wireBench != "" {
-		rep, err := runWireBench(*seed, *wirePushes, 8<<10, 8)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wire-bench:", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*wireBench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wire-bench:", err)
-			os.Exit(1)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "wire-bench:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "wire-bench:", err)
-			os.Exit(1)
-		}
-		if rep.CallErrors != 0 || rep.Reconnects != 0 {
-			fmt.Fprintf(os.Stderr, "wire-bench: loopback run not clean: call_errors=%d reconnects=%d\n",
-				rep.CallErrors, rep.Reconnects)
-			os.Exit(1)
-		}
-		if rep.PushesPerSec <= 0 || rep.RPCP99Ms <= 0 {
-			fmt.Fprintf(os.Stderr, "wire-bench: degenerate measurements: pushes/s=%.1f p99=%.3fms\n",
-				rep.PushesPerSec, rep.RPCP99Ms)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr,
-			"wire benchmark written to %s (%.0f pushes/s, %.1f MB/s payload, p50=%.3fms p99=%.3fms)\n",
-			*wireBench, rep.PushesPerSec, rep.PayloadMBPerS, rep.RPCP50Ms, rep.RPCP99Ms)
-		return
-	}
 
 	if *recoveryBench != "" {
 		rep, err := chaos.BenchRecovery(chaos.RecoveryBenchConfig{Seed: *seed})
@@ -344,8 +220,8 @@ func main() {
 	}
 	var res *sim.Result
 	if needMain[*experiment] {
-		fmt.Fprintf(os.Stderr, "running %d-day simulation (%d hits, %d pages site)...\n",
-			cfg.SiteSpec.Days, cfg.TotalHits, 0)
+		fmt.Fprintf(os.Stderr, "running %d-day simulation (%d hits)...\n",
+			cfg.SiteSpec.Days, cfg.TotalHits)
 		var err error
 		res, err = sim.Run(cfg)
 		if err != nil {

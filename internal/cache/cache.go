@@ -218,7 +218,7 @@ func WithStaleRetention() Option {
 
 // WithShards sets the stripe count, rounded up to a power of two and
 // clamped to [1, 4096]. n = 1 reproduces the single-lock layout exactly
-// (the pre-stripe baseline the serve benchmark compares against).
+// (the reference layout the striping torture test compares against).
 func WithShards(n int) Option {
 	return func(c *Cache) { c.nshards = n }
 }

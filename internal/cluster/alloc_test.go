@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dupserve/internal/cache"
-	"dupserve/internal/dispatch"
 	"dupserve/internal/httpserver"
 	"dupserve/internal/overload"
 )
@@ -45,12 +44,11 @@ func TestFullHitPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLockedPickPathStillServes exercises the legacy (bench-baseline)
-// locked pick path through the same stack, proving behavioural equivalence
-// on the hit path.
-func TestLockedPickPathStillServes(t *testing.T) {
-	cx := NewComplex(Config{Name: "legacy", Frames: 1, NodesPerFrame: 4},
-		WithDispatcherOptions(dispatch.WithLockedPickPath()))
+// TestPickPathRoundRobinsIdlePool drives the lock-free pick path through the
+// full complex stack: with every node idle, the round-robin tiebreak spreads
+// hits exactly evenly.
+func TestPickPathRoundRobinsIdlePool(t *testing.T) {
+	cx := NewComplex(Config{Name: "rr", Frames: 1, NodesPerFrame: 4})
 	obj := &cache.Object{Key: "/p", Value: []byte("x"), Version: 1}
 	cx.Caches.BroadcastPut(obj)
 	for i := 0; i < 40; i++ {

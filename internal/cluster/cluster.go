@@ -336,11 +336,6 @@ func WithGroupOptions(opts ...cache.GroupOption) Option {
 	return func(c *Config) { c.GroupOptions = append(c.GroupOptions, opts...) }
 }
 
-// WithDispatcherOptions appends options for the complex's dispatcher.
-func WithDispatcherOptions(opts ...dispatch.Option) Option {
-	return func(c *Config) { c.DispatcherOptions = append(c.DispatcherOptions, opts...) }
-}
-
 // Complex is one geographic serving site: frames of nodes behind a Network
 // Dispatcher, with a cache group spanning every node for the trigger
 // monitor's broadcasts.

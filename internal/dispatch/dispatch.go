@@ -273,17 +273,6 @@ func (m *member) liveScore() float64 {
 	return s
 }
 
-// legacyScore reproduces the pre-RCU pick path's per-member probe exactly:
-// a live load query behind a per-call interface assertion. Only the locked
-// (bench-baseline) pick path uses it.
-func (m *member) legacyScore() float64 {
-	s := m.load()
-	if ls, ok := m.node.(loadSignaler); ok {
-		s += ls.LoadSignal()
-	}
-	return s
-}
-
 // snapEntry is one member's routing-relevant state frozen into a snapshot.
 // The member pointer carries the atomics that stay live across snapshots.
 type snapEntry struct {
@@ -310,7 +299,6 @@ type Dispatcher struct {
 	observer      *obs.Collector // mints serve spans; nil without WithObserver
 	policy        HealthPolicy
 	onChange      func(StateChange) // fired outside the lock; nil without WithStateChange
-	locked        bool              // legacy locked pick path (bench baseline)
 
 	mu      sync.Mutex
 	members []*member
@@ -318,7 +306,6 @@ type Dispatcher struct {
 
 	snap atomic.Pointer[snapshot]
 	rrc  atomic.Uint64 // round-robin tiebreak cursor
-	rr   int           // legacy locked-path cursor (guarded by mu)
 
 	forwarded     stats.Counter
 	failovers     stats.Counter
@@ -366,16 +353,6 @@ func WithHealthPolicy(p HealthPolicy) Option {
 // may call back into the dispatcher (and may journal, capture dumps, etc.).
 func WithStateChange(fn func(StateChange)) Option {
 	return func(d *Dispatcher) { d.onChange = fn }
-}
-
-// WithLockedPickPath selects the pre-RCU routing implementation: node
-// selection under the dispatcher mutex with a live per-member load probe
-// and a per-request failover set allocation. It exists as the measured
-// baseline for the serve-path benchmark (cmd/simulate -serve-bench) and as
-// an escape hatch while the lock-free path soaks; behaviour is identical,
-// only the concurrency structure differs.
-func WithLockedPickPath() Option {
-	return func(d *Dispatcher) { d.locked = true }
 }
 
 // Config describes a Dispatcher.
@@ -753,62 +730,6 @@ func (d *Dispatcher) pick(sn *snapshot, tried uint64) int {
 	return best
 }
 
-// lockedPick is the legacy pick path: the same selection under the
-// dispatcher mutex, probing each member's live overload signal. Kept as
-// the serve-path benchmark baseline (WithLockedPickPath).
-func (d *Dispatcher) lockedPick(exclude map[*member]bool) *member {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var best *member
-	var bestScore float64
-	n := len(d.members)
-	if n == 0 {
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		m := d.members[(d.rr+i)%n]
-		if !m.inList() || exclude[m] {
-			continue
-		}
-		if m.state == StateProbation {
-			c := m.credit.Add(m.rampM.Load())
-			if c > 2*creditUnit {
-				m.credit.Store(2 * creditUnit)
-			}
-			if c < creditUnit {
-				continue
-			}
-		}
-		if s := m.legacyScore(); best == nil || s < bestScore {
-			best, bestScore = m, s
-		}
-	}
-	if best == nil {
-		for i := 0; i < n; i++ {
-			m := d.members[(d.rr+i)%n]
-			if !m.inList() || exclude[m] {
-				continue
-			}
-			if s := m.legacyScore(); best == nil || s < bestScore {
-				best, bestScore = m, s
-			}
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	if best.state == StateProbation {
-		if c := best.credit.Load(); c > creditUnit {
-			best.credit.Add(-creditUnit)
-		} else {
-			best.credit.Store(0)
-		}
-	}
-	d.rr = (d.rr + 1) % n
-	best.out.Add(1)
-	return best
-}
-
 // release accounts a finished request. On success the member's cached load
 // signal is refreshed — the one LoadSignal query per request, off the pick
 // path. On failure the member is evicted: a dead request is certainty, not
@@ -858,16 +779,7 @@ func (d *Dispatcher) ServeCtx(ctx context.Context, path string) (*cache.Object, 
 		sp.SetPath(path)
 		minted = true
 	}
-	var (
-		obj     *cache.Object
-		outcome httpserver.Outcome
-		err     error
-	)
-	if d.locked {
-		obj, outcome, err = d.serveLocked(ctx, sp, path)
-	} else {
-		obj, outcome, err = d.serve(ctx, sp, path)
-	}
+	obj, outcome, err := d.serve(ctx, sp, path)
 	if minted {
 		sp.SetOutcome(outcome.String())
 		if obj != nil {
@@ -892,15 +804,21 @@ func serveOn(ctx context.Context, m *member, path string) (*cache.Object, httpse
 // fail their attempt and are masked out; members added mid-request are
 // picked up by the next request. The tried set is a bitmask over snapshot
 // indices, so the hit path performs no allocation. Snapshots wider than 64
-// members fall back to masking the first 64 (a pool that wide is itself a
-// misconfiguration — the ND topped out at tens of nodes per site).
+// members mask only the first 64 (a pool that wide is itself a
+// misconfiguration — the ND topped out at tens of nodes per site), so an
+// unbounded request over one stops after as many attempts as the snapshot
+// has members instead of picking an unmasked member forever.
 func (d *Dispatcher) serve(ctx context.Context, sp *obs.Span, path string) (*cache.Object, httpserver.Outcome, error) {
 	sn := d.snap.Load()
+	wide := d.maxRetries < 0 && len(sn.entries) > 64
 	var tried uint64
 	retries := 0
 	var lastShed error
 	for {
-		idx := d.pick(sn, tried)
+		idx := -1
+		if !wide || retries < len(sn.entries) {
+			idx = d.pick(sn, tried)
+		}
 		if idx < 0 {
 			d.rejected.Inc()
 			if lastShed != nil {
@@ -936,53 +854,6 @@ func (d *Dispatcher) serve(ctx context.Context, sp *obs.Span, path string) (*cac
 		}
 		if outcome == httpserver.OutcomeError && err != nil && !errors.Is(err, httpserver.ErrNoRoute) {
 			// Node-level failure: pull it and fail over.
-			d.release(m, true)
-			d.failovers.Inc()
-			retries++
-			if d.maxRetries >= 0 && retries > d.maxRetries {
-				d.rejected.Inc()
-				return nil, httpserver.OutcomeError, fmt.Errorf("dispatch: retries exhausted: %w", err)
-			}
-			continue
-		}
-		d.release(m, false)
-		d.forwarded.Inc()
-		return obj, outcome, err
-	}
-}
-
-// serveLocked is the legacy failover loop over lockedPick (the bench
-// baseline): a per-request map tracks tried members and every pick walks
-// the live member list under the mutex.
-func (d *Dispatcher) serveLocked(ctx context.Context, sp *obs.Span, path string) (*cache.Object, httpserver.Outcome, error) {
-	tried := make(map[*member]bool)
-	retries := 0
-	var lastShed error
-	for {
-		m := d.lockedPick(tried)
-		if m == nil {
-			d.rejected.Inc()
-			if lastShed != nil {
-				return nil, httpserver.OutcomeShed, lastShed
-			}
-			return nil, httpserver.OutcomeError, fmt.Errorf("%w (%s)", ErrNoBackends, d.name)
-		}
-		tried[m] = true
-		sp.Stamp(obs.SpanRoute)
-		sp.SetNode(m.node.Name())
-		obj, outcome, err := serveOn(ctx, m, path)
-		if outcome == httpserver.OutcomeShed {
-			d.releaseShed(m)
-			d.shedFailovers.Inc()
-			lastShed = err
-			retries++
-			if d.maxRetries >= 0 && retries > d.maxRetries {
-				d.rejected.Inc()
-				return nil, httpserver.OutcomeShed, err
-			}
-			continue
-		}
-		if outcome == httpserver.OutcomeError && err != nil && !errors.Is(err, httpserver.ErrNoRoute) {
 			d.release(m, true)
 			d.failovers.Inc()
 			retries++

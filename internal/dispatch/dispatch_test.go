@@ -148,6 +148,75 @@ func TestAllNodesDown(t *testing.T) {
 	}
 }
 
+// serveWithin runs one Serve and fails the test if it has not returned
+// within the deadline, instead of hanging the whole package run.
+func serveWithin(t *testing.T, d *Dispatcher, limit time.Duration) (httpserver.Outcome, error) {
+	t.Helper()
+	type result struct {
+		outcome httpserver.Outcome
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		_, outcome, err := d.Serve("/p")
+		done <- result{outcome, err}
+	}()
+	select {
+	case r := <-done:
+		return r.outcome, r.err
+	case <-time.After(limit):
+		t.Fatalf("Serve over %d nodes did not return within %v", len(d.Stats().Nodes), limit)
+		return 0, nil
+	}
+}
+
+// TestWidePoolTriesEachMemberOnce pins the failover loop on a snapshot wider
+// than the 64-member tried mask: a request over 65 failing (or shedding)
+// nodes visits each one once and gives up, rather than re-picking a member
+// the mask cannot record.
+func TestWidePoolTriesEachMemberOnce(t *testing.T) {
+	const width = 65
+	t.Run("error", func(t *testing.T) {
+		ns, fs := nodes(width)
+		for _, f := range fs {
+			f.failing.Store(true)
+		}
+		d := New(Config{Name: "nd", Nodes: ns})
+		if _, err := serveWithin(t, d, 10*time.Second); !errors.Is(err, ErrNoBackends) {
+			t.Fatalf("err = %v, want ErrNoBackends", err)
+		}
+		st := d.Stats()
+		if st.Failovers != width || st.Rejected != 1 {
+			t.Fatalf("failovers = %d rejected = %d, want %d and 1", st.Failovers, st.Rejected, width)
+		}
+		for _, n := range st.Nodes {
+			if n.Failures != 1 {
+				t.Fatalf("node %s called %d times, want 1", n.Name, n.Failures)
+			}
+		}
+	})
+	t.Run("shed", func(t *testing.T) {
+		var ns []Node
+		for i := 0; i < width; i++ {
+			ns = append(ns, &loadNode{name: fmt.Sprintf("up%d", i), shedding: true})
+		}
+		d := New(Config{Name: "nd", Nodes: ns})
+		if outcome, _ := serveWithin(t, d, 10*time.Second); outcome != httpserver.OutcomeShed {
+			t.Fatalf("outcome = %v, want shed", outcome)
+		}
+		st := d.Stats()
+		if st.ShedFailovers != width || st.Rejected != 1 || d.HealthyCount() != width {
+			t.Fatalf("shed failovers = %d rejected = %d healthy = %d, want %d, 1, %d",
+				st.ShedFailovers, st.Rejected, d.HealthyCount(), width, width)
+		}
+		for _, n := range st.Nodes {
+			if n.Sheds != 1 {
+				t.Fatalf("node %s called %d times, want 1", n.Name, n.Sheds)
+			}
+		}
+	})
+}
+
 func TestEmptyPool(t *testing.T) {
 	d := New(Config{Name: "nd"})
 	if _, _, err := d.Serve("/p"); !errors.Is(err, ErrNoBackends) {

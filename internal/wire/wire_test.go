@@ -70,6 +70,11 @@ func TestClientServerRPC(t *testing.T) {
 	if m.RPCSeconds.Count() != 5 {
 		t.Fatalf("rpc histogram observed %d, want 5", m.RPCSeconds.Count())
 	}
+	// Loopback is a clean link: no call may fail and no connection redial.
+	if m.CallErrors.Value() != 0 || m.Reconnects.Value() != 0 {
+		t.Fatalf("call errors = %d reconnects = %d on loopback, want 0 and 0",
+			m.CallErrors.Value(), m.Reconnects.Value())
+	}
 	evMu.Lock()
 	defer evMu.Unlock()
 	if len(events) == 0 || events[0] != "t:connect" {
@@ -511,6 +516,12 @@ func TestGroupClientBatchIsOneFramePerNode(t *testing.T) {
 	for _, n := range nodes {
 		if got := n.metrics.FramesReceived.Value(); got != 1 {
 			t.Fatalf("%s received %d frames for one wave, want 1", n.name, got)
+		}
+		// The node counts its ack only after the write returns, which can be
+		// after the client has read it and ApplyBatch has returned.
+		deadline := time.Now().Add(2 * time.Second)
+		for n.metrics.FramesSent.Value() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
 		}
 		if got := n.metrics.FramesSent.Value(); got != 1 {
 			t.Fatalf("%s sent %d frames for one wave, want 1 ack", n.name, got)
