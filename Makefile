@@ -62,8 +62,9 @@ bench-recovery:
 # passes (shuffled), the nested bench module's tests pass, the whole module
 # is race-clean, the chaos tournament converges, the consistency audit
 # proves the plant coherent, the recovery scenario readmits a failed node
-# without serving stale pages, the multi-process smoke proves the wire path
-# against real child processes. It holds no throughput threshold: the
+# without serving stale pages, the flight recorder captures a dump for each
+# of its triggers, the multi-process smoke proves the wire path against real
+# child processes. It holds no throughput threshold: the
 # benchmark ledger (make bench) judges performance against the parent
 # commit on the same host.
 check: build
@@ -74,6 +75,7 @@ check: build
 	$(GO) run ./cmd/simulate -chaos -seed 1
 	$(GO) run ./cmd/simulate -audit -seed 1
 	$(GO) run ./cmd/simulate -recovery -seed 1
+	$(GO) run ./cmd/simulate -flight -seed 1
 	$(GO) run ./cmd/olympicsd -role smoke -nodes 2
 
 # bench runs the benchmark ledger: the live plant under the workloads

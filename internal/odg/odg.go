@@ -17,7 +17,8 @@
 // takes that O(out-degree) fast path automatically.
 //
 // All methods are safe for concurrent use. Mutations (AddEdge, RemoveNode,
-// ...) take the write lock; propagation queries take the read lock, so many
+// ...) take the write lock, except a re-registration that would change
+// nothing, which only reads; propagation queries take the read lock, so many
 // trigger-monitor propagations may run concurrently with page serving.
 package odg
 
@@ -148,7 +149,15 @@ func (g *Graph) getOrAddLocked(id NodeID, kind Kind) *node {
 // AddNode inserts a vertex with the given kind. Adding an existing vertex
 // updates its kind (re-evaluating simplicity) and is not an error: DUP
 // applications routinely re-register dependencies as pages are re-rendered.
+// Re-adding a vertex with the kind it already has is a read-locked no-op.
 func (g *Graph) AddNode(id NodeID, kind Kind) {
+	g.mu.RLock()
+	old, ok := g.nodes[id]
+	unchanged := ok && old.kind == kind
+	g.mu.RUnlock()
+	if unchanged {
+		return
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	n := g.getOrAddLocked(id, kind)
@@ -278,7 +287,20 @@ func (g *Graph) RemoveNode(id NodeID) {
 // operation a page renderer performs after regenerating a page: the page's
 // dependencies are exactly the data it read this time. Missing vertices are
 // created (id as object, predecessors as underlying data).
+//
+// A page usually reads the same rows on every re-render, so a call that
+// would leave the graph as it is — id exists, preds is sorted without
+// repeats, and it names exactly id's in-edges, each at DefaultWeight — is a
+// read-locked no-op: it takes no write lock and allocates nothing. Any other
+// call, including one that would reset a weighted in-edge to DefaultWeight,
+// replaces the edges in full.
 func (g *Graph) ReplaceDependencies(id NodeID, preds []NodeID) {
+	g.mu.RLock()
+	unchanged := g.hasExactDependenciesLocked(id, preds)
+	g.mu.RUnlock()
+	if unchanged {
+		return
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	n := g.getOrAddLocked(id, KindObject)
@@ -307,6 +329,28 @@ func (g *Graph) ReplaceDependencies(id NodeID, preds []NodeID) {
 			n.in[pred] = DefaultWeight
 		}
 	})
+}
+
+// hasExactDependenciesLocked reports whether id exists and its in-edges are
+// exactly preds, each at DefaultWeight — the case in which ReplaceDependencies
+// would leave the graph as it is. Every pred is an in-edge and there are as
+// many preds as in-edges, so the sets are equal when preds holds no repeat,
+// which a strictly ascending list proves in one pass. Renderers pass sorted,
+// deduplicated lists; any other list takes the full replace.
+func (g *Graph) hasExactDependenciesLocked(id NodeID, preds []NodeID) bool {
+	n, ok := g.nodes[id]
+	if !ok || len(n.in) != len(preds) {
+		return false
+	}
+	for i, pred := range preds {
+		if i > 0 && preds[i-1] >= pred {
+			return false
+		}
+		if w, ok := n.in[pred]; !ok || w != DefaultWeight {
+			return false
+		}
+	}
+	return true
 }
 
 // NumNodes returns the number of vertices.
