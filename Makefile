@@ -60,7 +60,8 @@ bench-recovery:
 
 # check is the tier-1 gate: everything builds, vets clean, every test
 # passes (shuffled), the nested bench module's tests pass, the whole module
-# is race-clean, the chaos tournament converges, the consistency audit
+# is race-clean, every Go micro-benchmark runs once (so none can rot
+# unnoticed; timings are not judged), the chaos tournament converges, the consistency audit
 # proves the plant coherent, the recovery scenario readmits a failed node
 # without serving stale pages, the flight recorder captures a dump for each
 # of its triggers, the multi-process smoke proves the wire path against real
@@ -72,6 +73,7 @@ check: build
 	$(GO) test -shuffle=on ./...
 	cd bench && $(GO) test ./...
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) run ./cmd/simulate -chaos -seed 1
 	$(GO) run ./cmd/simulate -audit -seed 1
 	$(GO) run ./cmd/simulate -recovery -seed 1

@@ -46,9 +46,12 @@ import (
 // Key names a cached object. dupserve uses the page path ("/en/day7/home").
 type Key string
 
-// Object is an immutable cached value. Callers must not modify Value after
-// handing it to the cache; Put stores the slice without copying because the
-// trigger pipeline renders a fresh buffer per update.
+// Object is an immutable cached value. Callers must not modify an Object
+// after handing it to a cache: Put stores the pointer itself, and one
+// Object may be served by several caches at once (Group.BroadcastPut and
+// peer warm-up install the same Object in every cache). The one write Put
+// makes, stamping a zero StoredAt, happens before the object is visible
+// anywhere. Object is not copyable by value (the header memo is an atomic).
 type Object struct {
 	Key         Key
 	Value       []byte
@@ -57,13 +60,13 @@ type Object struct {
 	// the writer (the trigger monitor uses the database transaction LSN),
 	// letting readers detect which update a page reflects.
 	Version int64
-	// StoredAt is the (possibly simulated) time the object entered the
-	// cache.
+	// StoredAt is the (possibly simulated) time the object first entered a
+	// cache; Put stamps it only when it is zero.
 	StoredAt time.Time
 
 	// hdr memoizes the pre-serialized response headers for the zero-alloc
-	// HTTP hit path; see ResponseHeaders. Never copied by the cache (the
-	// group's broadcast copies share Value but re-derive hdr lazily).
+	// HTTP hit path; see ResponseHeaders. Built once per object, so a page
+	// shared by every member of a group is formatted once, not per node.
 	hdr atomic.Pointer[ObjectHeaders]
 }
 
@@ -90,20 +93,6 @@ func (o *Object) ResponseHeaders(build func(*Object) *ObjectHeaders) *ObjectHead
 	h := build(o)
 	o.hdr.Store(h)
 	return h
-}
-
-// Copy returns a new Object sharing the (immutable) Value bytes but with
-// its own metadata and no memoized headers. Object cannot be copied by
-// value (the header memo is an atomic); every fan-out that needs a
-// per-cache Object goes through Copy.
-func (o *Object) Copy() *Object {
-	return &Object{
-		Key:         o.Key,
-		Value:       o.Value,
-		ContentType: o.ContentType,
-		Version:     o.Version,
-		StoredAt:    o.StoredAt,
-	}
 }
 
 // Size returns the accounted byte size of the object.
@@ -359,7 +348,9 @@ func (c *Cache) Contains(key Key) bool {
 // Put inserts or replaces the object stored under obj.Key. Replacing an
 // existing entry is the paper's update-in-place: the page never leaves the
 // cache, so no request ever misses on it. Returns true if an existing entry
-// was replaced.
+// was replaced. Put stamps StoredAt with the cache's clock when it is zero
+// and otherwise never writes to obj, so an object already stored elsewhere
+// may be Put again and shared.
 func (c *Cache) Put(obj *Object) bool {
 	if obj.StoredAt.IsZero() {
 		obj.StoredAt = c.now()

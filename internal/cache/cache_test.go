@@ -372,20 +372,53 @@ func TestGroupAggregateStats(t *testing.T) {
 	}
 }
 
-func TestGroupBroadcastCopiesObjectHeader(t *testing.T) {
-	g := NewGroup()
-	a, b := New("a"), New("b")
-	g.Add(a)
-	g.Add(b)
-	src := &Object{Key: "k", Value: []byte("v")}
-	g.BroadcastPut(src)
-	oa, _ := a.Peek("k")
-	ob, _ := b.Peek("k")
-	if oa == ob {
-		t.Fatal("members must not share an Object header")
+func TestGroupBroadcastSharesObject(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []GroupOption
+	}{
+		{"no hook", nil},
+		{"hook", []GroupOption{WithPutHook(func(string, *Object, int) error { return nil })}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stamps int
+			clock := func() time.Time {
+				stamps++
+				return time.Unix(int64(stamps), 0)
+			}
+			g := NewGroup(tc.opts...)
+			for i := 0; i < 4; i++ {
+				g.Add(New(fmt.Sprintf("up%d", i), WithClock(clock)))
+			}
+			src := &Object{Key: "k", Value: []byte("v"), Version: 3}
+			if n := g.BroadcastPut(src); n != 4 {
+				t.Fatalf("BroadcastPut reached %d members, want 4", n)
+			}
+			for _, c := range g.Members() {
+				if got, _ := c.Peek("k"); got != src {
+					t.Fatalf("member %s holds %p, want the broadcast object %p", c.Name(), got, src)
+				}
+			}
+			// The first member's Put stamps StoredAt; the others find it set.
+			if stamps != 1 || !src.StoredAt.Equal(time.Unix(1, 0)) {
+				t.Fatalf("clock read %d times, StoredAt %v; want one stamp at 1s", stamps, src.StoredAt)
+			}
+		})
 	}
-	if &oa.Value[0] != &ob.Value[0] {
-		t.Fatal("members should share the immutable value bytes")
+}
+
+func TestGroupBroadcastReplaceAllocs(t *testing.T) {
+	g := NewGroup()
+	for i := 0; i < 4; i++ {
+		g.Add(New(fmt.Sprintf("up%d", i)))
+	}
+	g.BroadcastPut(&Object{Key: "k", Value: []byte("v1"), Version: 1})
+	next := &Object{Key: "k", Value: []byte("v2"), Version: 2}
+	allocs := testing.AllocsPerRun(100, func() { g.BroadcastPut(next) })
+	// The member-list snapshot is the one allocation; the fan-out itself
+	// installs the caller's object and allocates nothing per member.
+	if allocs > 1 {
+		t.Fatalf("BroadcastPut of a replacing object to 4 members: %v allocs/op, want <= 1", allocs)
 	}
 }
 

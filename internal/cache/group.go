@@ -8,7 +8,8 @@ import (
 	"dupserve/internal/stats"
 )
 
-// PutHook intercepts one node's share of a broadcast put. node is the
+// PutHook intercepts one node's share of a broadcast put. obj is the one
+// Object every member shares and must not be modified. node is the
 // member cache's name and attempt counts from 1; returning an error fails
 // that attempt. Fault injection wires in here: a hook that errors models a
 // push that never reached the node.
@@ -154,8 +155,11 @@ func (g *Group) Members() []*Cache {
 	return out
 }
 
-// BroadcastPut stores a copy of obj's metadata (sharing the value bytes,
-// which are immutable by contract) into every member cache. If a put hook
+// BroadcastPut installs obj itself, not a copy, in every member cache:
+// members share the one immutable Object, so its response headers are
+// memoized once per page rather than once per node. The fan-out is
+// sequential, so the first member's Put stamps StoredAt before any member
+// can serve the object and no later Put writes to it. If a put hook
 // is installed and fails, the push to that node is retried with exponential
 // backoff up to the retry policy's budget; on exhaustion the node's entry
 // is invalidated instead — graceful degradation to a miss, never a stale
@@ -168,15 +172,12 @@ func (g *Group) BroadcastPut(obj *Object) int {
 
 	fresh := 0
 	for _, c := range members {
-		// Each cache gets its own Object so StoredAt/Version remain
-		// per-cache consistent even if a member applies it later.
-		o := obj.Copy()
 		if hook == nil {
-			c.Put(o)
+			c.Put(obj)
 			fresh++
 			continue
 		}
-		if g.pushWithRetry(hook, retry, downgrade, c, o) {
+		if g.pushWithRetry(hook, retry, downgrade, c, obj) {
 			fresh++
 		}
 	}

@@ -143,9 +143,9 @@ func TestStripedTorture(t *testing.T) {
 				case 2: // Invalidate: clear the floor before dropping the entry
 					floor[ki].Store(0)
 					c.Invalidate(k)
-				case 3: // warm-style peer copy (recovery Warmer discipline)
+				case 3: // warm-style re-Put of a peer's object (recovery Warmer discipline)
 					if obj, ok := c.Peek(k); ok {
-						c.Put(obj.Copy())
+						c.Put(obj)
 					}
 				case 4:
 					c.GetStale(k, time.Minute)

@@ -12,6 +12,12 @@
 //
 // All operations are safe for concurrent use. Commits are serialized and
 // assigned monotonically increasing log sequence numbers (LSNs).
+//
+// Committed rows are immutable. Tx.Put copies the caller's columns once;
+// Commit and Apply store that map and later replace it, never write to it.
+// Get and Scan therefore hand out the stored rows without copying, the same
+// column maps the CDC feed and replication already share, and callers must
+// not modify them. Snapshot and Restore, the export boundary, deep-copy.
 package db
 
 import (
@@ -44,8 +50,9 @@ func (o Op) String() string {
 	return "put"
 }
 
-// Row is a stored record: a primary key plus named string columns. Rows are
-// value types; Get returns copies so callers can never alias store memory.
+// Row is a stored record: a primary key plus named string columns. A
+// committed row's Cols is immutable and shared with every reader; callers
+// must not modify it.
 type Row struct {
 	Key  string
 	Cols map[string]string
@@ -266,7 +273,10 @@ func (d *DB) Tables() []string {
 	return out
 }
 
-// Get returns a copy of the row, with ok reporting presence.
+// Get returns the stored row, with ok reporting presence. The row's Cols is
+// shared with the store and must not be modified; a later commit replaces
+// the map rather than writing to it, so a row read earlier keeps its
+// columns.
 func (d *DB) Get(tbl, key string) (Row, bool, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -284,11 +294,12 @@ func (d *DB) Get(tbl, key string) (Row, bool, error) {
 	if !ok {
 		return Row{}, false, nil
 	}
-	return r.clone(), true, nil
+	return r, true, nil
 }
 
-// Scan returns copies of all rows in the table whose key begins with
-// prefix, sorted by key. An empty prefix scans the whole table.
+// Scan returns all rows in the table whose key begins with prefix, sorted by
+// key. An empty prefix scans the whole table. As with Get, the rows' Cols
+// are shared with the store and must not be modified.
 func (d *DB) Scan(tbl, prefix string) ([]Row, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -299,7 +310,7 @@ func (d *DB) Scan(tbl, prefix string) ([]Row, error) {
 	var out []Row
 	for k, r := range t.rows {
 		if strings.HasPrefix(k, prefix) {
-			out = append(out, r.clone())
+			out = append(out, r)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -356,7 +367,9 @@ func (t *Tx) Delete(tbl, key string) *Tx {
 func (t *Tx) Len() int { return len(t.changes) }
 
 // Commit atomically applies the transaction, assigns it the next LSN,
-// appends it to the retained log, and publishes it to all subscribers. It
+// appends it to the retained log, and publishes it to all subscribers. Each
+// put stores the column map Tx.Put copied, replacing the row's previous map
+// without writing to it; the log, the feed and readers share that map. It
 // returns the committed transaction (whose Changes slice the caller must
 // treat as read-only). Committing an empty Tx returns a zero Transaction
 // and no error, and produces no log entry.

@@ -84,20 +84,45 @@ func TestCommitUnknownTableAtomic(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
+func TestReadRowKeepsColumnsAcrossLaterCommit(t *testing.T) {
 	d := New("t")
 	d.CreateTable("x")
-	if _, err := d.Commit(d.NewTx().Put("x", "k", map[string]string{"a": "1"})); err != nil {
+	if _, err := d.Commit(d.NewTx().Put("x", "k", map[string]string{"a": "1", "b": "2"})); err != nil {
 		t.Fatal(err)
 	}
-	r1, ok, _ := d.Get("x", "k")
+	got, ok, _ := d.Get("x", "k")
 	if !ok {
 		t.Fatal("row missing")
 	}
-	r1.Cols["a"] = "mutated"
-	r2, _, _ := d.Get("x", "k")
-	if r2.Cols["a"] != "1" {
-		t.Fatal("Get aliases store memory")
+	scanned, _ := d.Scan("x", "")
+	if _, err := d.Commit(d.NewTx().Put("x", "k", map[string]string{"a": "9"})); err != nil {
+		t.Fatal(err)
+	}
+	// A commit replaces the stored map; rows read before it still see the
+	// columns they were read with.
+	for _, r := range []Row{got, scanned[0]} {
+		if r.LSN != 1 || len(r.Cols) != 2 || r.Cols["a"] != "1" || r.Cols["b"] != "2" {
+			t.Fatalf("row read at LSN 1 changed under a later commit: %+v", r)
+		}
+	}
+	if now, _, _ := d.Get("x", "k"); now.LSN != 2 || len(now.Cols) != 1 || now.Cols["a"] != "9" {
+		t.Fatalf("Get after rewrite = %+v", now)
+	}
+}
+
+func TestGetExistingRowZeroAllocs(t *testing.T) {
+	d := New("t")
+	d.CreateTable("x")
+	if _, err := d.Commit(d.NewTx().Put("x", "k", map[string]string{"a": "1", "b": "2", "c": "3"})); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok, err := d.Get("x", "k"); !ok || err != nil {
+			t.Fatal("row missing")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Get of an existing row: %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -179,10 +179,10 @@ func (w *Warmer) Warm() (Report, error) {
 	}
 	for _, p := range pages {
 		if obj := newestPeerCopy(peers, cache.Key(p)); obj != nil {
-			// Store a copy of the metadata (sharing the value bytes), the
-			// same discipline as Group.BroadcastPut, so caches never alias
-			// each other's Object structs.
-			cfg.Cache.Put(obj.Copy())
+			// Share the peer's immutable Object, as Group.BroadcastPut
+			// shares one Object across members: its StoredAt is already
+			// stamped, so Put never writes to it.
+			cfg.Cache.Put(obj)
 			rep.FromPeer++
 			continue
 		}

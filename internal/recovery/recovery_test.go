@@ -98,10 +98,10 @@ func TestWarmRestoresFromPeers(t *testing.T) {
 	if !ok || obj.Version != 9 {
 		t.Fatalf("restored /a version = %v, want 9 (newest peer)", obj)
 	}
-	// Restored objects are copies of the peer's metadata, not aliases.
+	// Restored objects are the peer's own immutable Objects, shared.
 	p2obj, _ := h.peers[1].Peek(cache.Key("/a"))
-	if obj == p2obj {
-		t.Fatal("restored object aliases the peer's Object struct")
+	if obj != p2obj {
+		t.Fatal("restored object is not the peer's shared Object")
 	}
 }
 

@@ -602,10 +602,11 @@ func (r *runner) mainLoop(start time.Time, logf func(string, ...any)) (*Result, 
 	return res, nil
 }
 
-// reprime copies the current page set from a warm peer cache into the
-// recovered nodes' cold caches — the operational warm-up the paper's
-// trigger-monitor distribution made routine, without which hot pages would
-// miss until traffic re-faulted them in.
+// reprime installs the current page set of a warm peer cache, sharing its
+// immutable objects, into the recovered nodes' cold caches — the
+// operational warm-up the paper's trigger-monitor distribution made
+// routine, without which hot pages would miss until traffic re-faulted
+// them in.
 func (r *runner) reprime(cx *cluster.Complex, nodes ...*cluster.Node) {
 	if r.cfg.NoReprimeOnRecovery {
 		return
@@ -632,7 +633,7 @@ func (r *runner) reprime(cx *cluster.Complex, nodes ...*cluster.Node) {
 		}
 		for _, k := range src.Keys() {
 			if o, ok := src.Peek(k); ok {
-				dst.Put(o.Copy())
+				dst.Put(o)
 			}
 		}
 	}
