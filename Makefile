@@ -58,14 +58,25 @@ smoke:
 bench-recovery:
 	$(GO) run ./cmd/simulate -recovery-bench BENCH_recovery.json -seed 1
 
+# golden runs one simulate scenario at seed 1 and compares its stdout with
+# the committed report in cmd/simulate/testdata: a non-zero exit or any
+# differing byte fails the step. After an intended change to a scenario's
+# output, regenerate its report with
+#   go run ./cmd/simulate -<mode> -seed 1 > cmd/simulate/testdata/<mode>.seed1.golden
+define golden
+	out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	$(GO) run ./cmd/simulate -$(1) -seed 1 > "$$out" && \
+	diff -u cmd/simulate/testdata/$(1).seed1.golden "$$out"
+endef
+
 # check is the tier-1 gate: everything builds, vets clean, every test
 # passes (shuffled), the nested bench module's tests pass, the whole module
 # is race-clean, every Go micro-benchmark runs once (so none can rot
 # unnoticed; timings are not judged), the chaos tournament converges, the consistency audit
 # proves the plant coherent, the recovery scenario readmits a failed node
 # without serving stale pages, the flight recorder captures a dump for each
-# of its triggers, the multi-process smoke proves the wire path against real
-# child processes. It holds no throughput threshold: the
+# of its triggers (each of those four reports byte-identical to its golden),
+# the multi-process smoke proves the wire path against real child processes. It holds no throughput threshold: the
 # benchmark ledger (make bench) judges performance against the parent
 # commit on the same host.
 check: build
@@ -74,10 +85,10 @@ check: build
 	cd bench && $(GO) test ./...
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) run ./cmd/simulate -chaos -seed 1
-	$(GO) run ./cmd/simulate -audit -seed 1
-	$(GO) run ./cmd/simulate -recovery -seed 1
-	$(GO) run ./cmd/simulate -flight -seed 1
+	$(call golden,chaos)
+	$(call golden,audit)
+	$(call golden,recovery)
+	$(call golden,flight)
 	$(GO) run ./cmd/olympicsd -role smoke -nodes 2
 
 # bench runs the benchmark ledger: the live plant under the workloads

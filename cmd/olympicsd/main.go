@@ -79,6 +79,58 @@ func (b *syncBuffer) reader() io.Reader {
 	return bytes.NewReader(append([]byte(nil), b.buf.Bytes()...))
 }
 
+// probeInterval is how often each role's dispatcher sweeps its pool with
+// advisor probes. One failed serve evicts a node at once; the sweep is what
+// readmits it once its probe is healthy again, so a node restarting under
+// load rejoins within one interval.
+const probeInterval = 500 * time.Millisecond
+
+// writeJSON is the one place debug responses pick up their Content-Type and
+// encoder settings.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		log.Printf("debug encode: %v", err)
+	}
+}
+
+// guard makes a debug handler read-only (405 on non-GET, with Allow) and
+// answers a JSON 503 with Retry-After until ready reports that startup
+// finished. Every role's /debug handlers go through it.
+func guard(ready func() bool, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet && r.Method != http.MethodHead {
+			w.Header().Set("Allow", "GET, HEAD")
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		if !ready() {
+			w.Header().Set("Retry-After", "1")
+			writeJSON(w, http.StatusServiceUnavailable,
+				map[string]any{"error": "starting: prerendering site"})
+			return
+		}
+		h(w, r)
+	}
+}
+
+// serving is the readiness of the node and master roles: both finish
+// startup before their HTTP listener comes up.
+func serving() bool { return true }
+
+// metricsHandler serves reg in the Prometheus text exposition format.
+func metricsHandler(reg *stats.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := reg.WriteText(w); err != nil {
+			log.Printf("metrics exposition: %v", err)
+		}
+	}
+}
+
 // flags carries every command-line option across the role entry points.
 type flags struct {
 	addr      string
@@ -237,8 +289,11 @@ func runAll(f flags) {
 		srv.RegisterMetrics(reg, nil)
 		pool = append(pool, srv)
 	}
-	nd := dispatch.New(dispatch.Config{Name: "nd", Nodes: pool},
+	nd := dispatch.New(dispatch.Config{Name: "nd", Nodes: pool, ProbeInterval: probeInterval},
 		dispatch.WithObserver(suite.Collector))
+	if err := nd.Start(context.Background()); err != nil {
+		log.Fatal(err)
+	}
 	engine.RegisterMetrics(reg, nil)
 	group.RegisterMetrics(reg, nil)
 	nd.RegisterMetrics(reg, nil)
@@ -289,34 +344,7 @@ func runAll(f flags) {
 	}
 	access := weblog.NewWriter(logSink)
 
-	// writeJSON is the one place debug responses pick up their Content-Type
-	// and encoder settings; guard makes a debug handler read-only (405 on
-	// non-GET, with Allow) and answers a JSON 503 until startup finishes.
-	writeJSON := func(w http.ResponseWriter, status int, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			log.Printf("debug encode: %v", err)
-		}
-	}
-	guard := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodGet && r.Method != http.MethodHead {
-				w.Header().Set("Allow", "GET, HEAD")
-				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-				return
-			}
-			if !ready.Load() {
-				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusServiceUnavailable,
-					map[string]any{"error": "starting: prerendering site"})
-				return
-			}
-			h(w, r)
-		}
-	}
+	debug := func(h http.HandlerFunc) http.HandlerFunc { return guard(ready.Load, h) }
 	queryN := func(r *http.Request, def int) int {
 		if v := r.URL.Query().Get("n"); v != "" {
 			if parsed, err := strconv.Atoi(v); err == nil {
@@ -394,25 +422,20 @@ func runAll(f flags) {
 	// Observability surface: Prometheus text, structured JSON, recent
 	// propagation traces, serve spans, the event journal, flight-recorder
 	// dumps, and pprof. Everything under /debug goes through guard.
-	mux.HandleFunc("/debug/metrics", guard(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := reg.WriteText(w); err != nil {
-			log.Printf("metrics exposition: %v", err)
-		}
-	}))
-	mux.HandleFunc("/debug/metrics.json", guard(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/debug/metrics", debug(metricsHandler(reg)))
+	mux.HandleFunc("/debug/metrics.json", debug(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"metrics":     reg.Snapshot(),
 			"propagation": tracer.Snapshot(),
 		})
 	}))
-	mux.HandleFunc("/debug/traces", guard(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/debug/traces", debug(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"summary": tracer.Snapshot(),
 			"traces":  tracer.Recent(queryN(r, 50)),
 		})
 	}))
-	mux.HandleFunc("/debug/serve", guard(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/debug/serve", debug(func(w http.ResponseWriter, r *http.Request) {
 		renders, reuses := st.Engine.Accounting()
 		es := engine.Stats()
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -430,14 +453,14 @@ func runAll(f flags) {
 			},
 		})
 	}))
-	mux.HandleFunc("/debug/journal", guard(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/debug/journal", debug(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"armed":    suite.Journal.Armed(),
 			"appended": suite.Journal.Appended(),
 			"events":   suite.Journal.Recent(queryN(r, 50)),
 		})
 	}))
-	mux.HandleFunc("/debug/flight", guard(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/debug/flight", debug(func(w http.ResponseWriter, r *http.Request) {
 		rec := suite.Recorder
 		if r.URL.Query().Get("capture") == "1" {
 			writeJSON(w, http.StatusOK, rec.Capture("manual capture via /debug/flight"))
@@ -456,7 +479,7 @@ func runAll(f flags) {
 			"latest":   dump,
 		})
 	}))
-	mux.HandleFunc("/debug/audit", guard(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/debug/audit", debug(func(w http.ResponseWriter, r *http.Request) {
 		rep, err := aud.Sweep()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -467,11 +490,11 @@ func runAll(f flags) {
 			log.Printf("audit report: %v", err)
 		}
 	}))
-	mux.HandleFunc("/debug/pprof/", guard(pprof.Index))
-	mux.HandleFunc("/debug/pprof/cmdline", guard(pprof.Cmdline))
-	mux.HandleFunc("/debug/pprof/profile", guard(pprof.Profile))
-	mux.HandleFunc("/debug/pprof/symbol", guard(pprof.Symbol))
-	mux.HandleFunc("/debug/pprof/trace", guard(pprof.Trace))
+	mux.HandleFunc("/debug/pprof/", debug(pprof.Index))
+	mux.HandleFunc("/debug/pprof/cmdline", debug(pprof.Cmdline))
+	mux.HandleFunc("/debug/pprof/profile", debug(pprof.Profile))
+	mux.HandleFunc("/debug/pprof/symbol", debug(pprof.Symbol))
+	mux.HandleFunc("/debug/pprof/trace", debug(pprof.Trace))
 
 	log.Printf("olympicsd listening on %s (%d pages, %d nodes)", *addr, len(st.Pages()), *nodes)
 	log.Fatal(http.ListenAndServe(*addr, mux))
@@ -543,18 +566,19 @@ func runNode(f flags) {
 	if f.addr == "" {
 		select {}
 	}
+	log.Printf("node %s HTTP on %s", f.name, f.addr)
+	log.Fatal(http.ListenAndServe(f.addr, nodeMux(reg)))
+}
+
+// nodeMux is the node role's HTTP surface: a health check and the node's
+// metrics.
+func nodeMux(reg *stats.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := reg.WriteText(w); err != nil {
-			log.Printf("metrics exposition: %v", err)
-		}
-	})
-	log.Printf("node %s HTTP on %s", f.name, f.addr)
-	log.Fatal(http.ListenAndServe(f.addr, mux))
+	mux.HandleFunc("/debug/metrics", guard(serving, metricsHandler(reg)))
+	return mux
 }
 
 // masterPlane is the propagation plane the master and smoke roles share: a
@@ -673,8 +697,11 @@ func startMasterPlane(f flags, peers []string) *masterPlane {
 		log.Fatal(err)
 	}
 
-	p.nd = dispatch.New(dispatch.Config{Name: "nd", Nodes: pool},
+	p.nd = dispatch.New(dispatch.Config{Name: "nd", Nodes: pool, ProbeInterval: probeInterval},
 		dispatch.WithObserver(p.suite.Collector))
+	if err := p.nd.Start(context.Background()); err != nil {
+		log.Fatal(err)
+	}
 	p.nd.RegisterMetrics(p.reg, nil)
 	return p
 }
@@ -689,7 +716,14 @@ func runMaster(f flags) {
 	peers := strings.Split(f.peers, ",")
 	p := startMasterPlane(f, peers)
 	go runGames(p.st, f.tick, f.seed)
+	log.Printf("master listening on %s (%d pages, %d nodes over the wire)",
+		f.addr, len(p.st.Pages()), len(peers))
+	log.Fatal(http.ListenAndServe(f.addr, p.mux()))
+}
 
+// mux is the master role's HTTP surface: pages served through the
+// dispatcher over the wire, plus health, sitemap and debug endpoints.
+func (p *masterPlane) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		obj, outcome, err := p.nd.Serve(r.URL.Path)
@@ -717,21 +751,11 @@ func runMaster(f flags) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, strings.Join(p.st.Pages(), "\n"))
 	})
-	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := p.reg.WriteText(w); err != nil {
-			log.Printf("metrics exposition: %v", err)
-		}
-	})
-	mux.HandleFunc("/debug/journal", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(map[string]any{"events": p.suite.Journal.Recent(100)})
-	})
-	log.Printf("master listening on %s (%d pages, %d nodes over the wire)",
-		f.addr, len(p.st.Pages()), len(peers))
-	log.Fatal(http.ListenAndServe(f.addr, mux))
+	mux.HandleFunc("/debug/metrics", guard(serving, metricsHandler(p.reg)))
+	mux.HandleFunc("/debug/journal", guard(serving, func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{"events": p.suite.Journal.Recent(100)})
+	}))
+	return mux
 }
 
 // runSmoke is the loopback deployment check `make check` runs: self-exec
@@ -792,6 +816,7 @@ func runSmoke(f flags) {
 	p := startMasterPlane(f, peers)
 	defer p.group.Close()
 	defer p.mon.Shutdown(context.Background())
+	defer p.nd.Shutdown(context.Background())
 	for _, r := range p.replicators {
 		defer r.Stop()
 	}

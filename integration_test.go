@@ -106,9 +106,6 @@ func TestIntegrationDayInTheLife(t *testing.T) {
 	if agg.Misses != 0 {
 		t.Fatalf("global misses = %d over %d served", agg.Misses, served)
 	}
-	if agg.Evictions != 0 {
-		t.Fatalf("evictions = %d", agg.Evictions)
-	}
 
 	// Every event page reflects its final result at every complex.
 	for _, ev := range events {

@@ -19,20 +19,13 @@
 // the exact aggregate (and its high-water mark, the paper's "~175 MB for a
 // single copy of all cached objects" figure).
 //
-// The cache keeps byte-accounting with an LRU eviction policy. At Olympic
-// scale the paper observes that "the system never had to apply a cache
-// replacement algorithm" (all dynamic pages fit in memory); the eviction
-// machinery exists so that the claim is a measured property, not an
-// assumption, and Stats.Evictions lets experiments verify it stayed zero.
-// A byte-bounded cache therefore defaults to a single shard, preserving the
-// exact global LRU order; the unbounded serving configuration — the one the
-// paper ran — defaults to 64 shards and keeps no LRU lists at all, because
-// nothing will ever be evicted. A bounded cache explicitly configured with
-// WithShards splits the budget evenly across shards (per-shard LRU).
+// Caches are unbounded, as in the paper: "the system never had to apply a
+// cache replacement algorithm" because every dynamic page fits in memory.
+// An entry leaves only by Invalidate, InvalidatePrefix or Clear. PeakBytes
+// is the measured footprint that claim rests on.
 package cache
 
 import (
-	"container/list"
 	"hash/maphash"
 	"sort"
 	"strings"
@@ -102,7 +95,6 @@ func (o *Object) Size() int64 {
 
 type entry struct {
 	obj  *Object
-	el   *list.Element // nil in unbounded caches (no LRU bookkeeping)
 	hits int64
 }
 
@@ -121,7 +113,6 @@ type Stats struct {
 	Puts          int64
 	Updates       int64 // Puts that replaced an existing entry (update-in-place)
 	Invalidations int64
-	Evictions     int64
 	Items         int
 	Bytes         int64
 	PeakBytes     int64
@@ -137,13 +128,12 @@ func (s Stats) HitRate() float64 {
 }
 
 // shard is one stripe: an independent item table with its own lock, stale
-// side-table, LRU list (bounded caches only), and plain-integer counters
-// folded at snapshot time. Padded to a cache line so neighbouring shards'
+// side-table, and plain-integer counters folded at snapshot time. On 64-bit
+// platforms it is exactly one 64-byte cache line, so neighbouring shards'
 // locks never false-share.
 type shard struct {
 	mu    sync.Mutex
 	items map[Key]*entry
-	lru   *list.List // nil when the cache is unbounded
 	// stale holds the last value of invalidated entries when stale
 	// retention is on, for overload fallback (GetStale). At most one copy
 	// per key; replaced entries and Clear drop it.
@@ -155,23 +145,17 @@ type shard struct {
 	puts          int64
 	updates       int64
 	invalidations int64
-	evictions     int64
-	bytes         int64 // shard-local byte accounting (eviction budget)
-
-	_ [24]byte // pad to a cache-line multiple
 }
 
-// Cache is a concurrency-safe, lock-striped object cache with optional
-// byte-bounded LRU eviction. The zero value is not usable; call New.
+// Cache is a concurrency-safe, lock-striped, unbounded object cache. The
+// zero value is not usable; call New.
 type Cache struct {
 	name        string
-	maxBytes    int64 // 0 means unbounded
-	perShard    int64 // per-shard byte budget (maxBytes/len(shards))
 	now         func() time.Time
 	seed        maphash.Seed
 	shards      []shard
 	mask        uint64
-	nshards     int // requested via WithShards; 0 = default
+	nshards     int // set by the package tests' withShards; 0 = DefaultShards
 	retainStale bool
 
 	bytes stats.Gauge // exact aggregate bytes + high-water mark
@@ -180,17 +164,9 @@ type Cache struct {
 // Option configures a Cache.
 type Option func(*Cache)
 
-// WithMaxBytes bounds the cache to maxBytes, evicting least-recently-used
-// entries when a Put would exceed it. maxBytes <= 0 means unbounded. A
-// bounded cache defaults to a single shard so the LRU order stays global;
-// combine with WithShards to trade exact global LRU for concurrency (the
-// budget then splits evenly across shards).
-func WithMaxBytes(maxBytes int64) Option {
-	return func(c *Cache) { c.maxBytes = maxBytes }
-}
-
-// WithClock substitutes the time source (used by the discrete-event
-// simulation so StoredAt reflects simulated time).
+// WithClock substitutes the time source that stamps StoredAt and ages
+// stale-retained copies.
+// It is a test seam: production always runs on the real clock.
 func WithClock(now func() time.Time) Option {
 	return func(c *Cache) { c.now = now }
 }
@@ -205,14 +181,7 @@ func WithStaleRetention() Option {
 	return func(c *Cache) { c.retainStale = true }
 }
 
-// WithShards sets the stripe count, rounded up to a power of two and
-// clamped to [1, 4096]. n = 1 reproduces the single-lock layout exactly
-// (the reference layout the striping torture test compares against).
-func WithShards(n int) Option {
-	return func(c *Cache) { c.nshards = n }
-}
-
-// DefaultShards is the stripe count of an unbounded cache.
+// DefaultShards is the stripe count of every cache.
 const DefaultShards = 64
 
 // New returns an empty cache. name appears in diagnostics only.
@@ -227,11 +196,7 @@ func New(name string, opts ...Option) *Cache {
 	}
 	n := c.nshards
 	if n <= 0 {
-		if c.maxBytes > 0 {
-			n = 1 // bounded: keep the exact global LRU
-		} else {
-			n = DefaultShards
-		}
+		n = DefaultShards
 	}
 	if n > 4096 {
 		n = 4096
@@ -243,18 +208,9 @@ func New(name string, opts ...Option) *Cache {
 	}
 	c.shards = make([]shard, p)
 	c.mask = uint64(p - 1)
-	if c.maxBytes > 0 {
-		c.perShard = c.maxBytes / int64(p)
-		if c.perShard < 1 {
-			c.perShard = 1
-		}
-	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.items = make(map[Key]*entry)
-		if c.maxBytes > 0 {
-			sh.lru = list.New()
-		}
 		if c.retainStale {
 			sh.stale = make(map[Key]*staleEntry)
 		}
@@ -262,8 +218,8 @@ func New(name string, opts ...Option) *Cache {
 	return c
 }
 
-// shardOf returns the stripe owning key. Single-shard caches skip the hash
-// entirely — the pre-stripe baseline pays nothing for the striping seam.
+// shardOf returns the stripe owning key. Single-shard caches (the tests'
+// single-lock reference layout) skip the hash entirely.
 func (c *Cache) shardOf(key Key) *shard {
 	if c.mask == 0 {
 		return &c.shards[0]
@@ -293,9 +249,6 @@ func (c *Cache) Get(key Key) (*Object, bool) {
 	sh.mu.Lock()
 	e, ok := sh.items[key]
 	if ok {
-		if sh.lru != nil {
-			sh.lru.MoveToFront(e.el)
-		}
 		e.hits++
 		sh.hits++
 		obj := e.obj
@@ -321,9 +274,9 @@ func (c *Cache) HitCount(key Key) int64 {
 	return 0
 }
 
-// Peek returns the cached object without affecting LRU order or hit/miss
-// counters. Monitoring code uses it so that diagnostics do not perturb the
-// replacement state.
+// Peek returns the cached object without affecting the hit/miss counters.
+// Monitoring code uses it so that diagnostics do not perturb hit rates or
+// the hybrid policy's per-page hit counts.
 func (c *Cache) Peek(key Key) (*Object, bool) {
 	sh := c.shardOf(key)
 	sh.mu.Lock()
@@ -335,8 +288,7 @@ func (c *Cache) Peek(key Key) (*Object, bool) {
 	return e.obj, true
 }
 
-// Contains reports whether key is cached, without touching counters or LRU
-// order.
+// Contains reports whether key is cached, without touching counters.
 func (c *Cache) Contains(key Key) bool {
 	sh := c.shardOf(key)
 	sh.mu.Lock()
@@ -362,53 +314,22 @@ func (c *Cache) Put(obj *Object) bool {
 	if e, ok := sh.items[obj.Key]; ok {
 		delta = obj.Size() - e.obj.Size()
 		e.obj = obj
-		if sh.lru != nil {
-			sh.lru.MoveToFront(e.el)
-		}
 		replaced = true
 	} else {
-		e := &entry{obj: obj}
-		if sh.lru != nil {
-			e.el = sh.lru.PushFront(obj.Key)
-		}
-		sh.items[obj.Key] = e
+		sh.items[obj.Key] = &entry{obj: obj}
 		delta = obj.Size()
 	}
 	if sh.stale != nil {
 		delete(sh.stale, obj.Key) // fresh value supersedes any retained copy
 	}
-	sh.bytes += delta
-	evicted := c.evictLocked(sh, &delta)
 	sh.puts++
 	if replaced {
 		sh.updates++
 	}
-	sh.evictions += int64(evicted)
 	sh.mu.Unlock()
 
 	c.bytes.Add(delta)
 	return replaced
-}
-
-// evictLocked drops LRU entries until the shard's byte budget is met,
-// folding the freed bytes into *delta. Returns the number of entries
-// evicted. Caller holds sh.mu.
-func (c *Cache) evictLocked(sh *shard, delta *int64) int {
-	if c.maxBytes <= 0 {
-		return 0
-	}
-	n := 0
-	for sh.bytes > c.perShard && sh.lru.Len() > 0 {
-		back := sh.lru.Back()
-		key := back.Value.(Key)
-		e := sh.items[key]
-		sh.lru.Remove(back)
-		delete(sh.items, key)
-		sh.bytes -= e.obj.Size()
-		*delta -= e.obj.Size()
-		n++
-	}
-	return n
 }
 
 // Invalidate removes key from the cache, returning true if it was present.
@@ -420,12 +341,8 @@ func (c *Cache) Invalidate(key Key) bool {
 	e, ok := sh.items[key]
 	var size int64
 	if ok {
-		if sh.lru != nil {
-			sh.lru.Remove(e.el)
-		}
 		delete(sh.items, key)
 		size = e.obj.Size()
-		sh.bytes -= size
 		sh.invalidations++
 		c.retainLocked(sh, e.obj)
 	}
@@ -455,9 +372,8 @@ func (c *Cache) retainLocked(sh *shard, obj *Object) {
 // went stale no longer than maxAge ago — the overload path's bounded
 // staleness budget. The second return is how stale the copy is. A retained
 // copy past the budget is dropped on the spot and never returned, so a
-// caller can never observe staleness beyond maxAge. GetStale touches
-// neither the hit/miss counters nor LRU order; fresh-path behaviour is
-// unchanged.
+// caller can never observe staleness beyond maxAge. GetStale does not touch
+// the hit/miss counters; fresh-path behaviour is unchanged.
 func (c *Cache) GetStale(key Key, maxAge time.Duration) (*Object, time.Duration, bool) {
 	sh := c.shardOf(key)
 	sh.mu.Lock()
@@ -505,14 +421,10 @@ func (c *Cache) InvalidatePrefix(prefix string) int {
 		var freed int64
 		for _, k := range victims {
 			e := sh.items[k]
-			if sh.lru != nil {
-				sh.lru.Remove(e.el)
-			}
 			delete(sh.items, k)
 			freed += e.obj.Size()
 			c.retainLocked(sh, e.obj)
 		}
-		sh.bytes -= freed
 		sh.invalidations += int64(len(victims))
 		sh.mu.Unlock()
 		c.bytes.Add(-freed)
@@ -549,15 +461,14 @@ func (c *Cache) Clear() int {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		n := len(sh.items)
-		freed := sh.bytes
-		sh.items = make(map[Key]*entry)
-		if sh.lru != nil {
-			sh.lru.Init()
+		var freed int64
+		for _, e := range sh.items {
+			freed += e.obj.Size()
 		}
+		sh.items = make(map[Key]*entry)
 		if sh.stale != nil {
 			sh.stale = make(map[Key]*staleEntry)
 		}
-		sh.bytes = 0
 		sh.invalidations += int64(n)
 		sh.mu.Unlock()
 		c.bytes.Add(-freed)
@@ -615,7 +526,6 @@ func (c *Cache) fold() Stats {
 		s.Puts += sh.puts
 		s.Updates += sh.updates
 		s.Invalidations += sh.invalidations
-		s.Evictions += sh.evictions
 		s.Items += len(sh.items)
 		sh.mu.Unlock()
 	}
@@ -661,8 +571,6 @@ func (c *Cache) RegisterMetrics(reg *stats.Registry, extra stats.Labels) {
 		c.counterFold(func(sh *shard) int64 { return sh.updates }))
 	reg.RegisterCounterFunc("cache_invalidations_total", "entries invalidated", labels,
 		c.counterFold(func(sh *shard) int64 { return sh.invalidations }))
-	reg.RegisterCounterFunc("cache_evictions_total", "entries evicted by the LRU", labels,
-		c.counterFold(func(sh *shard) int64 { return sh.evictions }))
 	reg.RegisterGauge("cache_bytes", "accounted bytes cached", labels, &c.bytes)
 	reg.RegisterFunc("cache_items", "entries cached", labels,
 		func() float64 { return float64(c.Len()) })
@@ -670,7 +578,7 @@ func (c *Cache) RegisterMetrics(reg *stats.Registry, extra stats.Labels) {
 		func() float64 { return c.Stats().HitRate() })
 }
 
-// ResetCounters zeroes hit/miss/put/invalidation/eviction counters while
+// ResetCounters zeroes hit/miss/put/update/invalidation counters while
 // leaving contents intact. Experiments use it to discard warm-up effects.
 func (c *Cache) ResetCounters() {
 	for i := range c.shards {
@@ -681,7 +589,6 @@ func (c *Cache) ResetCounters() {
 		sh.puts = 0
 		sh.updates = 0
 		sh.invalidations = 0
-		sh.evictions = 0
 		sh.mu.Unlock()
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func obj(key string, size int) *Object {
@@ -107,51 +108,29 @@ func TestClear(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	// Each object: 100 value bytes + 2 key bytes = 102.
-	c := New("t", WithMaxBytes(310))
-	c.Put(obj("k1", 100))
-	c.Put(obj("k2", 100))
-	c.Put(obj("k3", 100))
-	if c.Stats().Evictions != 0 {
-		t.Fatal("premature eviction")
-	}
-	// Touch k1 so k2 becomes LRU, then overflow.
-	c.Get("k1")
-	c.Put(obj("k4", 100))
-	if c.Contains("k2") {
-		t.Fatal("k2 should have been evicted (LRU)")
-	}
-	if !c.Contains("k1") || !c.Contains("k3") || !c.Contains("k4") {
-		t.Fatalf("unexpected contents: %v", c.Keys())
-	}
-	if c.Stats().Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", c.Stats().Evictions)
-	}
-}
-
-func TestEvictionOversizedObject(t *testing.T) {
-	c := New("t", WithMaxBytes(50))
-	c.Put(obj("big", 500))
-	// The oversized object cannot fit; cache must end up empty, not loop.
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", c.Len())
-	}
-	if c.Bytes() != 0 {
-		t.Fatalf("Bytes = %d, want 0", c.Bytes())
-	}
-}
-
 func TestUnboundedNeverEvicts(t *testing.T) {
 	c := New("t")
 	for i := 0; i < 1000; i++ {
 		c.Put(obj(fmt.Sprintf("k%d", i), 1000))
 	}
-	if c.Stats().Evictions != 0 {
-		t.Fatal("unbounded cache evicted")
-	}
 	if c.Len() != 1000 {
 		t.Fatalf("Len = %d", c.Len())
+	}
+	for i := 0; i < 1000; i++ {
+		if !c.Contains(Key(fmt.Sprintf("k%d", i))) {
+			t.Fatalf("k%d left the cache without an invalidation", i)
+		}
+	}
+}
+
+// TestShardIsOneCacheLine guards the layout claim on shard: a stripe that
+// outgrows 64 bytes would share a cache line with its neighbour's lock.
+func TestShardIsOneCacheLine(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout claim is for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(shard{}); n != 64 {
+		t.Fatalf("sizeof(shard) = %d, want 64", n)
 	}
 }
 
@@ -236,7 +215,7 @@ func TestKeysSorted(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := New("t", WithMaxBytes(1<<20))
+	c := New("t")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -272,16 +251,20 @@ func TestConcurrentAccess(t *testing.T) {
 func TestByteAccountingProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := New("t", WithMaxBytes(int64(rng.Intn(3000))))
+		c := New("t")
 		for i := 0; i < 300; i++ {
 			k := fmt.Sprintf("k%d", rng.Intn(40))
-			switch rng.Intn(4) {
-			case 0, 1:
-				c.Put(obj(k, rng.Intn(150)))
-			case 2:
+			switch rng.Intn(20) {
+			case 0:
+				c.Clear()
+			case 1:
+				c.InvalidatePrefix("k1")
+			case 2, 3, 4, 5:
 				c.Invalidate(Key(k))
-			case 3:
+			case 6, 7, 8, 9:
 				c.Get(Key(k))
+			default:
+				c.Put(obj(k, rng.Intn(150)))
 			}
 		}
 		var want int64
@@ -289,7 +272,7 @@ func TestByteAccountingProperty(t *testing.T) {
 			o, _ := c.Peek(k)
 			want += o.Size()
 		}
-		return c.Bytes() == want && (c.maxBytes <= 0 || c.Bytes() <= c.maxBytes)
+		return c.Bytes() == want && c.Bytes() <= c.PeakBytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ func FuzzCacheKeyStripe(f *testing.F) {
 	f.Fuzz(func(t *testing.T, key string) {
 		k := Key(key)
 		for _, shards := range []int{1, 2, 8, 64} {
-			c := New("fuzz", WithShards(shards))
+			c := New("fuzz", withShards(shards))
 			if got := c.ShardCount(); got != shards {
 				t.Fatalf("ShardCount = %d, want %d", got, shards)
 			}
@@ -58,7 +58,7 @@ func FuzzShardUniformity(f *testing.F) {
 		if n < 0 || n > 4096 {
 			return
 		}
-		c := New("fuzz-uniform", WithShards(16))
+		c := New("fuzz-uniform", withShards(16))
 		seen := make(map[int]bool)
 		for i := 0; i < n; i++ {
 			seen[c.shardIndex(Key(prefix+string(rune('a'+i%26))+string(rune('0'+i%10))))] = true

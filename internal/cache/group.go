@@ -274,7 +274,6 @@ func (g *Group) AggregateStats() Stats {
 		agg.Puts += s.Puts
 		agg.Updates += s.Updates
 		agg.Invalidations += s.Invalidations
-		agg.Evictions += s.Evictions
 		agg.Items += s.Items
 		agg.Bytes += s.Bytes
 		agg.PeakBytes += s.PeakBytes

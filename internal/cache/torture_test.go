@@ -9,6 +9,14 @@ import (
 	"time"
 )
 
+// withShards sets the stripe count, rounded up to a power of two and
+// clamped to [1, 4096]. n = 1 is the single-lock reference layout the
+// torture and fuzz tests compare the default striping against; production
+// caches always use DefaultShards.
+func withShards(n int) Option {
+	return func(c *Cache) { c.nshards = n }
+}
+
 // TestStripedMatchesSingleLockReference drives an identical randomized op
 // stream — Put, Get, Invalidate, GetStale, InvalidatePrefix, Clear —
 // through a striped cache and a single-shard (single-lock) reference, and
@@ -17,8 +25,8 @@ import (
 func TestStripedMatchesSingleLockReference(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	now := func() time.Time { return clock }
-	striped := New("striped", WithShards(8), WithStaleRetention(), WithClock(now))
-	ref := New("ref", WithShards(1), WithStaleRetention(), WithClock(now))
+	striped := New("striped", withShards(8), WithStaleRetention(), WithClock(now))
+	ref := New("ref", withShards(1), WithStaleRetention(), WithClock(now))
 
 	rng := rand.New(rand.NewSource(7))
 	keys := make([]Key, 40)
@@ -105,7 +113,7 @@ func TestStripedMatchesSingleLockReference(t *testing.T) {
 // with its contents. Run under -race this is the striping memory-safety
 // proof.
 func TestStripedTorture(t *testing.T) {
-	c := New("torture", WithShards(8), WithStaleRetention())
+	c := New("torture", withShards(8), WithStaleRetention())
 	const (
 		workers = 8
 		iters   = 4000
@@ -202,7 +210,7 @@ func TestStripedTorture(t *testing.T) {
 // page population every shard of a 64-way cache gets some keys (no dead or
 // pathologically hot stripes).
 func TestShardDistribution(t *testing.T) {
-	c := New("dist", WithShards(64))
+	c := New("dist", withShards(64))
 	counts := make([]int, c.ShardCount())
 	for i := 0; i < 6400; i++ {
 		k := Key(fmt.Sprintf("/en/event%d/results", i))

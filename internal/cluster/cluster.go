@@ -326,16 +326,6 @@ type Config struct {
 	DispatcherOptions []dispatch.Option
 }
 
-// Option adjusts a Config before the complex is built.
-type Option func(*Config)
-
-// WithGroupOptions appends options for the complex's cache group — the
-// seam through which fault injectors arm per-node push failures and retry
-// policies.
-func WithGroupOptions(opts ...cache.GroupOption) Option {
-	return func(c *Config) { c.GroupOptions = append(c.GroupOptions, opts...) }
-}
-
 // Complex is one geographic serving site: frames of nodes behind a Network
 // Dispatcher, with a cache group spanning every node for the trigger
 // monitor's broadcasts.
@@ -352,10 +342,7 @@ type Complex struct {
 // NewComplex builds a complex per cfg: Frames x NodesPerFrame serving
 // nodes, each with its own cache registered in Caches, all pooled behind
 // one dispatcher named after the complex.
-func NewComplex(cfg Config, opts ...Option) *Complex {
-	for _, o := range opts {
-		o(&cfg)
-	}
+func NewComplex(cfg Config) *Complex {
 	if cfg.Frames <= 0 {
 		cfg.Frames = 1
 	}

@@ -193,13 +193,12 @@ type Engine struct {
 	policy Policy
 	mapper ConservativeMapper
 	hot    HotOracle
-	trace  TraceFunc
 
 	// asm, when set, switches update-in-place propagation to the
 	// incremental planner: the affected set is partitioned into changed
 	// fragments and containing pages, fragments render exactly once in
 	// phase 1, and pages rebuild by memoized assembly in phase 2. Written
-	// once at wiring time (WithAssembler or SetAssembler), before
+	// once at wiring time (SetAssembler), before
 	// propagation starts.
 	asm Assembler
 
@@ -260,48 +259,25 @@ func WithStalenessThreshold(t float64) Option {
 	return func(e *Engine) { e.threshold = t }
 }
 
-// TraceEvent records one remedy decision during a propagation, for
-// operational visibility into what DUP is doing and why.
-type TraceEvent struct {
-	Version int64
-	Key     cache.Key
-	// Action is "update", "invalidate", "defer", or "error".
-	Action string
-	// Reason explains the decision ("affected", "cold", "generator
-	// failed: ...", "staleness 2.0 < threshold 5.0").
-	Reason string
-}
-
-// TraceFunc receives trace events. It must be fast and must not call back
-// into the engine.
-type TraceFunc func(TraceEvent)
-
-// WithTrace installs a propagation tracer.
-func WithTrace(t TraceFunc) Option {
-	return func(e *Engine) { e.trace = t }
-}
-
-// WithAssembler wires an incremental page assembler (typically the
+// SetAssembler wires an incremental page assembler (typically the
 // complex's *fragment.Engine): update-in-place propagation partitions the
 // affected set into changed fragments and containing pages, renders each
 // fragment exactly once per batch, and rebuilds pages by splicing the
-// cached fragment bytes.
-func WithAssembler(a Assembler) Option {
-	return func(e *Engine) { e.asm = a }
-}
-
-// SetAssembler wires the incremental assembler after construction — the
-// deployment builds its engine before the site (and therefore the fragment
-// engine) exists, so the binding is necessarily late. Call before
-// propagation starts; the engine does not synchronize this field against
-// in-flight OnChange calls.
+// cached fragment bytes. It is the one binding, after construction,
+// because the deployment builds its engine before the site (and therefore
+// the fragment engine) exists. Call before propagation starts; the engine
+// does not synchronize this field against in-flight OnChange calls.
 func (e *Engine) SetAssembler(a Assembler) { e.asm = a }
 
 // WithParallelism regenerates affected objects with n concurrent workers
 // per dependency level (fragments still complete before the pages embedding
 // them). The generator and store must be safe for concurrent use; the
 // fragment engine and all cache stores in this module are. n <= 1 keeps
-// sequential regeneration.
+// sequential regeneration. No deployment sets it yet: a goroutine per
+// object costs more than a second core returns, so the parallel wave waits
+// on a fixed worker pool. It stays because the experiments set it
+// (BenchmarkE15_IncrementalPropagation and
+// BenchmarkAblation_ParallelRendering) and the worker pool builds on it.
 func WithParallelism(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
@@ -380,7 +356,6 @@ func (e *Engine) OnChange(version int64, changed ...odg.NodeID) Result {
 			if n > 0 {
 				res.Invalidated++
 			}
-			e.emit(TraceEvent{Version: version, Key: cache.Key(id), Action: "invalidate", Reason: "affected"})
 		}
 		res.PushDur = time.Since(pushStart)
 		e.invalidated.Add(int64(res.Invalidated))
@@ -477,13 +452,13 @@ func (e *Engine) regenerateSet(res *Result, version int64, ordered []odg.NodeID,
 		}
 	}
 	if wave != nil {
-		e.applyWave(version, wave, tm)
+		e.applyWave(wave, tm)
 	}
 }
 
 // applyWave hands a collected wave to the BatchStore in one call, leaving
 // out the empty slots of failed renders (already invalidated).
-func (e *Engine) applyWave(version int64, wave []*cache.Object, tm *stageTiming) {
+func (e *Engine) applyWave(wave []*cache.Object, tm *stageTiming) {
 	objs := wave[:0]
 	for _, obj := range wave {
 		if obj != nil {
@@ -496,9 +471,6 @@ func (e *Engine) applyWave(version int64, wave []*cache.Object, tm *stageTiming)
 	pushStart := time.Now()
 	e.batch.ApplyBatch(objs)
 	tm.push.Add(int64(time.Since(pushStart)))
-	for _, obj := range objs {
-		e.emit(TraceEvent{Version: version, Key: obj.Key, Action: "update", Reason: "affected"})
-	}
 }
 
 // regenerateOne renders a single object and applies it — or, given a wave,
@@ -514,7 +486,6 @@ func (e *Engine) regenerateOne(version int64, id odg.NodeID, wave []*cache.Objec
 		pushStart := time.Now()
 		invalidated = e.store.ApplyInvalidate(cache.Key(id)) > 0
 		tm.push.Add(int64(time.Since(pushStart)))
-		e.emit(TraceEvent{Version: version, Key: cache.Key(id), Action: "error", Reason: genErr.Error()})
 		return false, invalidated, fmt.Errorf("core: regenerate %q: %w", id, genErr)
 	}
 	if obj.Version == 0 {
@@ -527,15 +498,7 @@ func (e *Engine) regenerateOne(version int64, id odg.NodeID, wave []*cache.Objec
 	pushStart := time.Now()
 	e.store.ApplyPut(obj)
 	tm.push.Add(int64(time.Since(pushStart)))
-	e.emit(TraceEvent{Version: version, Key: cache.Key(id), Action: "update", Reason: "affected"})
 	return true, false, nil
-}
-
-// emit delivers a trace event if a tracer is installed.
-func (e *Engine) emit(ev TraceEvent) {
-	if e.trace != nil {
-		e.trace(ev)
-	}
 }
 
 // regenerateParallel renders the ordered affected set with e.workers
@@ -605,7 +568,6 @@ func (e *Engine) hybrid(res *Result, version int64, affected []odg.NodeID) {
 		if e.store.ApplyInvalidate(cache.Key(id)) > 0 {
 			res.Invalidated++
 		}
-		e.emit(TraceEvent{Version: version, Key: cache.Key(id), Action: "invalidate", Reason: "cold"})
 	}
 	res.PushDur += time.Since(pushStart)
 	e.invalidated.Add(int64(res.Invalidated))
@@ -643,8 +605,6 @@ func (e *Engine) thresholdFilter(changed []odg.NodeID) (due []odg.NodeID, deferr
 			e.staleAcc[key] = acc
 			deferred++
 			e.deferred.Inc()
-			e.emit(TraceEvent{Key: key, Action: "defer",
-				Reason: fmt.Sprintf("staleness %.3g < threshold %.3g", acc, e.threshold)})
 		}
 	}
 	e.staleMu.Unlock()

@@ -544,14 +544,11 @@ func TestHitCountSemantics(t *testing.T) {
 	}
 }
 
+// TestTraceEvents checks the per-object remedy decisions of one
+// update-in-place propagation: a page that renders is updated in the cache
+// at the batch version, and a page whose generator fails is reported as an
+// error and invalidated, never left stale.
 func TestTraceEvents(t *testing.T) {
-	var mu sync.Mutex
-	var events []TraceEvent
-	tr := func(ev TraceEvent) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	}
 	gen := func(key cache.Key, version int64) (*cache.Object, error) {
 		if key == "/bad" {
 			return nil, errors.New("render exploded")
@@ -559,53 +556,55 @@ func TestTraceEvents(t *testing.T) {
 		return &cache.Object{Key: key, Value: []byte("x"), Version: version}, nil
 	}
 	c := cache.New("t")
+	c.Put(&cache.Object{Key: "/bad", Value: []byte("old")})
 	g := odg.New()
-	e := NewEngine(g, c, WithGenerator(gen), WithTrace(tr))
+	e := NewEngine(g, c, WithGenerator(gen))
 	e.RegisterObject("/ok", []odg.NodeID{"db:x"})
 	e.RegisterObject("/bad", []odg.NodeID{"db:x"})
-	e.OnChange(7, "db:x")
+	res := e.OnChange(7, "db:x")
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) != 2 {
-		t.Fatalf("events = %v", events)
+	if res.Updated != 1 || res.Invalidated != 1 {
+		t.Fatalf("updated=%d invalidated=%d, want 1 and 1", res.Updated, res.Invalidated)
 	}
-	byKey := map[cache.Key]TraceEvent{}
-	for _, ev := range events {
-		byKey[ev.Key] = ev
+	if len(res.Errors) != 1 || !strings.Contains(res.Errors[0].Error(), "exploded") ||
+		!strings.Contains(res.Errors[0].Error(), "/bad") {
+		t.Fatalf("errors = %v", res.Errors)
 	}
-	if byKey["/ok"].Action != "update" || byKey["/ok"].Version != 7 {
-		t.Fatalf("ok event = %+v", byKey["/ok"])
+	if obj, ok := c.Peek("/ok"); !ok || obj.Version != 7 {
+		t.Fatalf("/ok = %+v, %v; want version 7 cached", obj, ok)
 	}
-	if byKey["/bad"].Action != "error" || !strings.Contains(byKey["/bad"].Reason, "exploded") {
-		t.Fatalf("bad event = %+v", byKey["/bad"])
+	if c.Contains("/bad") {
+		t.Fatal("/bad still cached after its render failed")
 	}
 }
 
+// TestTraceInvalidateAndDefer checks the other two remedy decisions: the
+// invalidate policy drops an affected page, and under a weighted staleness
+// threshold a page below the threshold is deferred and left as it is.
 func TestTraceInvalidateAndDefer(t *testing.T) {
-	var events []TraceEvent
-	tr := func(ev TraceEvent) { events = append(events, ev) }
 	c := cache.New("t")
+	c.Put(&cache.Object{Key: "/p", Value: []byte("old")})
 	g := odg.New()
-	e := NewEngine(g, c, WithPolicy(PolicyInvalidate), WithTrace(tr))
+	e := NewEngine(g, c, WithPolicy(PolicyInvalidate))
 	e.RegisterObject("/p", []odg.NodeID{"db:x"})
-	e.OnChange(1, "db:x")
-	if len(events) != 1 || events[0].Action != "invalidate" {
-		t.Fatalf("events = %v", events)
+	res := e.OnChange(1, "db:x")
+	if res.Invalidated != 1 || res.Updated != 0 || c.Contains("/p") {
+		t.Fatalf("invalidate: %+v, cached=%v", res, c.Contains("/p"))
 	}
 
-	// Deferred trace under the weighted threshold.
-	events = nil
-	gen, _ := testGen()
+	gen, calls := testGen()
 	g2 := odg.New()
-	e2 := NewEngine(g2, c, WithGenerator(gen),
-		WithStalenessThreshold(10), WithTrace(tr))
+	e2 := NewEngine(g2, c, WithGenerator(gen), WithStalenessThreshold(10))
 	g2.AddNode("/q", odg.KindObject)
 	if err := g2.AddWeightedEdge("db:t", "/q", 1); err != nil {
 		t.Fatal(err)
 	}
-	e2.OnChange(1, "db:t")
-	if len(events) != 1 || events[0].Action != "defer" || !strings.Contains(events[0].Reason, "threshold") {
-		t.Fatalf("events = %v", events)
+	c.Put(&cache.Object{Key: "/q", Value: []byte("old")})
+	res = e2.OnChange(1, "db:t")
+	if res.Deferred != 1 || res.Updated != 0 || res.Invalidated != 0 || len(*calls) != 0 {
+		t.Fatalf("defer: %+v, renders=%v", res, *calls)
+	}
+	if obj, ok := c.Peek("/q"); !ok || string(obj.Value) != "old" {
+		t.Fatalf("deferred page changed: %+v, %v", obj, ok)
 	}
 }

@@ -230,6 +230,7 @@ func (s *subscriber) pump() {
 type Option func(*DB)
 
 // WithClock substitutes the commit-timestamp source.
+// It is a test seam: production always runs on the real clock.
 func WithClock(now func() time.Time) Option {
 	return func(d *DB) { d.now = now }
 }

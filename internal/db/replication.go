@@ -29,7 +29,7 @@ type Target interface {
 type Replicator struct {
 	master      *DB
 	replica     Target
-	delay       func(Transaction) time.Duration
+	delay       time.Duration
 	sleep       func(time.Duration)
 	partitioned func() bool
 
@@ -48,17 +48,12 @@ type ReplOption func(*Replicator)
 
 // WithDelay applies a fixed propagation delay to every transaction.
 func WithDelay(d time.Duration) ReplOption {
-	return func(r *Replicator) { r.delay = func(Transaction) time.Duration { return d } }
+	return func(r *Replicator) { r.delay = d }
 }
 
-// WithDelayFunc computes a per-transaction propagation delay.
-func WithDelayFunc(f func(Transaction) time.Duration) ReplOption {
-	return func(r *Replicator) { r.delay = f }
-}
-
-// WithSleep substitutes the sleep implementation (tests use a recorder; the
-// discrete-event simulation bypasses Replicator entirely and calls Apply on
-// its own clock).
+// WithSleep substitutes the sleep implementation. It is a test seam: tests
+// use a recorder, and the discrete-event simulation bypasses Replicator
+// entirely and calls Apply on its own clock.
 func WithSleep(f func(time.Duration)) ReplOption {
 	return func(r *Replicator) { r.sleep = f }
 }
@@ -90,7 +85,6 @@ func StartReplicationTo(master *DB, replica Target, opts ...ReplOption) *Replica
 	r := &Replicator{
 		master:  master,
 		replica: replica,
-		delay:   func(Transaction) time.Duration { return 0 },
 		sleep:   time.Sleep,
 		done:    make(chan struct{}),
 		quit:    make(chan struct{}),
@@ -136,8 +130,8 @@ func (r *Replicator) ship(tx Transaction) bool {
 		// no-op) so a partition hold never becomes a busy spin.
 		time.Sleep(200 * time.Microsecond)
 	}
-	if d := r.delay(tx); d > 0 {
-		r.sleep(d)
+	if r.delay > 0 {
+		r.sleep(r.delay)
 	}
 	r.apply(tx)
 	r.mu.Lock()

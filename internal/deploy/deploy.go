@@ -67,25 +67,23 @@ type ComplexSpec struct {
 	Distance map[routing.Region]int
 }
 
+// MSIRP advertisement costs: each address is advertised at primaryCost by
+// its primary complex and at secondaryCost by every other complex.
+const (
+	primaryCost   = 10
+	secondaryCost = 20
+)
+
 // Config describes a deployment.
 type Config struct {
 	Spec site.Spec
 	// Complexes in wiring order: a chained complex must appear after its
 	// feed.
 	Complexes []ComplexSpec
-	// PrimaryCost/SecondaryCost for MSIRP advertisements (default 10/20).
-	PrimaryCost   int
-	SecondaryCost int
-	// RenderWorkers regenerates affected pages concurrently within each
-	// complex's DUP engine (the paper's 8-way SMP). 0/1 = sequential.
-	RenderWorkers int
 	// Policy selects each engine's remedy for obsolete objects (default
 	// PolicyUpdateInPlace). Overload scenarios use PolicyInvalidate so cache
 	// misses — and therefore the admission limiter — actually see traffic.
 	Policy core.Policy
-	// MaxPending caps the transactions in each trigger monitor's batch.
-	// 0 = the monitor's default.
-	MaxPending int
 	// RenderCost, when set, runs before every page render — a knob for
 	// modelling per-page generation work (e.g. httpserver.SpinOverhead).
 	// The overload scenario spins here so a request flood actually
@@ -213,7 +211,6 @@ type Deployment struct {
 	complexes map[string]*Complex
 	order     []string
 
-	maxPending  int
 	inj         *fault.Injector
 	retry       *cache.RetryPolicy
 	tracing     bool
@@ -313,18 +310,10 @@ func New(cfg Config, opts ...Option) (*Deployment, error) {
 	if len(cfg.Complexes) == 0 {
 		return nil, errors.New("deploy: no complexes configured")
 	}
-	if cfg.PrimaryCost == 0 {
-		cfg.PrimaryCost = 10
-	}
-	if cfg.SecondaryCost == 0 {
-		cfg.SecondaryCost = 20
-	}
-
 	d := &Deployment{
-		Master:     db.New("master"),
-		Router:     routing.NewRouter(routing.NumAddresses),
-		complexes:  make(map[string]*Complex),
-		maxPending: cfg.MaxPending,
+		Master:    db.New("master"),
+		Router:    routing.NewRouter(routing.NumAddresses),
+		complexes: make(map[string]*Complex),
 	}
 	for _, o := range opts {
 		o(d)
@@ -354,7 +343,7 @@ func New(cfg Config, opts ...Option) (*Deployment, error) {
 		d.order = append(d.order, cs.Name)
 		d.Router.AddComplex(cs.Name, cx.Cluster, cs.Distance)
 	}
-	if err := d.Router.AdvertiseSpread(d.order, cfg.PrimaryCost, cfg.SecondaryCost); err != nil {
+	if err := d.Router.AdvertiseSpread(d.order, primaryCost, secondaryCost); err != nil {
 		return nil, err
 	}
 	if d.obsEnabled {
@@ -398,9 +387,6 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 		gen = d.inj.Generator(cs.Name, gen)
 	}
 	opts := []core.Option{core.WithGenerator(gen)}
-	if cfg.RenderWorkers > 1 {
-		opts = append(opts, core.WithParallelism(cfg.RenderWorkers))
-	}
 	if cfg.Policy != core.PolicyUpdateInPlace {
 		opts = append(opts, core.WithPolicy(cfg.Policy))
 	}
@@ -756,9 +742,6 @@ func (d *Deployment) startMonitor(cx *Complex, gen int) error {
 	cx.mu.Unlock()
 
 	opts := []trigger.Option{trigger.WithIndexer(cx.Site.Indexer)}
-	if d.maxPending > 0 {
-		opts = append(opts, trigger.WithMaxPending(d.maxPending))
-	}
 	if cx.Tracer != nil {
 		opts = append(opts, trigger.WithTracer(cx.Tracer))
 	}
@@ -963,7 +946,6 @@ func (d *Deployment) Stats() cache.Stats {
 		agg.Puts += s.Puts
 		agg.Updates += s.Updates
 		agg.Invalidations += s.Invalidations
-		agg.Evictions += s.Evictions
 		agg.Items += s.Items
 		agg.Bytes += s.Bytes
 		agg.PeakBytes += s.PeakBytes

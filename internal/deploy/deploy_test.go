@@ -208,37 +208,3 @@ func TestFreshnessLatencyIsSeconds(t *testing.T) {
 		t.Fatalf("freshness took %v", el)
 	}
 }
-
-func TestRenderWorkersDeployment(t *testing.T) {
-	cfg := NaganoConfig(smallSpec())
-	cfg.RenderWorkers = 4
-	for i := range cfg.Complexes {
-		cfg.Complexes[i].ReplicationDelay = time.Millisecond
-	}
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Shutdown(context.Background())
-	if err := d.Prime(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	ev := d.MasterSite.Events[0]
-	if _, err := d.MasterSite.RecordResult(ev, ev.Participants[0], ev.Participants[1], ev.Participants[2], "1"); err != nil {
-		t.Fatal(err)
-	}
-	if !d.WaitFresh(10 * time.Second) {
-		t.Fatal("freshness timeout with parallel rendering")
-	}
-	page := "/en/sports/" + ev.Sport + "/" + ev.Key
-	obj, outcome, _, err := d.Serve(routing.RegionUS, page)
-	if err != nil || outcome != httpserver.OutcomeHit {
-		t.Fatalf("serve = %v %v", outcome, err)
-	}
-	if !strings.Contains(string(obj.Value), ev.Participants[0]) {
-		t.Fatal("stale page under parallel rendering")
-	}
-}

@@ -67,10 +67,6 @@ type ctxServer interface {
 // counts. httpserver.Server and nested Dispatchers both implement it.
 type loadSignaler interface{ LoadSignal() float64 }
 
-// Probe reports whether a node is healthy. The default probe asks the node
-// directly when it can, and otherwise serves a synthetic request.
-type Probe func(Node) bool
-
 // ReadyReporter is the optional interface through which a node exposes a
 // synthetic health check. Probing through it keeps advisor sweeps out of
 // the serve path entirely: no served/hit counters move and no serve spans
@@ -78,9 +74,10 @@ type Probe func(Node) bool
 // Dispatcher itself implement it.
 type ReadyReporter interface{ Ready() bool }
 
-// DefaultProbe asks the node's synthetic health check when it implements
-// ReadyReporter; only nodes without one fall back to serving "/" (where any
-// outcome except an error counts as healthy).
+// DefaultProbe is the advisor health probe: it asks the node's synthetic
+// health check when it implements ReadyReporter; only nodes without one
+// fall back to serving "/" (where any outcome except an error counts as
+// healthy).
 func DefaultProbe(n Node) bool {
 	if rr, ok := n.(ReadyReporter); ok {
 		return rr.Ready()
@@ -293,8 +290,6 @@ type snapshot struct {
 // background advisors are wanted (Config.ProbeInterval > 0).
 type Dispatcher struct {
 	name          string
-	probe         Probe
-	maxRetries    int
 	probeInterval time.Duration
 	observer      *obs.Collector // mints serve spans; nil without WithObserver
 	policy        HealthPolicy
@@ -322,17 +317,6 @@ type Dispatcher struct {
 
 // Option configures a Dispatcher.
 type Option func(*Dispatcher)
-
-// WithProbe substitutes the advisor health probe.
-func WithProbe(p Probe) Option {
-	return func(d *Dispatcher) { d.probe = p }
-}
-
-// WithMaxRetries bounds how many alternate nodes a request tries after a
-// node failure (default: every remaining healthy node).
-func WithMaxRetries(n int) Option {
-	return func(d *Dispatcher) { d.maxRetries = n }
-}
 
 // WithObserver mints a serve span (into col) for every request entering
 // this dispatcher whose context does not already carry one. Nested
@@ -373,8 +357,6 @@ type Config struct {
 func New(cfg Config, opts ...Option) *Dispatcher {
 	d := &Dispatcher{
 		name:          cfg.Name,
-		probe:         DefaultProbe,
-		maxRetries:    -1,
 		probeInterval: cfg.ProbeInterval,
 		policy:        HealthPolicy{}.normalized(),
 		stopCh:        make(chan struct{}),
@@ -415,7 +397,7 @@ func (d *Dispatcher) Start(ctx context.Context) error {
 	d.started = true
 	d.mu.Unlock()
 	if d.probeInterval > 0 {
-		d.StartAdvisors(d.probeInterval)
+		d.startAdvisors(d.probeInterval)
 	}
 	if ctx != nil && ctx.Done() != nil {
 		go func() {
@@ -802,15 +784,16 @@ func serveOn(ctx context.Context, m *member, path string) (*cache.Object, httpse
 // serve is the lock-free failover loop behind Serve/ServeCtx. The request
 // routes over one immutable snapshot: members evicted mid-request simply
 // fail their attempt and are masked out; members added mid-request are
-// picked up by the next request. The tried set is a bitmask over snapshot
-// indices, so the hit path performs no allocation. Snapshots wider than 64
-// members mask only the first 64 (a pool that wide is itself a
-// misconfiguration — the ND topped out at tens of nodes per site), so an
-// unbounded request over one stops after as many attempts as the snapshot
-// has members instead of picking an unmasked member forever.
+// picked up by the next request. Every member is tried at most once. The
+// tried set is a bitmask over snapshot indices, so the hit path performs no
+// allocation. Snapshots wider than 64 members mask only the first 64 (a
+// pool that wide is itself a misconfiguration — the ND topped out at tens
+// of nodes per site), so a request over one stops after as many attempts
+// as the snapshot has members instead of picking an unmasked member
+// forever.
 func (d *Dispatcher) serve(ctx context.Context, sp *obs.Span, path string) (*cache.Object, httpserver.Outcome, error) {
 	sn := d.snap.Load()
-	wide := d.maxRetries < 0 && len(sn.entries) > 64
+	wide := len(sn.entries) > 64
 	var tried uint64
 	retries := 0
 	var lastShed error
@@ -846,10 +829,6 @@ func (d *Dispatcher) serve(ctx context.Context, sp *obs.Span, path string) (*cac
 			d.shedFailovers.Inc()
 			lastShed = err
 			retries++
-			if d.maxRetries >= 0 && retries > d.maxRetries {
-				d.rejected.Inc()
-				return nil, httpserver.OutcomeShed, err
-			}
 			continue
 		}
 		if outcome == httpserver.OutcomeError && err != nil && !errors.Is(err, httpserver.ErrNoRoute) {
@@ -857,10 +836,6 @@ func (d *Dispatcher) serve(ctx context.Context, sp *obs.Span, path string) (*cac
 			d.release(m, true)
 			d.failovers.Inc()
 			retries++
-			if d.maxRetries >= 0 && retries > d.maxRetries {
-				d.rejected.Inc()
-				return nil, httpserver.OutcomeError, fmt.Errorf("dispatch: retries exhausted: %w", err)
-			}
 			continue
 		}
 		d.release(m, false)
@@ -895,7 +870,8 @@ func (d *Dispatcher) LoadSignal() float64 {
 // the observation fed through the probation state machine (hysteresis,
 // quarantine, slow-start ramp), and its cached load signal refreshed.
 // Returns the number of nodes left in the distribution list. The simulation
-// calls this on its own clock; live servers use StartAdvisors.
+// calls this on its own clock; live servers set Config.ProbeInterval and
+// call Start.
 func (d *Dispatcher) CheckNow() int {
 	d.mu.Lock()
 	nodes := make([]*member, len(d.members))
@@ -905,7 +881,7 @@ func (d *Dispatcher) CheckNow() int {
 	var changes []StateChange
 	healthy := 0
 	for _, m := range nodes {
-		ok := d.probe(m.node)
+		ok := DefaultProbe(m.node)
 		m.refreshLoad()
 		d.mu.Lock()
 		if ok {
@@ -922,9 +898,10 @@ func (d *Dispatcher) CheckNow() int {
 	return healthy
 }
 
-// StartAdvisors launches a background advisor loop probing every interval.
-// Stop terminates it.
-func (d *Dispatcher) StartAdvisors(interval time.Duration) {
+// startAdvisors launches the background advisor loop probing every
+// interval; Start calls it when Config.ProbeInterval is set, and stop
+// terminates it.
+func (d *Dispatcher) startAdvisors(interval time.Duration) {
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
@@ -942,7 +919,7 @@ func (d *Dispatcher) StartAdvisors(interval time.Duration) {
 }
 
 // stop terminates advisor loops. Safe to call multiple times, and a no-op
-// if StartAdvisors was never called.
+// if the advisor loop was never started.
 func (d *Dispatcher) stop() {
 	d.stopOnce.Do(func() { close(d.stopCh) })
 	d.wg.Wait()

@@ -289,9 +289,11 @@ func TestAdvisorsRestoreRecoveredNode(t *testing.T) {
 
 func TestStartAdvisorsBackground(t *testing.T) {
 	ns, fs := nodes(1)
-	d := New(Config{Name: "nd", Nodes: ns})
+	d := New(Config{Name: "nd", Nodes: ns, ProbeInterval: 2 * time.Millisecond})
 	fs[0].failing.Store(true)
-	d.StartAdvisors(2 * time.Millisecond)
+	if err := d.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	defer d.Shutdown(context.Background())
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -338,26 +340,6 @@ func TestDispatchersCompose(t *testing.T) {
 	}
 	if top.Stats().Failovers == 0 {
 		t.Fatal("no complex-level failover recorded")
-	}
-}
-
-func TestMaxRetriesBounds(t *testing.T) {
-	ns, fs := nodes(5)
-	for _, f := range fs {
-		f.failing.Store(true)
-	}
-	d := New(Config{Name: "nd", Nodes: ns}, WithMaxRetries(2))
-	_, _, err := d.Serve("/p")
-	if err == nil {
-		t.Fatal("expected failure")
-	}
-	// Only 3 nodes may have been tried (initial + 2 retries).
-	tried := int64(0)
-	for _, n := range d.Stats().Nodes {
-		tried += n.Failures
-	}
-	if tried != 3 {
-		t.Fatalf("nodes tried = %d, want 3", tried)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -296,15 +297,17 @@ func TestStateChangeHook(t *testing.T) {
 func TestProbationMachineRace(t *testing.T) {
 	ns, ps := probePool(4)
 	var d *Dispatcher
-	d = New(Config{Name: "nd", Nodes: ns},
+	d = New(Config{Name: "nd", Nodes: ns, ProbeInterval: 100 * time.Microsecond},
 		WithHealthPolicy(HealthPolicy{
 			FailThreshold: 2, ReadmitThreshold: 2,
 			RampStart: 0.25, RampFactor: 2,
 			FlapWindow: 4, QuarantineBase: 2, QuarantineMax: 8,
 		}),
 		WithStateChange(func(ch StateChange) { _ = d.HealthyCount() }))
-	d.StartAdvisors(100 * time.Microsecond)
-	defer d.Shutdown(nil)
+	if err := d.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown(context.Background())
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -363,5 +366,46 @@ func TestProbationMachineRace(t *testing.T) {
 	}
 	if _, _, err := d.Serve("/final"); err != nil {
 		t.Fatalf("pool unserviceable after the storm: %v", err)
+	}
+}
+
+// TestServeFailureReadmittedByBackgroundLoop: one failed serve evicts a
+// node at once, and only an advisor sweep can put it back. With
+// Config.ProbeInterval set, Start's background loop readmits it as soon as
+// its probe reports healthy again, with no CheckNow from the caller.
+func TestServeFailureReadmittedByBackgroundLoop(t *testing.T) {
+	ns, ps := probePool(2)
+	d := New(Config{Name: "nd", Nodes: ns, ProbeInterval: 2 * time.Millisecond})
+	ps[0].ready.Store(false)
+	for i := 0; i < 4; i++ {
+		if _, _, err := d.Serve("/p"); err != nil {
+			t.Fatalf("serve %d: %v", i, err)
+		}
+	}
+	if d.HealthyCount() != 1 || d.Stats().Evictions != 1 {
+		t.Fatalf("healthy=%d evictions=%d after a failed serve, want 1 and 1",
+			d.HealthyCount(), d.Stats().Evictions)
+	}
+
+	if err := d.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown(context.Background())
+	ps[0].ready.Store(true)
+	deadline := time.Now().Add(5 * time.Second)
+	for d.HealthyCount() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("background advisor never readmitted the recovered node")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	before := ps[0].served.Load()
+	for i := 0; i < 4; i++ {
+		if _, _, err := d.Serve("/p"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ps[0].served.Load() == before {
+		t.Fatal("readmitted node receives no traffic")
 	}
 }

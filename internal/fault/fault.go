@@ -87,7 +87,9 @@ type Config struct {
 // Option configures an Injector.
 type Option func(*Injector)
 
-// WithRate arms kind k at probability p at construction time.
+// WithRate arms kind k at probability p at construction time. It is a
+// test seam: production arms faults through SetRate, and only the seeded
+// fault tests arm them at construction.
 func WithRate(k Kind, p float64) Option {
 	return func(i *Injector) { i.SetRate(k, p) }
 }

@@ -184,7 +184,8 @@ func TestIncludeReusePathAllocs(t *testing.T) {
 // re-render on every Include rather than splice cached bytes.
 func TestFullReRenderBaselineBypassesCache(t *testing.T) {
 	d := testDB(t)
-	e := New(Config{DB: d, Registrar: newRecorder()}, WithFullReRender())
+	e := New(Config{DB: d, Registrar: newRecorder()})
+	e.SetFullReRender(true)
 	var renders atomic.Int64
 	e.Define("frag:a", func(ctx *Context) ([]byte, error) {
 		renders.Add(1)

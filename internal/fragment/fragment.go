@@ -55,9 +55,13 @@ type Func func(ctx *Context) ([]byte, error)
 // ErrUnknown is returned when rendering an unregistered name.
 var ErrUnknown = errors.New("fragment: unknown page or fragment")
 
-// ErrDepth is returned when fragment inclusion nests deeper than the
-// engine's limit (a cyclic include).
+// ErrDepth is returned when fragment inclusion nests deeper than
+// maxIncludeDepth (a cyclic include).
 var ErrDepth = errors.New("fragment: include depth exceeded")
+
+// maxIncludeDepth bounds fragment include nesting, so a cyclic include
+// fails instead of recursing forever.
+const maxIncludeDepth = 8
 
 // Engine renders registered pages and fragments against a database,
 // recording dependencies. Safe for concurrent use.
@@ -65,14 +69,14 @@ type Engine struct {
 	database  *db.DB
 	registrar Registrar
 	fragCache *cache.Cache
-	maxDepth  int
 
 	mu   sync.RWMutex
 	defs map[string]Func
 
 	// fullReRender disables memoized assembly: every Include recursively
 	// re-renders its fragment. It exists as the measured baseline for the
-	// incremental-propagation benchmark and the byte-identity tests.
+	// incremental-propagation benchmark and the byte-identity tests; see
+	// SetFullReRender.
 	fullReRender atomic.Bool
 
 	// floors holds the per-fragment required version set by BeginBatch: a
@@ -135,43 +139,26 @@ type Config struct {
 	Registrar Registrar
 }
 
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithMaxDepth bounds fragment include nesting (default 8).
-func WithMaxDepth(d int) Option {
-	return func(e *Engine) { e.maxDepth = d }
-}
-
-// WithFullReRender disables memoized assembly: every Include recursively
-// re-renders its fragment instead of consulting the fragment cache. This is
-// the O(pages x fragments) baseline the incremental-propagation benchmark
-// measures against; production engines never want it.
-func WithFullReRender() Option {
-	return func(e *Engine) { e.fullReRender.Store(true) }
-}
-
-// New returns an engine over cfg in the repo-standard constructor shape.
-func New(cfg Config, opts ...Option) *Engine {
-	e := &Engine{
+// New returns an engine over cfg.
+func New(cfg Config) *Engine {
+	return &Engine{
 		database:  cfg.DB,
 		registrar: cfg.Registrar,
 		fragCache: cache.New("fragments"),
-		maxDepth:  8,
 		defs:      make(map[string]Func),
 		floors:    make(map[string]int64),
 		flights:   make(map[string]*flight),
 		stopped:   make(chan struct{}),
 	}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
 }
 
-// SetFullReRender toggles the full-re-render baseline mode at runtime (see
-// WithFullReRender). Benchmarks flip it on a site-built engine whose
-// construction they do not control.
+// SetFullReRender toggles memoized assembly off (on = true) or back on.
+// With it off, every Include recursively re-renders its fragment instead
+// of consulting the fragment cache: the O(pages x fragments) baseline that
+// experiment E15 (BenchmarkIncrementalPropagation) and the byte-identity
+// reference test measure against. Production engines never set it. It is
+// a runtime switch because those callers flip it on a site-built engine
+// whose construction they do not control.
 func (e *Engine) SetFullReRender(on bool) { e.fullReRender.Store(on) }
 
 // Start implements lifecycle.Component. The engine has no background work
@@ -326,8 +313,8 @@ func (e *Engine) renderShared(name string, version int64, depth int) (obj *cache
 }
 
 func (e *Engine) render(name string, version int64, depth int) (*cache.Object, error) {
-	if depth > e.maxDepth {
-		return nil, fmt.Errorf("%w (%d) rendering %q", ErrDepth, e.maxDepth, name)
+	if depth > maxIncludeDepth {
+		return nil, fmt.Errorf("%w (%d) rendering %q", ErrDepth, maxIncludeDepth, name)
 	}
 	e.mu.RLock()
 	fn, ok := e.defs[name]

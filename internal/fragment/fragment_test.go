@@ -220,11 +220,28 @@ func TestIncludeNonFragmentRejected(t *testing.T) {
 
 func TestIncludeDepthLimit(t *testing.T) {
 	d := testDB(t)
-	e := New(Config{DB: d, Registrar: newRecorder()}, WithMaxDepth(3))
-	// Self-including fragment.
+	// chain defines frag:c0 -> frag:c1 -> ... -> frag:c<n>, each including
+	// the next; frag:c<i> renders at include depth i.
+	chain := func(n int) *Engine {
+		e := New(Config{DB: d, Registrar: newRecorder()})
+		for i := 0; i < n; i++ {
+			next := fmt.Sprintf("frag:c%d", i+1)
+			e.Define(fmt.Sprintf("frag:c%d", i), func(ctx *Context) ([]byte, error) { return ctx.Include(next) })
+		}
+		e.Define(fmt.Sprintf("frag:c%d", n), func(ctx *Context) ([]byte, error) { return []byte("leaf"), nil })
+		return e
+	}
+	if obj, err := chain(maxIncludeDepth).Generate("frag:c0", 1); err != nil || string(obj.Value) != "leaf" {
+		t.Fatalf("%d-deep chain: %v, %v; want the leaf", maxIncludeDepth, obj, err)
+	}
+	if _, err := chain(maxIncludeDepth+1).Generate("frag:c0", 1); !errors.Is(err, ErrDepth) {
+		t.Fatalf("%d-deep chain: err = %v, want ErrDepth", maxIncludeDepth+1, err)
+	}
+
+	// A self-including fragment is a cycle and hits the same bound.
+	e := New(Config{DB: d, Registrar: newRecorder()})
 	e.Define("frag:loop", func(ctx *Context) ([]byte, error) { return ctx.Include("frag:loop") })
-	_, err := e.Generate("frag:loop", 1)
-	if !errors.Is(err, ErrDepth) {
+	if _, err := e.Generate("frag:loop", 1); !errors.Is(err, ErrDepth) {
 		t.Fatalf("err = %v, want ErrDepth", err)
 	}
 }

@@ -171,13 +171,15 @@ func WithResponseTap(tap ResponseTap) Option {
 type Option func(*Server)
 
 // WithOverhead installs a hook executed once per dynamic request before any
-// cache lookup, modeling per-invocation cost such as a CGI fork.
+// cache lookup, modeling per-invocation cost such as a CGI fork. Only the
+// E2 experiment (the CGI baseline of BenchmarkE2_ServerThroughput) sets it.
 func WithOverhead(f func()) Option {
 	return func(s *Server) { s.overhead = f }
 }
 
 // WithoutCache disables the page cache: every dynamic request regenerates.
-// This is the uncached-dynamic baseline of the E2 experiment.
+// This is the uncached-dynamic baseline of the E2 experiment, its only
+// caller.
 func WithoutCache() Option {
 	return func(s *Server) { s.noCache = true }
 }

@@ -59,18 +59,16 @@ type Journal struct {
 	now   func() time.Time
 	armed atomic.Bool
 
-	mu     sync.Mutex
-	ring   []Event
-	next   int
-	filled bool
-	seq    int64
-	subs   []func(Event)
+	mu   sync.Mutex
+	ring stats.Ring[Event] // journalRingSize most recent events
+	seq  int64
+	subs []func(Event)
 
 	appended stats.Counter
 }
 
 func newJournal(cfg config) *Journal {
-	j := &Journal{now: cfg.clock, ring: make([]Event, cfg.journalRing)}
+	j := &Journal{now: cfg.clock, ring: stats.NewRing[Event](journalRingSize)}
 	j.armed.Store(true)
 	return j
 }
@@ -105,12 +103,7 @@ func (j *Journal) append(e Event) {
 	j.seq++
 	e.Seq = j.seq
 	e.Time = j.now()
-	j.ring[j.next] = e
-	j.next++
-	if j.next == len(j.ring) {
-		j.next = 0
-		j.filled = true
-	}
+	j.ring.Push(e)
 	subs := j.subs
 	j.mu.Unlock()
 	j.appended.Inc()
@@ -134,19 +127,7 @@ func (j *Journal) Subscribe(fn func(Event)) {
 func (j *Journal) Recent(n int) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	size := j.next
-	if j.filled {
-		size = len(j.ring)
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Event, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (j.next - 1 - i + len(j.ring)) % len(j.ring)
-		out = append(out, j.ring[idx])
-	}
-	return out
+	return j.ring.Recent(n)
 }
 
 // Appended returns how many events have been appended since creation.

@@ -20,7 +20,7 @@
 //
 // The Recorder is the black box: it subscribes to the journal and, when a
 // trigger condition fires (monitor crash, freshness-SLO violation, shed
-// burst, audit-incoherent page), snapshots the last N serve spans,
+// start, audit-incoherent page), snapshots the last N serve spans,
 // propagation traces, and journal events into a self-contained Dump.
 // Dump.Canonical projects away timestamps so a dump taken under a seeded,
 // sequenced scenario is byte-for-byte reproducible (see chaos.RunFlight).
@@ -33,26 +33,24 @@ import (
 	"dupserve/internal/trace"
 )
 
+// Ring capacities: the recent serve spans and journal events a dump can
+// draw on, and the dumps the recorder retains.
+const (
+	spanRingSize    = 256
+	journalRingSize = 256
+	dumpRingSize    = 16
+)
+
 // config collects the knobs shared by the suite's components.
 type config struct {
-	name        string
-	clock       func() time.Time
-	tracer      *trace.Tracer
-	reg         *stats.Registry
-	spanRing    int
-	journalRing int
-	dumpRing    int
-	shedBurst   int
+	name   string
+	clock  func() time.Time
+	tracer *trace.Tracer
+	reg    *stats.Registry
 }
 
 func defaultConfig() config {
-	return config{
-		clock:       time.Now,
-		spanRing:    256,
-		journalRing: 256,
-		dumpRing:    16,
-		shedBurst:   1,
-	}
+	return config{clock: time.Now}
 }
 
 // Option configures a Suite (and the individual component constructors,
@@ -66,7 +64,8 @@ func WithName(name string) Option {
 }
 
 // WithClock substitutes the time source for spans, journal events, and
-// dumps. Deterministic scenarios inject a logical clock here.
+// dumps. It is a test seam: deterministic tests inject a logical clock
+// here, and production runs on the real clock.
 func WithClock(now func() time.Time) Option {
 	return func(c *config) {
 		if now != nil {
@@ -86,44 +85,6 @@ func WithTracer(t *trace.Tracer) Option {
 // on that — metric values are timing-dependent).
 func WithMetrics(reg *stats.Registry) Option {
 	return func(c *config) { c.reg = reg }
-}
-
-// WithSpanRing bounds the recent-span ring (default 256).
-func WithSpanRing(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.spanRing = n
-		}
-	}
-}
-
-// WithJournalRing bounds the journal's event ring (default 256).
-func WithJournalRing(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.journalRing = n
-		}
-	}
-}
-
-// WithDumpRing bounds how many dumps the recorder retains (default 16).
-func WithDumpRing(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.dumpRing = n
-		}
-	}
-}
-
-// WithShedBurst sets how many overload/shed_start events must accumulate
-// before the recorder captures a dump (default 1: every shed transition is
-// an anomaly worth a black box).
-func WithShedBurst(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.shedBurst = n
-		}
-	}
 }
 
 // Suite bundles the three components one complex needs: the span collector,

@@ -105,24 +105,25 @@ func TestStageDurSkipsUnvisitedStages(t *testing.T) {
 }
 
 func TestCollectorRecentNewestFirstAndBounded(t *testing.T) {
-	c := NewCollector(WithSpanRing(4))
-	for i := 0; i < 6; i++ {
+	c := NewCollector()
+	const total = spanRingSize + 2
+	for i := 0; i < total; i++ {
 		_, sp := c.StartSpan(context.Background())
 		sp.SetLSN(int64(i))
 		sp.SetOutcome(OutcomeHit)
 		sp.Finish()
 	}
 	got := c.Recent(0)
-	if len(got) != 4 {
-		t.Fatalf("ring retained %d spans, want 4", len(got))
+	if len(got) != spanRingSize {
+		t.Fatalf("ring retained %d spans, want %d", len(got), spanRingSize)
 	}
 	for i, tr := range got {
-		if want := int64(5 - i); tr.LSN != want {
+		if want := int64(total - 1 - i); tr.LSN != want {
 			t.Fatalf("Recent[%d].LSN = %d, want %d", i, tr.LSN, want)
 		}
 	}
-	if c.Recorded() != 6 {
-		t.Fatalf("Recorded = %d, want 6", c.Recorded())
+	if c.Recorded() != total {
+		t.Fatalf("Recorded = %d, want %d", c.Recorded(), total)
 	}
 }
 
@@ -163,7 +164,7 @@ func TestCollectorSnapshotAndMetrics(t *testing.T) {
 }
 
 func TestJournalRingSubscribeAndArming(t *testing.T) {
-	j := NewJournal(WithJournalRing(3))
+	j := NewJournal()
 	var seen []Event
 	j.Subscribe(func(e Event) { seen = append(seen, e) })
 
@@ -183,15 +184,18 @@ func TestJournalRingSubscribeAndArming(t *testing.T) {
 	}
 	j.SetArmed(true)
 
-	for i := 0; i < 5; i++ {
+	for i := 0; i < journalRingSize; i++ {
 		j.Event(LevelInfo, "s", "k", "m")
 	}
 	recent := j.Recent(0)
-	if len(recent) != 3 {
-		t.Fatalf("ring retained %d events, want 3", len(recent))
+	if len(recent) != journalRingSize {
+		t.Fatalf("ring retained %d events, want %d", len(recent), journalRingSize)
 	}
-	if recent[0].Seq <= recent[1].Seq {
-		t.Fatal("Recent must be newest first")
+	newest := j.Appended()
+	for i, e := range recent {
+		if want := newest - int64(i); e.Seq != want {
+			t.Fatalf("Recent[%d].Seq = %d, want %d (newest first)", i, e.Seq, want)
+		}
 	}
 }
 
@@ -250,25 +254,6 @@ func TestRecorderAutoCapture(t *testing.T) {
 	}
 }
 
-func TestRecorderShedBurstThreshold(t *testing.T) {
-	s := NewSuite(WithShedBurst(3))
-	for i := 0; i < 2; i++ {
-		s.Journal.Event(LevelWarn, "overload", "shed_start", "shed")
-	}
-	if s.Recorder.Captured() != 0 {
-		t.Fatal("below-burst shed events must not capture")
-	}
-	s.Journal.Event(LevelWarn, "overload", "shed_start", "shed")
-	if s.Recorder.Captured() != 1 {
-		t.Fatalf("captured = %d, want 1 at burst threshold", s.Recorder.Captured())
-	}
-	// Counter resets after a capture.
-	s.Journal.Event(LevelWarn, "overload", "shed_start", "shed")
-	if s.Recorder.Captured() != 1 {
-		t.Fatal("burst counter must reset after capture")
-	}
-}
-
 func TestDumpCanonicalIsTimeFreeAndReproducible(t *testing.T) {
 	build := func(epoch int64) Dump {
 		now := time.Unix(epoch, 0)
@@ -309,16 +294,22 @@ func TestDumpCanonicalIsTimeFreeAndReproducible(t *testing.T) {
 }
 
 func TestRecorderDumpsOldestFirstAndBounded(t *testing.T) {
-	s := NewSuite(WithDumpRing(2))
-	for i := 0; i < 3; i++ {
+	s := NewSuite()
+	const total = dumpRingSize + 1
+	for i := 0; i < total; i++ {
 		s.Recorder.Capture("n")
 	}
 	dumps := s.Recorder.Dumps()
-	if len(dumps) != 2 {
-		t.Fatalf("retained %d dumps, want 2", len(dumps))
+	if len(dumps) != dumpRingSize {
+		t.Fatalf("retained %d dumps, want %d", len(dumps), dumpRingSize)
 	}
-	if dumps[0].Seq != 2 || dumps[1].Seq != 3 {
-		t.Fatalf("dump seqs = %d,%d, want 2,3 (oldest first)", dumps[0].Seq, dumps[1].Seq)
+	for i, d := range dumps {
+		if want := int64(total - dumpRingSize + 1 + i); d.Seq != want {
+			t.Fatalf("Dumps[%d].Seq = %d, want %d (oldest first)", i, d.Seq, want)
+		}
+	}
+	if d, ok := s.Recorder.Latest(); !ok || d.Seq != total {
+		t.Fatalf("Latest = %d, %v; want %d", d.Seq, ok, total)
 	}
 	if kinds := s.Recorder.Kinds(); len(kinds) != 1 || kinds[0] != "manual" {
 		t.Fatalf("kinds = %v", kinds)

@@ -114,23 +114,19 @@ const dumpDepth = 64
 
 // Recorder is the anomaly flight recorder. It subscribes to the journal and
 // captures a Dump whenever a trigger condition fires; Capture() takes one on
-// demand. Dumps live in a bounded ring.
+// demand. The dumpRingSize most recent dumps are retained.
 type Recorder struct {
-	name      string
-	col       *Collector
-	tracer    *trace.Tracer
-	journal   *Journal
-	reg       *stats.Registry
-	now       func() time.Time
-	triggers  map[string]bool
-	shedBurst int
+	name     string
+	col      *Collector
+	tracer   *trace.Tracer
+	journal  *Journal
+	reg      *stats.Registry
+	now      func() time.Time
+	triggers map[string]bool
 
-	mu        sync.Mutex
-	dumps     []Dump
-	next      int
-	filled    bool
-	seq       int64
-	shedCount int // shed_start events since the last shed-triggered capture
+	mu    sync.Mutex
+	dumps stats.Ring[Dump]
+	seq   int64
 
 	captures stats.Counter
 }
@@ -150,8 +146,7 @@ func newRecorder(cfg config, col *Collector, j *Journal) *Recorder {
 			TriggerIncoherent:   true,
 			TriggerFlapDamping:  true,
 		},
-		shedBurst: cfg.shedBurst,
-		dumps:     make([]Dump, cfg.dumpRing),
+		dumps: stats.NewRing[Dump](dumpRingSize),
 	}
 	if j != nil {
 		j.Subscribe(r.observe)
@@ -160,23 +155,11 @@ func newRecorder(cfg config, col *Collector, j *Journal) *Recorder {
 }
 
 // observe is the journal subscription: capture when the event matches a
-// trigger condition. Shed transitions are debounced by the burst threshold.
+// trigger condition. Every shed transition is an anomaly worth a dump.
 func (r *Recorder) observe(e Event) {
 	key := e.Scope + "/" + e.Kind
 	if !r.triggers[key] {
 		return
-	}
-	if key == TriggerShedStart && r.shedBurst > 1 {
-		r.mu.Lock()
-		r.shedCount++
-		below := r.shedCount < r.shedBurst
-		if !below {
-			r.shedCount = 0
-		}
-		r.mu.Unlock()
-		if below {
-			return
-		}
 	}
 	r.capture(key, e.Msg)
 }
@@ -208,12 +191,7 @@ func (r *Recorder) capture(kind, reason string) Dump {
 	r.mu.Lock()
 	r.seq++
 	d.Seq = r.seq
-	r.dumps[r.next] = d
-	r.next++
-	if r.next == len(r.dumps) {
-		r.next = 0
-		r.filled = true
-	}
+	r.dumps.Push(d)
 	r.mu.Unlock()
 	r.captures.Inc()
 	return d
@@ -223,28 +201,17 @@ func (r *Recorder) capture(kind, reason string) Dump {
 func (r *Recorder) Latest() (Dump, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.seq == 0 {
+	if r.dumps.Len() == 0 {
 		return Dump{}, false
 	}
-	idx := (r.next - 1 + len(r.dumps)) % len(r.dumps)
-	return r.dumps[idx], true
+	return r.dumps.Recent(1)[0], true
 }
 
 // Dumps returns all retained dumps, oldest first.
 func (r *Recorder) Dumps() []Dump {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	size := r.next
-	start := 0
-	if r.filled {
-		size = len(r.dumps)
-		start = r.next
-	}
-	out := make([]Dump, 0, size)
-	for i := 0; i < size; i++ {
-		out = append(out, r.dumps[(start+i)%len(r.dumps)])
-	}
-	return out
+	return r.dumps.Oldest()
 }
 
 // Captured returns the total number of dumps ever captured.

@@ -247,10 +247,8 @@ type Collector struct {
 	dbReads     *stats.Histogram
 	recorded    stats.Counter
 
-	mu     sync.Mutex
-	ring   []ServeTrace
-	next   int
-	filled bool
+	mu   sync.Mutex
+	ring stats.Ring[ServeTrace] // spanRingSize most recent spans
 }
 
 // serveLatencyBounds cover sub-10µs cache hits through multi-second
@@ -269,7 +267,7 @@ func newCollector(cfg config) *Collector {
 		totalHist:   stats.NewHistogram(serveLatencyBounds...),
 		outcomeHist: make(map[string]*stats.Histogram, len(spanOutcomes)),
 		dbReads:     stats.NewHistogram(dbReadBounds...),
-		ring:        make([]ServeTrace, cfg.spanRing),
+		ring:        stats.NewRing[ServeTrace](spanRingSize),
 	}
 	for s := SpanRoute; s < NumServeStages; s++ {
 		c.stageHist[s] = stats.NewHistogram(serveLatencyBounds...)
@@ -318,12 +316,7 @@ func (c *Collector) record(tr *ServeTrace) {
 	c.recorded.Inc()
 
 	c.mu.Lock()
-	c.ring[c.next] = *tr
-	c.next++
-	if c.next == len(c.ring) {
-		c.next = 0
-		c.filled = true
-	}
+	c.ring.Push(*tr)
 	c.mu.Unlock()
 }
 
@@ -334,19 +327,7 @@ func (c *Collector) Recorded() int64 { return c.recorded.Value() }
 func (c *Collector) Recent(n int) []ServeTrace {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	size := c.next
-	if c.filled {
-		size = len(c.ring)
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]ServeTrace, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (c.next - 1 - i + len(c.ring)) % len(c.ring)
-		out = append(out, c.ring[idx])
-	}
-	return out
+	return c.ring.Recent(n)
 }
 
 // RegisterMetrics publishes the collector's histogram families into reg.

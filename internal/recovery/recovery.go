@@ -35,7 +35,8 @@ import (
 type Policy struct {
 	// Warm gates readmission on a cache rebuild to the pinned LSN floor.
 	// False keeps readmission cold (the node rejoins with an empty cache) —
-	// the baseline the recovery benchmark compares against.
+	// the baseline the recovery benchmark (simulate -recovery-bench)
+	// compares against, and its reason to exist.
 	Warm bool
 
 	// Dispatcher probation knobs, mirrored into dispatch.HealthPolicy:
@@ -100,7 +101,8 @@ type Config struct {
 	// restored, so trigger-monitor pushes reach it again. May be nil.
 	Attach func()
 	// Cold skips the rebuild entirely: the warmup only re-attaches the
-	// empty cache (the benchmark's cold-readmission baseline).
+	// empty cache. Only the recovery benchmark's cold-readmission baseline
+	// (simulate -recovery-bench) sets it.
 	Cold bool
 	// Clock stamps the warmup duration (default time.Now).
 	Clock func() time.Time

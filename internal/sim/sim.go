@@ -75,11 +75,6 @@ type Config struct {
 	// reproducing the figure-22 blip the paper attributes to causes
 	// external to the site.
 	USCongestion float64
-	// NoReprimeOnRecovery disables the warm-up the paper's operators
-	// performed when a node rejoined: redistributing the current page set
-	// into its cold cache. With it disabled, recovered nodes warm up only
-	// through on-demand misses.
-	NoReprimeOnRecovery bool
 	// Spikes are the scheduled traffic surges.
 	Spikes []workload.Spike
 	// Log receives progress lines (nil = silent).
@@ -138,7 +133,6 @@ type Result struct {
 	DynamicMisses int64
 	HitRate       float64
 	StaticHits    int64
-	Evictions     int64
 
 	PeakMinute           PeakMinute
 	SkiJumpMinuteHits    int64   // busiest minute of the day-10 spike hour
@@ -575,9 +569,6 @@ func (r *runner) mainLoop(start time.Time, logf func(string, ...any)) (*Result, 
 	if hits+misses > 0 {
 		res.HitRate = float64(hits) / float64(hits+misses)
 	}
-	for _, cx := range r.complexes {
-		res.Evictions += cx.Caches.AggregateStats().Evictions
-	}
 	for name, acc := range hourlyAccum {
 		var avg [24]float64
 		for h := 0; h < 24; h++ {
@@ -608,9 +599,6 @@ func (r *runner) mainLoop(start time.Time, logf func(string, ...any)) (*Result, 
 // routine, without which hot pages would miss until traffic re-faulted
 // them in.
 func (r *runner) reprime(cx *cluster.Complex, nodes ...*cluster.Node) {
-	if r.cfg.NoReprimeOnRecovery {
-		return
-	}
 	var src *cache.Cache
 	for _, name := range r.names {
 		for _, c := range r.complexes[name].Caches.Members() {

@@ -74,8 +74,10 @@ func TestUpdateInPlaceHitRateNear100(t *testing.T) {
 	if res.HitRate < 0.99 {
 		t.Fatalf("hit rate = %.4f, want >= 0.99", res.HitRate)
 	}
-	if res.Evictions != 0 {
-		t.Fatalf("evictions = %d, want 0 (no replacement ever ran)", res.Evictions)
+	// The paper never ran a replacement algorithm: caches are unbounded,
+	// so every page is resident at peak.
+	if res.CacheItemsSingle < res.PagesTotal {
+		t.Fatalf("cache holds %d items, want every one of %d pages resident", res.CacheItemsSingle, res.PagesTotal)
 	}
 }
 

@@ -163,9 +163,7 @@ type Tracer struct {
 	now func() time.Time
 
 	mu       sync.Mutex
-	ring     []Trace
-	next     int
-	filled   bool
+	ring     stats.Ring[Trace]
 	inflight map[int64]time.Time // trace ID -> commit time
 
 	stageHist [NumStages]*stats.Histogram // index 0 (commit) unused
@@ -185,7 +183,7 @@ type Option func(*Tracer)
 func WithRingSize(n int) Option {
 	return func(t *Tracer) {
 		if n > 0 {
-			t.ring = make([]Trace, n)
+			t.ring = stats.NewRing[Trace](n)
 		}
 	}
 }
@@ -197,6 +195,7 @@ func WithSLO(d time.Duration) Option {
 }
 
 // WithClock substitutes the staleness clock.
+// It is a test seam: production always runs on the real clock.
 func WithClock(now func() time.Time) Option {
 	return func(t *Tracer) { t.now = now }
 }
@@ -207,7 +206,7 @@ func New(opts ...Option) *Tracer {
 	t := &Tracer{
 		slo:      60 * time.Second,
 		now:      time.Now,
-		ring:     make([]Trace, 256),
+		ring:     stats.NewRing[Trace](256),
 		inflight: make(map[int64]time.Time),
 	}
 	for _, o := range opts {
@@ -261,12 +260,7 @@ func (t *Tracer) Record(tr Trace) {
 	}
 	t.mu.Lock()
 	delete(t.inflight, tr.ID)
-	t.ring[t.next] = tr
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.filled = true
-	}
+	t.ring.Push(tr)
 	cb := t.onViolation
 	t.mu.Unlock()
 	if violated && cb != nil {
@@ -279,22 +273,11 @@ func (t *Tracer) Record(tr Trace) {
 func (t *Tracer) Recent(n int) []Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	size := t.next
-	if t.filled {
-		size = len(t.ring)
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Trace, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, t.ring[(t.next-i+len(t.ring))%len(t.ring)])
-	}
-	return out
+	return t.ring.Recent(n)
 }
 
 // RingSize returns the ring capacity.
-func (t *Tracer) RingSize() int { return len(t.ring) }
+func (t *Tracer) RingSize() int { return t.ring.Cap() }
 
 // Recorded returns the total number of traces recorded.
 func (t *Tracer) Recorded() int64 { return t.recorded.Value() }

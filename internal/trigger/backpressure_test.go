@@ -123,7 +123,7 @@ func TestBurstCoalescesIntoOneBatch(t *testing.T) {
 // of 63 under MaxPending 16 leaves in MaxPending slices, 16+16+16+15,
 // without Flush, rather than as one unbounded batch.
 func TestMaxPendingBoundsCoalescing(t *testing.T) {
-	h, hold := newHeldHarness(t, WithMaxPending(16))
+	h, hold := newHeldHarness(t, withMaxPending(16))
 	h.registerPage(t, "ev1")
 
 	hold.pileUp(t, h, 63)

@@ -83,7 +83,8 @@ type Config struct {
 	// StartLSN = DB.LSN(); pass that explicitly when taking over).
 	StartLSN int64
 	// Deprecated: BatchWindow is ignored. Batching is self-clocked (see the
-	// package documentation); no timer holds a batch back.
+	// package documentation); no timer holds a batch back. The field stays
+	// only because the benchmark plant (bench/plant.go) still sets it.
 	BatchWindow time.Duration
 	// MaxPending caps the transactions in one batch (default 128). Under a
 	// commit burst the backlog on the feed drains in MaxPending slices, one
@@ -146,21 +147,13 @@ type pendingTx struct {
 // Option configures a Monitor.
 type Option func(*Monitor)
 
-// WithMaxPending sets the batch cap (see Config.MaxPending).
-func WithMaxPending(n int) Option {
-	return func(m *Monitor) {
-		if n > 0 {
-			m.maxPending = n
-		}
-	}
-}
-
 // WithIndexer substitutes the change-to-vertex mapping.
 func WithIndexer(ix Indexer) Option {
 	return func(m *Monitor) { m.indexer = ix }
 }
 
 // WithClock substitutes the latency clock.
+// It is a test seam: production always runs on the real clock.
 func WithClock(now func() time.Time) Option {
 	return func(m *Monitor) { m.now = now }
 }

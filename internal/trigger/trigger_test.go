@@ -62,6 +62,23 @@ func startMonitor(t testing.TB, d *db.DB, e *core.Engine, opts ...Option) *Monit
 	return m
 }
 
+// withMaxPending sets the monitor's batch cap exactly as Config.MaxPending
+// does, so the option-based harness can vary it.
+func withMaxPending(n int) Option {
+	return func(m *Monitor) { m.maxPending = n }
+}
+
+// TestMaxPendingFromConfig: Config.MaxPending sets the batch cap, and an
+// unset one leaves the default.
+func TestMaxPendingFromConfig(t *testing.T) {
+	if m := New(Config{MaxPending: 5}); m.maxPending != 5 {
+		t.Fatalf("maxPending = %d, want 5", m.maxPending)
+	}
+	if m := New(Config{}); m.maxPending != defaultMaxPending {
+		t.Fatalf("maxPending = %d, want the default %d", m.maxPending, defaultMaxPending)
+	}
+}
+
 // registerPage declares /page/<row> depending on db:results:<row> and
 // primes the cache.
 func (h *harness) registerPage(t *testing.T, row string) {
@@ -136,7 +153,7 @@ func TestBatchingCoalescesDuplicateRows(t *testing.T) {
 // the next propagation at once, so a backlog larger than MaxPending drains
 // without Flush.
 func TestBatchSizeTriggersPropagation(t *testing.T) {
-	h, hold := newHeldHarness(t, WithMaxPending(3))
+	h, hold := newHeldHarness(t, withMaxPending(3))
 	h.registerPage(t, "ev1")
 	hold.pileUp(t, h, 6)
 	hold.Release()
@@ -335,7 +352,7 @@ func TestManyPagesPerUpdate(t *testing.T) {
 // whose small MaxPending splits every backlog they build; every
 // transaction still propagates exactly once, in LSN order.
 func TestConcurrentCommittersSingleMonitor(t *testing.T) {
-	h := newHarness(t, WithMaxPending(8))
+	h := newHarness(t, withMaxPending(8))
 	h.registerPage(t, "ev1")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -373,7 +390,7 @@ func TestTracePropagationStages(t *testing.T) {
 		// The backlog coalesces into one batch.
 		{"windowed batch", nil, 4},
 		// The backlog leaves in MaxPending slices: 2+1.
-		{"size-triggered batch", []Option{WithMaxPending(2)}, 3},
+		{"size-triggered batch", []Option{withMaxPending(2)}, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

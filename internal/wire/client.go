@@ -75,17 +75,15 @@ type Client struct {
 	addr string
 
 	dialer      func(addr string, timeout time.Duration) (net.Conn, error)
-	dialTimeout time.Duration
 	callTimeout time.Duration
 	backoffMin  time.Duration
 	backoffMax  time.Duration
-	poolSize    int
 	partitioned func() bool
 	shape       func(bytes int) time.Duration
 	metrics     *Metrics
 	hook        StateHook
 
-	window chan struct{} // bounded in-flight slots
+	window chan struct{} // maxInFlight bounded in-flight slots
 	nextID atomic.Uint64
 
 	mu            sync.Mutex
@@ -114,22 +112,26 @@ type clientConn struct {
 	dead    bool
 }
 
+// Transport constants.
+const (
+	// poolSize is how many TCP connections a client multiplexes RPCs over:
+	// one is enough for correctness, a second hides head-of-line blocking
+	// behind large page pushes.
+	poolSize = 2
+	// maxInFlight bounds simultaneous outstanding RPCs per client. When the
+	// window is full, Call blocks until a slot frees or the context ends —
+	// backpressure, not queue growth.
+	maxInFlight = 64
+	// dialTimeout bounds each connection attempt.
+	dialTimeout = time.Second
+)
+
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithPoolSize sets how many TCP connections the client multiplexes RPCs
-// over (default 2: one is enough for correctness, a second hides head-of-
-// line blocking behind large page pushes).
-func WithPoolSize(n int) ClientOption {
-	return func(c *Client) {
-		if n > 0 {
-			c.poolSize = n
-		}
-	}
-}
-
 // WithCallTimeout sets the default per-RPC deadline applied when the
-// caller's context carries none (default 2s).
+// caller's context carries none (default 2s). It is a test seam: timeout
+// tests shorten it so they run fast.
 func WithCallTimeout(d time.Duration) ClientOption {
 	return func(c *Client) {
 		if d > 0 {
@@ -138,30 +140,11 @@ func WithCallTimeout(d time.Duration) ClientOption {
 	}
 }
 
-// WithDialTimeout bounds each connection attempt (default 1s).
-func WithDialTimeout(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.dialTimeout = d
-		}
-	}
-}
-
-// WithMaxInFlight bounds simultaneous outstanding RPCs (default 64). When
-// the window is full, Call blocks until a slot frees or the context ends —
-// backpressure, not queue growth.
-func WithMaxInFlight(n int) ClientOption {
-	return func(c *Client) {
-		if n > 0 {
-			c.window = make(chan struct{}, n)
-		}
-	}
-}
-
 // WithReconnectBackoff sets the exponential redial policy: after a failed
 // dial the client waits min, doubling per consecutive failure up to max
 // (defaults 5ms, 1s). Calls inside the wait fail fast with the last dial
-// error rather than stacking up behind a dead address.
+// error rather than stacking up behind a dead address. It is a test seam:
+// reconnect tests shorten the backoff so they run fast.
 func WithReconnectBackoff(min, max time.Duration) ClientOption {
 	return func(c *Client) {
 		if min > 0 {
@@ -178,7 +161,8 @@ func WithReconnectBackoff(min, max time.Duration) ClientOption {
 // client drops its live connections and fails calls with ErrPartitioned,
 // so networked mode produces the same fault taxonomy as local mode: a
 // replication target parks and replays, a push target retries and
-// downgrades.
+// downgrades. It is a fault-injection test seam: only the partition tests
+// cut a wire link.
 func WithPartitionCheck(f func() bool) ClientOption {
 	return func(c *Client) { c.partitioned = f }
 }
@@ -199,8 +183,8 @@ func WithClientStateHook(h StateHook) ClientOption {
 	return func(c *Client) { c.hook = h }
 }
 
-// WithDialer substitutes the dial function (tests inject pipes and
-// refusing dialers).
+// WithDialer substitutes the dial function. It is a test seam: tests
+// inject pipes and refusing dialers.
 func WithDialer(d func(addr string, timeout time.Duration) (net.Conn, error)) ClientOption {
 	return func(c *Client) { c.dialer = d }
 }
@@ -212,12 +196,10 @@ func Dial(name, addr string, opts ...ClientOption) *Client {
 	c := &Client{
 		name:        name,
 		addr:        addr,
-		dialTimeout: time.Second,
 		callTimeout: 2 * time.Second,
 		backoffMin:  5 * time.Millisecond,
 		backoffMax:  time.Second,
-		poolSize:    2,
-		window:      make(chan struct{}, 64),
+		window:      make(chan struct{}, maxInFlight),
 	}
 	c.dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, timeout)
@@ -385,7 +367,7 @@ func (c *Client) getConn() (*clientConn, error) {
 		c.rr++
 	}
 	doDial := false
-	if len(c.conns)+c.dialing < c.poolSize && time.Now().After(c.notBefore) {
+	if len(c.conns)+c.dialing < poolSize && time.Now().After(c.notBefore) {
 		c.dialing++
 		doDial = true
 	}
@@ -402,7 +384,7 @@ func (c *Client) getConn() (*clientConn, error) {
 		return nil, &UnavailableError{Addr: c.addr, Err: lastErr}
 	}
 
-	conn, err := c.dialer(c.addr, c.dialTimeout)
+	conn, err := c.dialer(c.addr, dialTimeout)
 	c.mu.Lock()
 	c.dialing--
 	if err != nil {

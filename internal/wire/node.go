@@ -58,34 +58,20 @@ type RemoteNode struct {
 
 	// Probes are cached briefly: the dispatcher reads LoadSignal on every
 	// selection, and a wire round trip per selection would put the probe
-	// plane on the serve path's latency budget.
-	probeTTL time.Duration
+	// plane on the serve path's latency budget; see probeTTL.
 	mu       sync.Mutex
 	lastPong Pong
 	lastAt   time.Time
 	lastOK   bool
 }
 
+// probeTTL is how long one ping answer is reused for Ready and LoadSignal
+// before a fresh probe is sent.
+const probeTTL = 25 * time.Millisecond
+
 // NewRemoteNode wraps c as a dispatchable node named name.
-func NewRemoteNode(name string, c *Client, opts ...RemoteNodeOption) *RemoteNode {
-	n := &RemoteNode{name: name, c: c, probeTTL: 25 * time.Millisecond}
-	for _, o := range opts {
-		o(n)
-	}
-	return n
-}
-
-// RemoteNodeOption configures a RemoteNode.
-type RemoteNodeOption func(*RemoteNode)
-
-// WithProbeTTL sets how long one ping answer is reused for Ready and
-// LoadSignal before a fresh probe is sent (default 25ms).
-func WithProbeTTL(d time.Duration) RemoteNodeOption {
-	return func(n *RemoteNode) {
-		if d > 0 {
-			n.probeTTL = d
-		}
-	}
+func NewRemoteNode(name string, c *Client) *RemoteNode {
+	return &RemoteNode{name: name, c: c}
 }
 
 // Name implements dispatch.Node.
@@ -114,7 +100,7 @@ func (n *RemoteNode) Serve(path string) (*cache.Object, httpserver.Outcome, erro
 // expired. ok is false when the node is unreachable.
 func (n *RemoteNode) probe() (Pong, bool) {
 	n.mu.Lock()
-	if time.Since(n.lastAt) < n.probeTTL {
+	if time.Since(n.lastAt) < probeTTL {
 		p, ok := n.lastPong, n.lastOK
 		n.mu.Unlock()
 		return p, ok

@@ -172,7 +172,8 @@ type GroupClient struct {
 type GroupClientOption func(*GroupClient)
 
 // WithGroupRetryPolicy sets the per-node push retry policy (default
-// cache.DefaultRetryPolicy).
+// cache.DefaultRetryPolicy). It is a test seam: tests shorten the retries
+// so downgrade paths run fast.
 func WithGroupRetryPolicy(p cache.RetryPolicy) GroupClientOption {
 	return func(g *GroupClient) { g.retry = p }
 }
@@ -187,7 +188,8 @@ func WithGroupDowngradeHook(h func(node string, key cache.Key)) GroupClientOptio
 
 // WithFlushInterval sets how often the background flusher retries pending
 // invalidation debt (default 10ms; the loop idles cheaply when no debt
-// exists).
+// exists). It is a test seam: tests slow or speed the flusher to drive
+// debt deterministically.
 func WithFlushInterval(d time.Duration) GroupClientOption {
 	return func(g *GroupClient) {
 		if d > 0 {

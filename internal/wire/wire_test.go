@@ -114,11 +114,15 @@ func TestRemoteErrorsAreNotTransient(t *testing.T) {
 func TestClientReconnect(t *testing.T) {
 	s, addr := startEcho(t)
 	m := NewMetrics()
-	c := Dial("t", addr, WithClientMetrics(m), WithPoolSize(1))
+	c := Dial("t", addr, WithClientMetrics(m))
 	defer c.Close()
 
-	if _, err := c.Call(context.Background(), TypePing, []byte("a")); err != nil {
-		t.Fatalf("first call: %v", err)
+	// Fill the pool first (connections are dialed lazily, one per call),
+	// so the redial after the drop is a reconnect, not pool growth.
+	for i := 0; i < poolSize; i++ {
+		if _, err := c.Call(context.Background(), TypePing, []byte("a")); err != nil {
+			t.Fatalf("warm-up call %d: %v", i, err)
+		}
 	}
 	if n := s.DropConnections(); n == 0 {
 		t.Fatal("no connections to drop")
@@ -182,7 +186,6 @@ func TestClientPartitionTaxonomy(t *testing.T) {
 	m := NewMetrics()
 	c := Dial("t", addr,
 		WithClientMetrics(m),
-		WithPoolSize(1),
 		WithReconnectBackoff(time.Millisecond, time.Millisecond),
 		WithPartitionCheck(partitioned.Load))
 	defer c.Close()
@@ -229,7 +232,9 @@ func TestClientInFlightWindow(t *testing.T) {
 	release := make(chan struct{})
 	s := NewServer("slow")
 	s.Handle(TypePing, func(p []byte) ([]byte, error) {
-		<-release
+		if len(p) > 0 {
+			<-release // only the windowed calls hold their slot
+		}
 		return p, nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")
@@ -239,24 +244,31 @@ func TestClientInFlightWindow(t *testing.T) {
 	defer s.Close()
 
 	m := NewMetrics()
-	c := Dial("t", addr.String(), WithClientMetrics(m), WithMaxInFlight(2))
+	c := Dial("t", addr.String(), WithClientMetrics(m))
 	defer c.Close()
+	// Fill the connection pool first: the windowed calls below arrive at
+	// once, and a cold pool turns calls away while its dials are in flight.
+	for i := 0; i < poolSize; i++ {
+		if _, err := c.Call(context.Background(), TypePing, nil); err != nil {
+			t.Fatalf("warm-up call %d: %v", i, err)
+		}
+	}
 
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxInFlight; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.Call(context.Background(), TypePing, nil); err != nil {
+			if _, err := c.Call(context.Background(), TypePing, []byte("hold")); err != nil {
 				t.Errorf("windowed call: %v", err)
 			}
 		}()
 	}
-	// Wait until both slots are held.
-	deadline := time.Now().Add(2 * time.Second)
-	for m.InFlight.Value() != 2 {
+	// Wait until every slot is held.
+	deadline := time.Now().Add(5 * time.Second)
+	for m.InFlight.Value() != maxInFlight {
 		if time.Now().After(deadline) {
-			t.Fatalf("in-flight never reached 2 (at %d)", m.InFlight.Value())
+			t.Fatalf("in-flight never reached %d (at %d)", maxInFlight, m.InFlight.Value())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -264,15 +276,15 @@ func TestClientInFlightWindow(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if _, err := c.Call(ctx, TypePing, nil); err == nil {
-		t.Fatal("third call succeeded with the window full")
+		t.Fatal("call beyond the window succeeded with the window full")
 	} else if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("third call: got %v, want deadline via full window", err)
+		t.Fatalf("call beyond the window: got %v, want deadline via full window", err)
 	}
 
 	close(release)
 	wg.Wait()
-	if hw := m.InFlight.Max(); hw != 2 {
-		t.Fatalf("in-flight high-water = %d, want 2", hw)
+	if hw := m.InFlight.Max(); hw != maxInFlight {
+		t.Fatalf("in-flight high-water = %d, want %d", hw, maxInFlight)
 	}
 	if m.InFlight.Value() != 0 {
 		t.Fatalf("in-flight gauge leaked: %d", m.InFlight.Value())
