@@ -69,8 +69,8 @@ define golden
 	diff -u cmd/simulate/testdata/$(1).seed1.golden "$$out"
 endef
 
-# check is the tier-1 gate: everything builds, vets clean, every test
-# passes (shuffled), the nested bench module's tests pass, the whole module
+# check is the tier-1 gate: everything builds, both modules vet clean, every
+# test passes (shuffled), the nested bench module's tests pass, the whole module
 # is race-clean, every Go micro-benchmark runs once (so none can rot
 # unnoticed; timings are not judged), the chaos tournament converges, the consistency audit
 # proves the plant coherent, the recovery scenario readmits a failed node
@@ -81,6 +81,7 @@ endef
 # commit on the same host.
 check: build
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	$(GO) test -shuffle=on ./...
 	cd bench && $(GO) test ./...
 	$(GO) test -race -shuffle=on ./...

@@ -157,7 +157,7 @@ func TestAssembledPagesAuditCoherent(t *testing.T) {
 		if !ok {
 			continue
 		}
-		aud.Observe(httpserver.ResponseSample{Node: "n", Path: p,
+		aud.Observe(httpserver.ResponseSample{Path: p,
 			Outcome: httpserver.OutcomeHit, Object: obj})
 	}
 	rep, err := aud.Sweep()

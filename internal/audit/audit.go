@@ -98,7 +98,6 @@ type Config struct {
 
 // sample is one served response captured for the next sweep.
 type sample struct {
-	node     string
 	path     string
 	outcome  httpserver.Outcome
 	body     []byte
@@ -172,7 +171,6 @@ func (a *Auditor) Observe(s httpserver.ResponseSample) {
 		version = s.Object.Version
 	}
 	smp := sample{
-		node:       s.Node,
 		path:       s.Path,
 		outcome:    s.Outcome,
 		body:       body,

@@ -64,30 +64,30 @@ func TestClassification(t *testing.T) {
 	}
 
 	// Coherent: served bytes match the shadow render.
-	aud.Observe(httpserver.ResponseSample{Node: "n", Path: "/p",
+	aud.Observe(httpserver.ResponseSample{Path: "/p",
 		Outcome: httpserver.OutcomeHit, Object: page("v=2", 2)})
 	// Bounded-stale: old bytes, but the v=2 commit is in the retained log
 	// and reaches /p through the graph — propagation lag, not a bug.
-	aud.Observe(httpserver.ResponseSample{Node: "n", Path: "/p",
+	aud.Observe(httpserver.ResponseSample{Path: "/p",
 		Outcome: httpserver.OutcomeHit, Object: page("v=1", 1)})
 	// Bounded-stale by contract: a degraded serve inside its budget.
-	aud.Observe(httpserver.ResponseSample{Node: "n", Path: "/p",
+	aud.Observe(httpserver.ResponseSample{Path: "/p",
 		Outcome: httpserver.OutcomeStale, Object: page("v=1", 1),
 		StaleAge: time.Second})
 	// Incoherent: divergent bytes at the snapshot's own LSN — no later
 	// change exists to explain them.
-	aud.Observe(httpserver.ResponseSample{Node: "n", Path: "/p",
+	aud.Observe(httpserver.ResponseSample{Path: "/p",
 		Outcome: httpserver.OutcomeHit, Object: page("garbage", 2)})
 	// Shed: no body to check.
-	aud.Observe(httpserver.ResponseSample{Node: "n", Path: "/p",
+	aud.Observe(httpserver.ResponseSample{Path: "/p",
 		Outcome: httpserver.OutcomeShed})
 	// Unchecked: a path outside the shadow page set.
-	aud.Observe(httpserver.ResponseSample{Node: "n", Path: "/nope",
+	aud.Observe(httpserver.ResponseSample{Path: "/nope",
 		Outcome: httpserver.OutcomeHit, Object: &cache.Object{Key: "/nope", Value: []byte("x")}})
 	// SLO-violating: stale bytes captured while a propagation two seconds
 	// old (twice the SLO) was still in flight.
 	tracer.Arrive(99, time.Now().Add(-2*time.Second))
-	aud.Observe(httpserver.ResponseSample{Node: "n", Path: "/p",
+	aud.Observe(httpserver.ResponseSample{Path: "/p",
 		Outcome: httpserver.OutcomeHit, Object: page("v=1", 1)})
 
 	rep, err := aud.Sweep()
@@ -119,7 +119,7 @@ func TestClassification(t *testing.T) {
 func TestSweepDrainsSamples(t *testing.T) {
 	master := seedTiny(t)
 	aud := audit.New(audit.Config{Replica: master, Build: tinySite})
-	aud.Observe(httpserver.ResponseSample{Node: "n", Path: "/p",
+	aud.Observe(httpserver.ResponseSample{Path: "/p",
 		Outcome: httpserver.OutcomeHit, Object: page("v=1", 1)})
 	rep, err := aud.Sweep()
 	if err != nil {
@@ -143,7 +143,7 @@ func TestBufferBound(t *testing.T) {
 	master := seedTiny(t)
 	aud := audit.New(audit.Config{Replica: master, Build: tinySite, MaxSamples: 2})
 	for i := 0; i < 5; i++ {
-		aud.Observe(httpserver.ResponseSample{Node: "n", Path: "/p",
+		aud.Observe(httpserver.ResponseSample{Path: "/p",
 			Outcome: httpserver.OutcomeHit, Object: page("v=1", 1)})
 	}
 	rep, err := aud.Sweep()
@@ -213,7 +213,7 @@ func TestObserveConcurrentWithSweep(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				aud.Observe(httpserver.ResponseSample{Node: "n", Path: "/p",
+				aud.Observe(httpserver.ResponseSample{Path: "/p",
 					Outcome: httpserver.OutcomeHit, Object: page("v=1", 1)})
 			}
 		}()

@@ -1,9 +1,7 @@
 package db
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -57,22 +55,6 @@ func (d *DB) Restore(s Snapshot) error {
 	}
 	d.lsn = s.LSN
 	return nil
-}
-
-// WriteSnapshot serializes a snapshot as JSON.
-func WriteSnapshot(w io.Writer, s Snapshot) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(s)
-}
-
-// ReadSnapshot deserializes a snapshot written by WriteSnapshot.
-func ReadSnapshot(r io.Reader) (Snapshot, error) {
-	var s Snapshot
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&s); err != nil {
-		return Snapshot{}, fmt.Errorf("db: read snapshot: %w", err)
-	}
-	return s, nil
 }
 
 // TruncateLog discards retained transactions with LSN <= before, bounding

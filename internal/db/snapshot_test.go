@@ -1,7 +1,6 @@
 package db
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
@@ -60,24 +59,6 @@ func TestRestoreRejectsNonEmpty(t *testing.T) {
 	closed.Close()
 	if err := closed.Restore(Snapshot{}); err != ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
-func TestSnapshotSerialization(t *testing.T) {
-	m := seeded(t, 5)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, m.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.LSN != 5 || len(got.Tables["x"]) != 5 {
-		t.Fatalf("decoded snapshot = %+v", got)
-	}
-	if _, err := ReadSnapshot(bytes.NewBufferString("{broken")); err == nil {
-		t.Fatal("malformed snapshot accepted")
 	}
 }
 

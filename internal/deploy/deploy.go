@@ -14,7 +14,7 @@
 // downstream user would actually deploy; cmd/olympicsd and the
 // examples/globalgames example run on it.
 //
-// Deployment follows the uniform component lifecycle: New constructs the
+// A Deployment has a start/drain lifecycle: New constructs the
 // entire topology cold, Start(ctx) brings up replication and the trigger
 // monitors, Shutdown(ctx) drains them. Started monitors are supervised:
 // if one crashes (organically or via an injected fault), the deployment
@@ -41,7 +41,6 @@ import (
 	"dupserve/internal/fault"
 	"dupserve/internal/fragment"
 	"dupserve/internal/httpserver"
-	"dupserve/internal/lifecycle"
 	"dupserve/internal/obs"
 	"dupserve/internal/odg"
 	"dupserve/internal/overload"
@@ -92,7 +91,10 @@ type Config struct {
 }
 
 // NaganoConfig returns the paper's four-complex layout with chained US
-// east-coast replication, at reduced per-complex node counts.
+// east-coast replication, at reduced per-complex node counts. The backbone
+// distances are chosen so geography dominates the primary/secondary
+// advertisement spread; the day-long simulation in internal/sim routes over
+// the same sites.
 func NaganoConfig(spec site.Spec) Config {
 	return Config{
 		Spec: spec,
@@ -709,14 +711,6 @@ func (d *Deployment) Start(ctx context.Context) error {
 			replOpts = append(replOpts, db.WithPartitionCheck(d.inj.PartitionCheck(cx.Link)))
 		}
 		cx.Replicator = db.StartReplication(cx.feed, cx.Replica, replOpts...)
-		// The render engine is a lifecycle.Component like the monitor that
-		// drives it: start it before the monitor so propagation never races
-		// a half-supervised renderer, stop it after (see Shutdown).
-		var renderer lifecycle.Component = cx.Site.Engine
-		if err := renderer.Start(ctx); err != nil {
-			_ = d.Shutdown(context.Background())
-			return err
-		}
 		if err := d.startMonitor(cx, 0); err != nil {
 			_ = d.Shutdown(context.Background())
 			return err
@@ -819,9 +813,6 @@ func (d *Deployment) Shutdown(ctx context.Context) error {
 			if err := mon.Shutdown(ctx); err != nil && first == nil {
 				first = err
 			}
-		}
-		if err := cx.Site.Engine.Shutdown(ctx); err != nil && first == nil {
-			first = err
 		}
 		if cx.Replicator != nil {
 			cx.Replicator.Stop()

@@ -384,9 +384,8 @@ func (d *Dispatcher) rebuildLocked() {
 	d.snap.Store(&snapshot{entries: entries})
 }
 
-// Start implements the uniform component lifecycle: if the dispatcher was
-// configured with a probe interval, it launches the advisor loop (otherwise
-// it only arms shutdown). Cancelling ctx initiates the same teardown as
+// Start launches the advisor loop if the dispatcher was configured with a
+// probe interval (otherwise it only arms shutdown). Cancelling ctx initiates the same teardown as
 // Shutdown. Start may be called once.
 func (d *Dispatcher) Start(ctx context.Context) error {
 	d.mu.Lock()
@@ -412,9 +411,9 @@ func (d *Dispatcher) Start(ctx context.Context) error {
 }
 
 // Shutdown terminates advisor loops and waits for them to exit. The drain
-// is immediate (advisors hold no work), so ctx is accepted only to satisfy
-// the uniform lifecycle contract. Safe to call more than once and before
-// Start.
+// is immediate (advisors hold no work), so ctx is accepted only to match
+// the trigger monitor's and the deployment's Shutdown. Safe to call more
+// than once and before Start.
 func (d *Dispatcher) Shutdown(ctx context.Context) error {
 	d.stop()
 	return nil

@@ -20,7 +20,6 @@ package fragment
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -32,7 +31,6 @@ import (
 
 	"dupserve/internal/cache"
 	"dupserve/internal/db"
-	"dupserve/internal/lifecycle"
 	"dupserve/internal/odg"
 )
 
@@ -105,16 +103,6 @@ type Engine struct {
 	// EndBatch can report per-batch deltas.
 	batchRenders int64
 	batchReuses  int64
-
-	// Uniform component lifecycle. The engine runs no background
-	// goroutines — renders execute on the caller's goroutine — so Start
-	// only arms ctx-cancellation and Shutdown is an immediate drain, but
-	// the contract lets deploy supervise render engines like any other
-	// component.
-	lifeMu   sync.Mutex
-	started  bool
-	stopOnce sync.Once
-	stopped  chan struct{}
 }
 
 // flight is one in-progress shared fragment render; waiters block on done
@@ -124,10 +112,6 @@ type flight struct {
 	obj  *cache.Object
 	err  error
 }
-
-// Engine follows the uniform component lifecycle so deploy can supervise
-// render engines exactly like monitors and dispatchers.
-var _ lifecycle.Component = (*Engine)(nil)
 
 // Config describes an Engine. DB is required; Registrar may be nil for
 // standalone use (tests, static generation).
@@ -148,7 +132,6 @@ func New(cfg Config) *Engine {
 		defs:      make(map[string]Func),
 		floors:    make(map[string]int64),
 		flights:   make(map[string]*flight),
-		stopped:   make(chan struct{}),
 	}
 }
 
@@ -160,39 +143,6 @@ func New(cfg Config) *Engine {
 // a runtime switch because those callers flip it on a site-built engine
 // whose construction they do not control.
 func (e *Engine) SetFullReRender(on bool) { e.fullReRender.Store(on) }
-
-// Start implements lifecycle.Component. The engine has no background work
-// of its own; Start arms ctx so cancellation initiates the same orderly
-// shutdown as Shutdown. Starting twice is an error.
-func (e *Engine) Start(ctx context.Context) error {
-	e.lifeMu.Lock()
-	if e.started {
-		e.lifeMu.Unlock()
-		return errors.New("fragment: engine already started")
-	}
-	e.started = true
-	e.lifeMu.Unlock()
-	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				_ = e.Shutdown(context.Background())
-			case <-e.stopped:
-			}
-		}()
-	}
-	return nil
-}
-
-// Shutdown implements lifecycle.Component. Renders run on the caller's
-// goroutine, so by the time upstream components (trigger monitors, serving
-// nodes) have drained there is no in-flight work to wait for; the drain is
-// immediate and ctx is accepted only to satisfy the uniform contract. Safe
-// to call more than once and before Start.
-func (e *Engine) Shutdown(context.Context) error {
-	e.stopOnce.Do(func() { close(e.stopped) })
-	return nil
-}
 
 // BeginBatch opens one propagation batch: version becomes the required
 // floor for each named fragment, so page assembly within (and after) the

@@ -22,7 +22,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dupserve/internal/cache"
@@ -80,11 +79,6 @@ func (o Outcome) String() string {
 // a generator.
 var ErrNoRoute = errors.New("httpserver: no route")
 
-// ErrDraining is returned by Serve once Shutdown has begun: the node
-// rejects new work (so the dispatcher's advisors pull it from the
-// distribution list) while in-flight requests finish.
-var ErrDraining = errors.New("httpserver: node draining")
-
 // ErrOverloaded is returned (wrapping overload.ErrShed) when the node's
 // admission controller refuses a render and no stale copy within the
 // freshness budget exists. Unlike a node failure, an overloaded node is
@@ -116,11 +110,6 @@ type Server struct {
 	mu     sync.RWMutex
 	static map[string]*cache.Object
 
-	// Lifecycle: the zero state is "running" so a Server works without
-	// Start (the simulator constructs thousands and never drains them).
-	draining atomic.Bool
-	inflight atomic.Int64
-
 	// tap observes responses for consistency auditing; nil without
 	// WithResponseTap.
 	tap ResponseTap
@@ -143,12 +132,11 @@ type Server struct {
 }
 
 // ResponseSample describes one served response as seen by a ResponseTap:
-// which node satisfied which path, how, with which bytes. Object is the
+// which path was satisfied, how, with which bytes. Object is the
 // served cache object (nil for OutcomeShed); StaleAge is the age of the
 // retained copy for OutcomeStale and zero otherwise — the per-response age,
 // not a high-water mark.
 type ResponseSample struct {
-	Node     string
 	Path     string
 	Outcome  Outcome
 	Object   *cache.Object
@@ -261,41 +249,11 @@ func (s *Server) SetStatic(path string, body []byte, contentType string) {
 	s.static[path] = &cache.Object{Key: cache.Key(path), Value: body, ContentType: contentType}
 }
 
-// Start implements the uniform component lifecycle. A Server is passive —
-// it holds no goroutines — so Start only clears any prior draining state,
-// returning the node to service.
-func (s *Server) Start(ctx context.Context) error {
-	s.draining.Store(false)
-	return nil
-}
-
-// Shutdown drains the node: new requests are rejected with ErrDraining
-// (which the dispatcher treats as a node failure, pulling this node from
-// the pool) while requests already in flight run to completion. ctx bounds
-// the wait for in-flight work.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	for s.inflight.Load() > 0 {
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("httpserver: drain of %q: %w", s.name, ctx.Err())
-			default:
-			}
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	return nil
-}
-
-// Draining reports whether the node is refusing new work.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Ready is the synthetic health check dispatch advisors probe
-// (dispatch.ReadyReporter): true unless the node is draining. Probing here
-// instead of through Serve keeps advisor sweeps out of the request
-// counters and span stream.
-func (s *Server) Ready() bool { return !s.draining.Load() }
+// (dispatch.ReadyReporter). Nothing drains a Server, so it is always ready;
+// answering here keeps dispatch.DefaultProbe from routing advisor sweeps
+// through Serve, into the request counters and span stream.
+func (s *Server) Ready() bool { return true }
 
 // Limiter returns the node's admission controller (nil without
 // WithOverload).
@@ -326,15 +284,6 @@ func (s *Server) Serve(path string) (*cache.Object, Outcome, error) {
 // observed LSN onto it. All span methods are nil-safe, so untraced requests
 // pay only a context lookup.
 func (s *Server) ServeCtx(ctx context.Context, path string) (*cache.Object, Outcome, error) {
-	// Count in-flight before checking draining: Shutdown sets draining then
-	// waits for inflight to hit zero, so this ordering guarantees it never
-	// returns while a request that passed the check is still running.
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	if s.draining.Load() {
-		s.errs.Inc()
-		return nil, OutcomeError, fmt.Errorf("%w: %q", ErrDraining, s.name)
-	}
 	s.requests.Inc()
 	sp := obs.FromContext(ctx)
 
@@ -361,7 +310,7 @@ func (s *Server) ServeCtx(ctx context.Context, path string) (*cache.Object, Outc
 			s.bytesOut.Add(int64(len(obj.Value)))
 			sp.SetLSN(obj.Version)
 			if s.tap != nil {
-				s.tap(ResponseSample{Node: s.name, Path: path, Outcome: OutcomeHit, Object: obj})
+				s.tap(ResponseSample{Path: path, Outcome: OutcomeHit, Object: obj})
 			}
 			return obj, OutcomeHit, nil
 		}
@@ -406,7 +355,7 @@ func (s *Server) ServeCtx(ctx context.Context, path string) (*cache.Object, Outc
 	s.bytesOut.Add(int64(len(obj.Value)))
 	sp.SetLSN(obj.Version)
 	if s.tap != nil {
-		s.tap(ResponseSample{Node: s.name, Path: path, Outcome: OutcomeMiss, Object: obj})
+		s.tap(ResponseSample{Path: path, Outcome: OutcomeMiss, Object: obj})
 	}
 	return obj, OutcomeMiss, nil
 }
@@ -426,14 +375,14 @@ func (s *Server) degrade(sp *obs.Span, path string) (*cache.Object, Outcome, err
 			sp.Stamp(obs.SpanStale)
 			sp.SetLSN(obj.Version)
 			if s.tap != nil {
-				s.tap(ResponseSample{Node: s.name, Path: path, Outcome: OutcomeStale, Object: obj, StaleAge: age})
+				s.tap(ResponseSample{Path: path, Outcome: OutcomeStale, Object: obj, StaleAge: age})
 			}
 			return obj, OutcomeStale, nil
 		}
 	}
 	s.shed.Inc()
 	if s.tap != nil {
-		s.tap(ResponseSample{Node: s.name, Path: path, Outcome: OutcomeShed})
+		s.tap(ResponseSample{Path: path, Outcome: OutcomeShed})
 	}
 	return nil, OutcomeShed, fmt.Errorf("%w: %q: %w", ErrOverloaded, s.name, overload.ErrShed)
 }

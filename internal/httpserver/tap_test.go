@@ -30,7 +30,7 @@ func TestResponseTapSeesEveryOutcome(t *testing.T) {
 		t.Fatalf("outcomes = %v, %v", got[0].Outcome, got[1].Outcome)
 	}
 	for i, smp := range got {
-		if smp.Node != "n" || smp.Path != "/p" || smp.Object == nil {
+		if smp.Path != "/p" || smp.Object == nil {
 			t.Fatalf("sample %d = %+v", i, smp)
 		}
 		if string(smp.Object.Value) != "x:/p" {

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,66 +130,3 @@ func (j *Journal) Recent(n int) []Event {
 
 // Appended returns how many events have been appended since creation.
 func (j *Journal) Appended() int64 { return j.appended.Value() }
-
-// Logger returns a *slog.Logger whose records land in the journal under the
-// given scope. The record message becomes Msg, a "kind" attribute (if
-// present) becomes Kind, and remaining attributes are stringified into
-// Attrs. This is the bridge for code that prefers the standard structured
-// logging API over Journal.Event.
-func (j *Journal) Logger(scope string) *slog.Logger {
-	return slog.New(&journalHandler{j: j, scope: scope})
-}
-
-// journalHandler adapts slog records into journal events.
-type journalHandler struct {
-	j     *Journal
-	scope string
-	attrs []slog.Attr
-}
-
-func (h *journalHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return h.j.armed.Load() && level >= slog.LevelInfo
-}
-
-func (h *journalHandler) Handle(_ context.Context, r slog.Record) error {
-	e := Event{Scope: h.scope, Kind: "log", Msg: r.Message}
-	switch {
-	case r.Level >= slog.LevelError:
-		e.Level = LevelError
-	case r.Level >= slog.LevelWarn:
-		e.Level = LevelWarn
-	default:
-		e.Level = LevelInfo
-	}
-	add := func(a slog.Attr) {
-		if a.Key == "kind" {
-			e.Kind = a.Value.String()
-			return
-		}
-		if e.Attrs == nil {
-			e.Attrs = make(map[string]string)
-		}
-		e.Attrs[a.Key] = a.Value.String()
-	}
-	for _, a := range h.attrs {
-		add(a)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		add(a)
-		return true
-	})
-	h.j.append(e)
-	return nil
-}
-
-func (h *journalHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	merged := make([]slog.Attr, 0, len(h.attrs)+len(attrs))
-	merged = append(merged, h.attrs...)
-	merged = append(merged, attrs...)
-	return &journalHandler{j: h.j, scope: h.scope, attrs: merged}
-}
-
-func (h *journalHandler) WithGroup(name string) slog.Handler {
-	// Groups collapse into the scope path; attribute keys stay flat.
-	return &journalHandler{j: h.j, scope: h.scope + "." + name, attrs: h.attrs}
-}

@@ -122,31 +122,3 @@ func (s *Suite) RegisterMetrics(reg *stats.Registry, labels stats.Labels) {
 	reg.RegisterCounter("flight_dumps_total",
 		"black-box dumps captured by the flight recorder", labels, &s.Recorder.captures)
 }
-
-// NewCollector builds a standalone span collector (tests, single-process
-// servers). Prefer NewSuite for full wiring.
-func NewCollector(opts ...Option) *Collector {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return newCollector(cfg)
-}
-
-// NewJournal builds a standalone journal.
-func NewJournal(opts ...Option) *Journal {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return newJournal(cfg)
-}
-
-// NewRecorder builds a recorder over an existing collector and journal.
-func NewRecorder(col *Collector, j *Journal, opts ...Option) *Recorder {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return newRecorder(cfg, col, j)
-}

@@ -15,7 +15,7 @@ import (
 // cache-hit path every request pays, so it must stay free, like
 // trace.Tracer's Record.
 func TestRecordHotPathDoesNotAllocate(t *testing.T) {
-	c := NewCollector()
+	c := NewSuite().Collector
 	// Warm the pool.
 	_, sp := c.StartSpan(context.Background())
 	sp.Finish()
@@ -53,7 +53,7 @@ func TestNilSpanIsSafe(t *testing.T) {
 }
 
 func TestSpanThreadsThroughContext(t *testing.T) {
-	c := NewCollector()
+	c := NewSuite().Collector
 	ctx, sp := c.StartSpan(context.Background())
 	if FromContext(ctx) != sp {
 		t.Fatal("FromContext did not return the started span")
@@ -71,7 +71,7 @@ func TestSpanThreadsThroughContext(t *testing.T) {
 func TestStageDurSkipsUnvisitedStages(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { now = now.Add(time.Millisecond); return now }
-	c := NewCollector(WithClock(clock))
+	c := NewSuite(WithClock(clock)).Collector
 	_, sp := c.StartSpan(context.Background())
 	sp.Stamp(SpanRoute)
 	sp.Stamp(SpanLookup)
@@ -105,7 +105,7 @@ func TestStageDurSkipsUnvisitedStages(t *testing.T) {
 }
 
 func TestCollectorRecentNewestFirstAndBounded(t *testing.T) {
-	c := NewCollector()
+	c := NewSuite().Collector
 	const total = spanRingSize + 2
 	for i := 0; i < total; i++ {
 		_, sp := c.StartSpan(context.Background())
@@ -128,7 +128,7 @@ func TestCollectorRecentNewestFirstAndBounded(t *testing.T) {
 }
 
 func TestCollectorSnapshotAndMetrics(t *testing.T) {
-	c := NewCollector()
+	c := NewSuite().Collector
 	_, sp := c.StartSpan(context.Background())
 	sp.Stamp(SpanRoute)
 	sp.Stamp(SpanLookup)
@@ -164,7 +164,7 @@ func TestCollectorSnapshotAndMetrics(t *testing.T) {
 }
 
 func TestJournalRingSubscribeAndArming(t *testing.T) {
-	j := NewJournal()
+	j := NewSuite().Journal
 	var seen []Event
 	j.Subscribe(func(e Event) { seen = append(seen, e) })
 
@@ -196,23 +196,6 @@ func TestJournalRingSubscribeAndArming(t *testing.T) {
 		if want := newest - int64(i); e.Seq != want {
 			t.Fatalf("Recent[%d].Seq = %d, want %d (newest first)", i, e.Seq, want)
 		}
-	}
-}
-
-func TestJournalSlogLogger(t *testing.T) {
-	j := NewJournal()
-	log := j.Logger("cache")
-	log.Warn("push exhausted retries", "kind", "push_downgrade", "node", "up2", "page", "/x")
-	ev := j.Recent(1)
-	if len(ev) != 1 {
-		t.Fatalf("journal has %d events, want 1", len(ev))
-	}
-	e := ev[0]
-	if e.Scope != "cache" || e.Kind != "push_downgrade" || e.Level != LevelWarn {
-		t.Fatalf("event = %+v", e)
-	}
-	if e.Attrs["node"] != "up2" || e.Attrs["page"] != "/x" {
-		t.Fatalf("attrs = %v", e.Attrs)
 	}
 }
 

@@ -54,22 +54,6 @@ type Policy struct {
 	QuarantineMax    int
 }
 
-// DefaultPolicy returns a production-shaped policy: warmup on, two-probe
-// hysteresis both ways, a quarter-weight slow start doubling per sweep, and
-// flap damping from two quarantine sweeps up to sixteen.
-func DefaultPolicy() Policy {
-	return Policy{
-		Warm:             true,
-		FailThreshold:    2,
-		ReadmitThreshold: 2,
-		RampStart:        0.25,
-		RampFactor:       2,
-		FlapWindow:       4,
-		QuarantineBase:   2,
-		QuarantineMax:    16,
-	}
-}
-
 // Config wires one node's Warmer. Everything is a closure so the package
 // depends only on cache and db: deploy builds the closures from the
 // complex's site, graph, replica, and cache group.

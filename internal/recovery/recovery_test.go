@@ -278,19 +278,3 @@ func TestMetricsAccumulateAndRegister(t *testing.T) {
 		}
 	}
 }
-
-func TestDefaultPolicyShape(t *testing.T) {
-	p := DefaultPolicy()
-	if !p.Warm {
-		t.Error("default policy must warm")
-	}
-	if p.FailThreshold < 1 || p.ReadmitThreshold < 1 {
-		t.Error("default thresholds must be positive")
-	}
-	if p.RampStart <= 0 || p.RampStart > 1 || p.RampFactor <= 1 {
-		t.Errorf("default ramp %v/%v out of range", p.RampStart, p.RampFactor)
-	}
-	if p.QuarantineMax < p.QuarantineBase {
-		t.Error("quarantine cap below base")
-	}
-}

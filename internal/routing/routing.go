@@ -169,41 +169,6 @@ func (r *Router) Advertise(complexName string, addr Address, cost int) error {
 	return nil
 }
 
-// Withdraw removes complex's advertisement for addr. Withdrawing an absent
-// advertisement is a no-op.
-func (r *Router) Withdraw(complexName string, addr Address) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if int(addr) < 0 || int(addr) >= r.numAddrs {
-		return
-	}
-	list := r.routes[addr]
-	for i := range list {
-		if list[i].complexName == complexName {
-			r.routes[addr] = append(list[:i], list[i+1:]...)
-			return
-		}
-	}
-}
-
-// WithdrawAll removes every advertisement by the complex — what happens
-// when a site stops advertising to move its traffic elsewhere.
-func (r *Router) WithdrawAll(complexName string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for a := range r.routes {
-		list := r.routes[a]
-		for i := 0; i < len(list); {
-			if list[i].complexName == complexName {
-				list = append(list[:i], list[i+1:]...)
-			} else {
-				i++
-			}
-		}
-		r.routes[a] = list
-	}
-}
-
 // SetComplexUp marks a complex reachable or failed. A failed complex keeps
 // its advertisements (routers haven't converged yet) but Route skips it,
 // modeling the OSPF withdrawal that follows an outage.

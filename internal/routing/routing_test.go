@@ -148,40 +148,6 @@ func TestTrafficShiftGranularity(t *testing.T) {
 	}
 }
 
-func TestWithdrawMovesTraffic(t *testing.T) {
-	r, _ := paperTopology(t)
-	if got := r.PrimaryShare(RegionUS, "schaumburg"); got == 0 {
-		t.Fatal("schaumburg owns nothing before withdrawal")
-	}
-	r.WithdrawAll("schaumburg")
-	if got := r.PrimaryShare(RegionUS, "schaumburg"); got != 0 {
-		t.Fatalf("share after WithdrawAll = %v", got)
-	}
-	// All addresses still routable (secondaries take over).
-	for a := 0; a < NumAddresses; a++ {
-		if order := r.Route(RegionUS, Address(a)); len(order) == 0 {
-			t.Fatalf("address %d lost all routes", a)
-		}
-	}
-}
-
-func TestWithdrawSingle(t *testing.T) {
-	r, _ := paperTopology(t)
-	r.Withdraw("tokyo", 0)
-	for _, name := range r.Route(RegionJapan, 0) {
-		if name == "tokyo" {
-			t.Fatal("tokyo still advertised for withdrawn address")
-		}
-	}
-	// Other addresses unaffected.
-	if order := r.Route(RegionJapan, 1); order[0] != "tokyo" {
-		t.Fatalf("address 1 order = %v", order)
-	}
-	// Withdrawing twice or out of range is a no-op.
-	r.Withdraw("tokyo", 0)
-	r.Withdraw("tokyo", 99)
-}
-
 func TestComplexFailureReroutes(t *testing.T) {
 	r, stubs := paperTopology(t)
 	stubs["tokyo"].failing.Store(true)

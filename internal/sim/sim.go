@@ -24,6 +24,7 @@ import (
 	"dupserve/internal/cluster"
 	"dupserve/internal/core"
 	"dupserve/internal/db"
+	"dupserve/internal/deploy"
 	"dupserve/internal/netsim"
 	"dupserve/internal/odg"
 	"dupserve/internal/routing"
@@ -179,23 +180,6 @@ func (m multiStore) ApplyInvalidatePrefix(prefix string) int {
 	return n
 }
 
-// topology returns the four-site layout with backbone distances chosen so
-// geography dominates the primary/secondary advertisement spread.
-func topology() []struct {
-	Name string
-	Dist map[routing.Region]int
-} {
-	return []struct {
-		Name string
-		Dist map[routing.Region]int
-	}{
-		{"tokyo", map[routing.Region]int{routing.RegionJapan: 10, routing.RegionAsia: 20, routing.RegionUS: 80, routing.RegionEurope: 90, routing.RegionOther: 60}},
-		{"schaumburg", map[routing.Region]int{routing.RegionUS: 10, routing.RegionEurope: 50, routing.RegionJapan: 80, routing.RegionAsia: 70, routing.RegionOther: 50}},
-		{"columbus", map[routing.Region]int{routing.RegionUS: 10, routing.RegionEurope: 50, routing.RegionJapan: 90, routing.RegionAsia: 80, routing.RegionOther: 50}},
-		{"bethesda", map[routing.Region]int{routing.RegionUS: 10, routing.RegionEurope: 48, routing.RegionJapan: 90, routing.RegionAsia: 80, routing.RegionOther: 50}},
-	}
-}
-
 type runner struct {
 	cfg    Config
 	rng    *rand.Rand
@@ -291,8 +275,11 @@ func Run(cfg Config) (*Result, error) {
 	// fragment bytes instead of re-rendering each fragment under every page.
 	r.engine.SetAssembler(st.Engine)
 
+	// The live deployment's four sites and backbone distances; the
+	// simulation models their replication delays itself.
+	sites := deploy.NaganoConfig(cfg.SiteSpec).Complexes
 	statics := st.Statics()
-	for _, tp := range topology() {
+	for _, tp := range sites {
 		cx := cluster.NewComplex(cluster.Config{
 			Name:          tp.Name,
 			Frames:        cfg.Frames,
@@ -308,8 +295,8 @@ func Run(cfg Config) (*Result, error) {
 	store.groups = groups
 
 	r.router = routing.NewRouter(routing.NumAddresses)
-	for _, tp := range topology() {
-		r.router.AddComplex(tp.Name, r.complexes[tp.Name], tp.Dist)
+	for _, tp := range sites {
+		r.router.AddComplex(tp.Name, r.complexes[tp.Name], tp.Distance)
 	}
 	if err := r.router.AdvertiseSpread(r.names, 10, 20); err != nil {
 		return nil, err

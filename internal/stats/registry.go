@@ -192,39 +192,6 @@ func (r *Registry) RegisterFunc(name, help string, labels Labels, fn func() floa
 	f.add(&Series{Labels: cloneLabels(labels), key: labelKey(labels), fn: fn})
 }
 
-// GetOrCreateCounter returns the counter registered under name+labels,
-// creating and registering a fresh one on first use. It lets hot paths own
-// the metric while wiring code names it.
-func (r *Registry) GetOrCreateCounter(name, help string, labels Labels) *Counter {
-	f := r.family(name, help, TypeCounter)
-	key := labelKey(labels)
-	f.mu.Lock()
-	if s, ok := f.byKey[key]; ok {
-		f.mu.Unlock()
-		return s.counter
-	}
-	f.mu.Unlock()
-	c := &Counter{}
-	f.add(&Series{Labels: cloneLabels(labels), key: key, counter: c})
-	return c
-}
-
-// GetOrCreateHistogram returns the histogram registered under name+labels,
-// creating one with the given bounds on first use.
-func (r *Registry) GetOrCreateHistogram(name, help string, labels Labels, bounds ...float64) *Histogram {
-	f := r.family(name, help, TypeHistogram)
-	key := labelKey(labels)
-	f.mu.Lock()
-	if s, ok := f.byKey[key]; ok {
-		f.mu.Unlock()
-		return s.histogram
-	}
-	f.mu.Unlock()
-	h := NewHistogram(bounds...)
-	f.add(&Series{Labels: cloneLabels(labels), key: key, histogram: h})
-	return h
-}
-
 // Families returns the registered families sorted by name.
 func (r *Registry) Families() []*Family {
 	r.mu.RLock()

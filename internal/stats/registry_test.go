@@ -80,24 +80,6 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 	r.RegisterGauge("x", "", Labels{"n": "2"}, &g)
 }
 
-func TestRegistryGetOrCreate(t *testing.T) {
-	r := NewRegistry()
-	c1 := r.GetOrCreateCounter("ops_total", "", Labels{"op": "put"})
-	c2 := r.GetOrCreateCounter("ops_total", "", Labels{"op": "put"})
-	if c1 != c2 {
-		t.Fatal("GetOrCreateCounter returned distinct counters for same series")
-	}
-	c3 := r.GetOrCreateCounter("ops_total", "", Labels{"op": "del"})
-	if c1 == c3 {
-		t.Fatal("distinct labels shared a counter")
-	}
-	h1 := r.GetOrCreateHistogram("lat", "", nil, 0.1, 1, 10)
-	h2 := r.GetOrCreateHistogram("lat", "", nil, 0.1, 1, 10)
-	if h1 != h2 {
-		t.Fatal("GetOrCreateHistogram returned distinct histograms for same series")
-	}
-}
-
 func TestRegistryFuncMetric(t *testing.T) {
 	r := NewRegistry()
 	v := 0.25
@@ -116,7 +98,8 @@ func TestRegistryWriteText(t *testing.T) {
 	var c Counter
 	c.Add(7)
 	r.RegisterCounter("reqs_total", "requests", Labels{"node": "up0"}, &c)
-	h := r.GetOrCreateHistogram("lat_seconds", "latency", nil, 1, 10)
+	h := NewHistogram(1, 10)
+	r.RegisterHistogram("lat_seconds", "latency", nil, h)
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(50)
@@ -147,7 +130,8 @@ func TestRegistryWriteText(t *testing.T) {
 
 func TestRegistryHistogramSnapshotQuantiles(t *testing.T) {
 	r := NewRegistry()
-	h := r.GetOrCreateHistogram("d", "", nil, 1, 2, 4, 8)
+	h := NewHistogram(1, 2, 4, 8)
+	r.RegisterHistogram("d", "", nil, h)
 	for i := 0; i < 100; i++ {
 		h.Observe(1.5)
 	}

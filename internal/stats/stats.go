@@ -1,6 +1,6 @@
 // Package stats provides the lightweight metric primitives used throughout
-// dupserve: atomic counters, fixed-bucket histograms, daily/hourly time
-// series, and streaming mean/percentile summaries.
+// dupserve: atomic counters, gauges, fixed-bucket histograms, and
+// streaming mean/percentile summaries.
 //
 // Everything in this package is safe for concurrent use and allocation-free
 // on the hot paths (Counter.Add, Histogram.Observe), because the serving and
@@ -8,7 +8,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -267,118 +266,9 @@ func (s *Summary) Percentile(p float64) float64 {
 	return s.vs[lo]*(1-frac) + s.vs[hi]*frac
 }
 
-// Stddev returns the population standard deviation, or 0 if fewer than two
-// observations exist.
-func (s *Summary) Stddev() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.vs)
-	if n < 2 {
-		return 0
-	}
-	var t float64
-	for _, v := range s.vs {
-		t += v
-	}
-	mean := t / float64(n)
-	var ss float64
-	for _, v := range s.vs {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 func (s *Summary) sortLocked() {
 	if !s.st {
 		sort.Float64s(s.vs)
 		s.st = true
 	}
-}
-
-// TimeSeries accumulates values into fixed-width integer slots (hours of a
-// day, days of an event, ...). Slot indices outside [0, n) are clamped,
-// because simulation edges (e.g. a request in the final minute spilling into
-// slot n) should accumulate at the boundary rather than vanish.
-type TimeSeries struct {
-	mu    sync.Mutex
-	slots []float64
-	ns    []int64
-}
-
-// NewTimeSeries returns a series with n slots.
-func NewTimeSeries(n int) *TimeSeries {
-	if n <= 0 {
-		panic("stats: NewTimeSeries requires n > 0")
-	}
-	return &TimeSeries{slots: make([]float64, n), ns: make([]int64, n)}
-}
-
-// Add accumulates v into slot i.
-func (t *TimeSeries) Add(i int, v float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	i = t.clamp(i)
-	t.slots[i] += v
-	t.ns[i]++
-}
-
-// Slot returns the accumulated total for slot i.
-func (t *TimeSeries) Slot(i int) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.slots[t.clamp(i)]
-}
-
-// SlotMean returns the mean observation in slot i, or 0 when empty.
-func (t *TimeSeries) SlotMean(i int) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	i = t.clamp(i)
-	if t.ns[i] == 0 {
-		return 0
-	}
-	return t.slots[i] / float64(t.ns[i])
-}
-
-// Len returns the number of slots.
-func (t *TimeSeries) Len() int { return len(t.slots) }
-
-// Totals returns a copy of all slot totals.
-func (t *TimeSeries) Totals() []float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]float64, len(t.slots))
-	copy(out, t.slots)
-	return out
-}
-
-// Total returns the sum across all slots.
-func (t *TimeSeries) Total() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var s float64
-	for _, v := range t.slots {
-		s += v
-	}
-	return s
-}
-
-func (t *TimeSeries) clamp(i int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= len(t.slots) {
-		return len(t.slots) - 1
-	}
-	return i
-}
-
-// Ratio formats a hit ratio-like fraction as a percentage string, guarding
-// the zero-denominator case.
-func Ratio(num, den int64) string {
-	if den == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.2f%%", 100*float64(num)/float64(den))
 }

@@ -65,15 +65,6 @@ func (s Stage) String() string {
 	return stageNames[s]
 }
 
-// Stages returns all stages in pipeline order.
-func Stages() [NumStages]Stage {
-	var out [NumStages]Stage
-	for i := range out {
-		out[i] = Stage(i)
-	}
-	return out
-}
-
 // Trace is one transaction's journey through the pipeline: a boundary
 // timestamp per stage plus what the propagation touched. Traces are plain
 // values so recording them never allocates.

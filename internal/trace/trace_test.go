@@ -18,9 +18,9 @@ func mk(id, lsn int64, base time.Time, offsets [NumStages]time.Duration) Trace {
 
 func TestStageString(t *testing.T) {
 	want := []string{"commit", "cdc", "batch", "dup", "render", "push"}
-	for i, s := range Stages() {
-		if s.String() != want[i] {
-			t.Fatalf("stage %d = %q, want %q", i, s.String(), want[i])
+	for s := Stage(0); s < NumStages; s++ {
+		if s.String() != want[s] {
+			t.Fatalf("stage %d = %q, want %q", s, s.String(), want[s])
 		}
 	}
 }

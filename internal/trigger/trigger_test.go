@@ -431,14 +431,13 @@ func TestTracePropagationStages(t *testing.T) {
 				if got.Vertices < 1 || got.FanOut < 1 {
 					t.Fatalf("trace touched vertices=%d fanOut=%d, want >= 1 each", got.Vertices, got.FanOut)
 				}
-				for i, s := range trace.Stages() {
+				for s := trace.Stage(0); s < trace.NumStages; s++ {
 					ts := got.Times[s]
 					if ts.IsZero() {
 						t.Fatalf("stage %v has no timestamp", s)
 					}
-					if i > 0 && ts.Before(got.Times[trace.Stages()[i-1]]) {
-						t.Fatalf("stage %v at %v precedes %v at %v", s, ts,
-							trace.Stages()[i-1], got.Times[trace.Stages()[i-1]])
+					if s > 0 && ts.Before(got.Times[s-1]) {
+						t.Fatalf("stage %v at %v precedes %v at %v", s, ts, s-1, got.Times[s-1])
 					}
 				}
 				if got.Total() < 0 {

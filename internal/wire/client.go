@@ -57,14 +57,6 @@ type RemoteError struct{ Msg string }
 // Error implements error.
 func (e *RemoteError) Error() string { return "wire: remote: " + e.Msg }
 
-// IsTransient reports whether err is a transport-level failure worth
-// retrying (partition, dial failure, lost connection), as opposed to a
-// remote handler error or a codec mismatch.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
-
 // Client is the dialing end of the transport: a fixed-size connection pool
 // to one address, RPCs correlated by frame id, per-call deadlines, and a
 // bounded in-flight window so a slow or dead peer exerts backpressure
@@ -226,8 +218,8 @@ func (c *Client) emit(event, detail string) {
 // Call performs one RPC: frame the payload as type t, send it on a pooled
 // connection, and wait for the correlated response. The context bounds the
 // whole call; without a deadline the client's default call timeout
-// applies. Transport failures return transient errors (see IsTransient);
-// a TypeError response returns *RemoteError.
+// applies. Transport failures return errors whose Transient method reports
+// true; a TypeError response returns *RemoteError.
 func (c *Client) Call(ctx context.Context, t Type, payload []byte) ([]byte, error) {
 	if c.partitioned != nil && c.partitioned() {
 		c.dropAll(true)

@@ -207,7 +207,8 @@ func DecodeTransaction(p []byte) (db.Transaction, error) {
 	return tx, nil
 }
 
-// EncodeObject renders a cache object as a TypePush payload.
+// EncodeObject renders one cache object: an entry of a TypePutBatch payload
+// or the object of a TypeServe result.
 func EncodeObject(dst []byte, obj *cache.Object) []byte {
 	dst = appendString(dst, string(obj.Key))
 	dst = appendString(dst, obj.ContentType)
@@ -216,7 +217,7 @@ func EncodeObject(dst []byte, obj *cache.Object) []byte {
 	return appendBytes(dst, obj.Value)
 }
 
-// DecodeObject parses a TypePush payload. The object's Value is copied out
+// DecodeObject parses one EncodeObject encoding. The object's Value is copied out
 // of the payload so it can outlive the connection's read buffer (cached
 // objects are immutable and long-lived by contract).
 func DecodeObject(p []byte) (*cache.Object, error) {

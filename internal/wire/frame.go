@@ -51,9 +51,10 @@ const (
 	TypeTxn
 	// TypeLSN asks a replica for its current LSN (uvarint ack payload).
 	TypeLSN
-	// TypePush installs a freshly rendered cache object on a node (trigger
-	// monitor -> serving node distribution).
-	TypePush
+	// Reserved: the retired single-object TypePush, which TypePutBatch
+	// replaced. The slot keeps every later type's number on the wire, and a
+	// frame carrying it is rejected as ErrBadType.
+	_
 	// TypeInvalidate drops one key from a node's cache.
 	TypeInvalidate
 	// TypeInvalidatePrefix drops every key under a prefix.
@@ -71,13 +72,13 @@ const (
 	numTypes
 )
 
+// typeNames names every defined type; the zero type and the reserved slot
+// have no name.
 var typeNames = [numTypes]string{
-	0:                    "invalid",
 	TypeAck:              "ack",
 	TypeError:            "error",
 	TypeTxn:              "txn",
 	TypeLSN:              "lsn",
-	TypePush:             "push",
 	TypeInvalidate:       "invalidate",
 	TypeInvalidatePrefix: "invalidate-prefix",
 	TypePing:             "ping",
@@ -85,9 +86,12 @@ var typeNames = [numTypes]string{
 	TypePutBatch:         "put-batch",
 }
 
+// defined reports whether t is a frame type of this protocol version.
+func (t Type) defined() bool { return t < numTypes && typeNames[t] != "" }
+
 // String names the frame type.
 func (t Type) String() string {
-	if t == 0 || t >= numTypes {
+	if !t.defined() {
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
 	return typeNames[t]
@@ -112,15 +116,13 @@ const (
 
 var magic = [4]byte{'D', 'U', 'P', 'W'}
 
-// The decode errors. ErrTruncated is returned by DecodeFrame when the
-// buffer ends mid-frame — for a stream that is io.ErrUnexpectedEOF instead.
+// The decode errors. A stream that ends mid-frame is io.ErrUnexpectedEOF.
 var (
 	ErrBadMagic   = errors.New("wire: bad frame magic")
 	ErrBadVersion = errors.New("wire: unsupported protocol version")
 	ErrBadType    = errors.New("wire: unknown frame type")
 	ErrTooLarge   = errors.New("wire: frame payload exceeds limit")
 	ErrChecksum   = errors.New("wire: frame checksum mismatch")
-	ErrTruncated  = errors.New("wire: truncated frame")
 )
 
 // Frame is one protocol message: a type, a request-correlation id, and an
@@ -157,48 +159,36 @@ func WriteFrame(w io.Writer, f Frame) (int, error) {
 	return w.Write(buf)
 }
 
-// DecodeFrame decodes one frame from the front of b, returning the frame
-// and the number of bytes it consumed. The returned payload aliases b.
-// A buffer that ends mid-frame returns ErrTruncated; corruption returns
-// ErrBadMagic / ErrBadVersion / ErrBadType / ErrTooLarge / ErrChecksum.
-func DecodeFrame(b []byte) (Frame, int, error) {
-	if len(b) < headerSize {
-		return Frame{}, 0, ErrTruncated
+// parseHeader validates a frame's fixed header and returns its type and
+// payload length. The checksum, which covers the payload too, is the
+// caller's to check.
+func parseHeader(hdr *[headerSize]byte) (Type, uint32, error) {
+	if [4]byte(hdr[:4]) != magic {
+		return 0, 0, ErrBadMagic
 	}
-	if [4]byte(b[:4]) != magic {
-		return Frame{}, 0, ErrBadMagic
+	if hdr[4] != Version {
+		return 0, 0, fmt.Errorf("%w: %d", ErrBadVersion, hdr[4])
 	}
-	if b[4] != Version {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrBadVersion, b[4])
+	t := Type(hdr[5])
+	if !t.defined() {
+		return 0, 0, fmt.Errorf("%w: %d", ErrBadType, hdr[5])
 	}
-	t := Type(b[5])
-	if t == 0 || t >= numTypes {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrBadType, b[5])
+	if hdr[6] != 0 || hdr[7] != 0 {
+		return 0, 0, fmt.Errorf("%w: nonzero reserved bytes", ErrBadMagic)
 	}
-	if b[6] != 0 || b[7] != 0 {
-		return Frame{}, 0, fmt.Errorf("%w: nonzero reserved bytes", ErrBadMagic)
-	}
-	id := binary.BigEndian.Uint64(b[8:16])
-	n := binary.BigEndian.Uint32(b[16:20])
+	n := binary.BigEndian.Uint32(hdr[16:20])
 	if n > MaxPayload {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrTooLarge, n)
+		return 0, 0, fmt.Errorf("%w: %d", ErrTooLarge, n)
 	}
-	total := headerSize + int(n) + trailerSize
-	if len(b) < total {
-		return Frame{}, 0, ErrTruncated
-	}
-	want := binary.BigEndian.Uint32(b[total-trailerSize : total])
-	if crc32.ChecksumIEEE(b[4:total-trailerSize]) != want {
-		return Frame{}, 0, ErrChecksum
-	}
-	return Frame{Type: t, ID: id, Payload: b[headerSize : total-trailerSize]}, total, nil
+	return t, n, nil
 }
 
 // ReadFrame reads exactly one frame from r, returning it and the bytes
 // consumed. The header is validated before the payload is allocated, so a
 // corrupt length can never force a huge allocation. A clean EOF before any
 // byte returns io.EOF; a stream ending mid-frame returns
-// io.ErrUnexpectedEOF; corruption returns the DecodeFrame errors.
+// io.ErrUnexpectedEOF; corruption returns ErrBadMagic, ErrBadVersion,
+// ErrBadType, ErrTooLarge or ErrChecksum.
 func ReadFrame(r io.Reader) (Frame, int, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -207,25 +197,9 @@ func ReadFrame(r io.Reader) (Frame, int, error) {
 		}
 		return Frame{}, 0, err
 	}
-	// Validate the fixed header via DecodeFrame's rules without the body:
-	// run the same checks inline (DecodeFrame needs the whole frame for the
-	// CRC).
-	if [4]byte(hdr[:4]) != magic {
-		return Frame{}, 0, ErrBadMagic
-	}
-	if hdr[4] != Version {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrBadVersion, hdr[4])
-	}
-	t := Type(hdr[5])
-	if t == 0 || t >= numTypes {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrBadType, hdr[5])
-	}
-	if hdr[6] != 0 || hdr[7] != 0 {
-		return Frame{}, 0, fmt.Errorf("%w: nonzero reserved bytes", ErrBadMagic)
-	}
-	n := binary.BigEndian.Uint32(hdr[16:20])
-	if n > MaxPayload {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrTooLarge, n)
+	t, n, err := parseHeader(&hdr)
+	if err != nil {
+		return Frame{}, 0, err
 	}
 	rest := make([]byte, int(n)+trailerSize)
 	if _, err := io.ReadFull(r, rest); err != nil {

@@ -14,38 +14,42 @@ import (
 	"dupserve/internal/httpserver"
 )
 
-// TestFrameRoundTrip encodes frames of assorted sizes and decodes them back
-// through both the buffer and stream paths.
+// definedTypes lists every frame type of this protocol version.
+func definedTypes() []Type {
+	var ts []Type
+	for t := Type(0); t < numTypes; t++ {
+		if t.defined() {
+			ts = append(ts, t)
+		}
+	}
+	return ts
+}
+
+// TestFrameRoundTrip encodes frames of assorted sizes and types and reads
+// them back.
 func TestFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	types := definedTypes()
 	sizes := []int{0, 1, 7, 64, 1000, 65537}
 	for _, size := range sizes {
 		payload := make([]byte, size)
 		rng.Read(payload)
-		f := Frame{Type: Type(1 + rng.Intn(int(numTypes)-1)), ID: rng.Uint64(), Payload: payload}
+		f := Frame{Type: types[rng.Intn(len(types))], ID: rng.Uint64(), Payload: payload}
 
 		buf := AppendFrame(nil, f)
 		if len(buf) != f.wireSize() {
 			t.Fatalf("size %d: encoded %d bytes, wireSize says %d", size, len(buf), f.wireSize())
 		}
 
-		got, n, err := DecodeFrame(buf)
+		got, n, err := ReadFrame(bytes.NewReader(buf))
 		if err != nil {
-			t.Fatalf("size %d: DecodeFrame: %v", size, err)
+			t.Fatalf("size %d: ReadFrame: %v", size, err)
 		}
 		if n != len(buf) {
 			t.Fatalf("size %d: consumed %d of %d", size, n, len(buf))
 		}
 		if got.Type != f.Type || got.ID != f.ID || !bytes.Equal(got.Payload, f.Payload) {
 			t.Fatalf("size %d: decode mismatch", size)
-		}
-
-		sgot, sn, err := ReadFrame(bytes.NewReader(buf))
-		if err != nil {
-			t.Fatalf("size %d: ReadFrame: %v", size, err)
-		}
-		if sn != len(buf) || sgot.Type != f.Type || sgot.ID != f.ID || !bytes.Equal(sgot.Payload, f.Payload) {
-			t.Fatalf("size %d: stream decode mismatch", size)
 		}
 	}
 }
@@ -55,7 +59,7 @@ func TestFrameStreamSequence(t *testing.T) {
 	var buf []byte
 	want := []Frame{
 		{Type: TypePing, ID: 1},
-		{Type: TypePush, ID: 2, Payload: []byte("body")},
+		{Type: TypePutBatch, ID: 2, Payload: []byte("body")},
 		{Type: TypeAck, ID: 2, Payload: []byte{0}},
 	}
 	for _, f := range want {
@@ -76,15 +80,11 @@ func TestFrameStreamSequence(t *testing.T) {
 	}
 }
 
-// TestFrameTruncation verifies every possible truncation point is rejected:
-// DecodeFrame reports ErrTruncated, ReadFrame io.ErrUnexpectedEOF (io.EOF
-// only for the empty stream).
+// TestFrameTruncation verifies every possible truncation point is rejected
+// with io.ErrUnexpectedEOF (io.EOF only for the empty stream).
 func TestFrameTruncation(t *testing.T) {
 	full := AppendFrame(nil, Frame{Type: TypeTxn, ID: 99, Payload: []byte("truncate me please")})
 	for n := 0; n < len(full); n++ {
-		if _, _, err := DecodeFrame(full[:n]); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("DecodeFrame(%d/%d bytes): want ErrTruncated, got %v", n, len(full), err)
-		}
 		_, _, err := ReadFrame(bytes.NewReader(full[:n]))
 		if n == 0 {
 			if !errors.Is(err, io.EOF) {
@@ -99,17 +99,14 @@ func TestFrameTruncation(t *testing.T) {
 }
 
 // TestFrameCorruption flips every byte of an encoded frame and requires
-// both decode paths to reject every mutation — the CRC covers everything
-// the header checks don't.
+// every mutation to be rejected — the CRC covers everything the header
+// checks don't.
 func TestFrameCorruption(t *testing.T) {
-	full := AppendFrame(nil, Frame{Type: TypePush, ID: 7, Payload: []byte("checksummed payload")})
+	full := AppendFrame(nil, Frame{Type: TypePutBatch, ID: 7, Payload: []byte("checksummed payload")})
 	for i := range full {
 		for _, flip := range []byte{0x01, 0x80, 0xff} {
 			mut := append([]byte(nil), full...)
 			mut[i] ^= flip
-			if _, _, err := DecodeFrame(mut); err == nil {
-				t.Fatalf("DecodeFrame accepted corruption at byte %d (flip %#x)", i, flip)
-			}
 			if _, _, err := ReadFrame(bytes.NewReader(mut)); err == nil {
 				t.Fatalf("ReadFrame accepted corruption at byte %d (flip %#x)", i, flip)
 			}
@@ -118,41 +115,28 @@ func TestFrameCorruption(t *testing.T) {
 }
 
 // TestFrameRejectsSpecificCorruptions pins the error identity for each
-// header field.
+// header field and for the checksum.
 func TestFrameRejectsSpecificCorruptions(t *testing.T) {
 	base := AppendFrame(nil, Frame{Type: TypeAck, ID: 1, Payload: []byte("x")})
-
-	mut := append([]byte(nil), base...)
-	mut[0] = 'X'
-	if _, _, err := DecodeFrame(mut); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("bad magic: got %v", err)
-	}
-
-	mut = append([]byte(nil), base...)
-	mut[4] = 99
-	if _, _, err := DecodeFrame(mut); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("bad version: got %v", err)
-	}
-
-	mut = append([]byte(nil), base...)
-	mut[5] = byte(numTypes)
-	if _, _, err := DecodeFrame(mut); !errors.Is(err, ErrBadType) {
-		t.Fatalf("bad type: got %v", err)
-	}
-
-	mut = append([]byte(nil), base...)
-	mut[16], mut[17], mut[18], mut[19] = 0xff, 0xff, 0xff, 0xff
-	if _, _, err := DecodeFrame(mut); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversize length: got %v", err)
-	}
-	if _, _, err := ReadFrame(bytes.NewReader(mut)); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversize length via stream: got %v", err)
-	}
-
-	mut = append([]byte(nil), base...)
-	mut[len(mut)-1] ^= 0xff
-	if _, _, err := DecodeFrame(mut); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("bad crc: got %v", err)
+	for _, c := range []struct {
+		name   string
+		mutate func(b []byte)
+		want   error
+	}{
+		{"bad magic", func(b []byte) { b[0] = 'X' }, ErrBadMagic},
+		{"bad version", func(b []byte) { b[4] = 99 }, ErrBadVersion},
+		{"zero type", func(b []byte) { b[5] = 0 }, ErrBadType},
+		{"reserved type slot", func(b []byte) { b[5] = byte(TypeLSN + 1) }, ErrBadType},
+		{"type past the last", func(b []byte) { b[5] = byte(numTypes) }, ErrBadType},
+		{"nonzero reserved bytes", func(b []byte) { b[7] = 1 }, ErrBadMagic},
+		{"oversize length", func(b []byte) { b[16], b[17], b[18], b[19] = 0xff, 0xff, 0xff, 0xff }, ErrTooLarge},
+		{"bad crc", func(b []byte) { b[len(b)-1] ^= 0xff }, ErrChecksum},
+	} {
+		mut := append([]byte(nil), base...)
+		c.mutate(mut)
+		if _, _, err := ReadFrame(bytes.NewReader(mut)); !errors.Is(err, c.want) {
+			t.Fatalf("%s: got %v, want %v", c.name, err, c.want)
+		}
 	}
 }
 

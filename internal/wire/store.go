@@ -10,20 +10,12 @@ import (
 	"dupserve/internal/stats"
 )
 
-// RegisterStore exposes store over s as a push target: TypePush installs an
-// object, TypePutBatch an ordered wave of them, TypeInvalidate /
+// RegisterStore exposes store over s as a push target: TypePutBatch
+// installs an ordered wave of objects, TypeInvalidate /
 // TypeInvalidatePrefix drop entries and ack with the removal count. A
 // serving node registers its local cache here; the master's GroupClient
 // fans broadcasts out to one such endpoint per node.
 func RegisterStore(s *Server, store core.Store) {
-	s.Handle(TypePush, func(payload []byte) ([]byte, error) {
-		obj, err := DecodeObject(payload)
-		if err != nil {
-			return nil, err
-		}
-		store.ApplyPut(obj)
-		return nil, nil
-	})
 	s.Handle(TypePutBatch, func(payload []byte) ([]byte, error) {
 		// Decode the whole frame first: a malformed one installs nothing.
 		objs, err := DecodeObjects(payload)
@@ -72,12 +64,6 @@ func (sc *StoreClient) Name() string { return sc.name }
 
 // Client returns the underlying wire client.
 func (sc *StoreClient) Client() *Client { return sc.c }
-
-// Put installs obj on the remote node.
-func (sc *StoreClient) Put(obj *cache.Object) error {
-	_, err := sc.c.Call(context.Background(), TypePush, EncodeObject(nil, obj))
-	return err
-}
 
 // PutBatch installs objs on the remote node in order, as TypePutBatch
 // frames of at most MaxPayload bytes each.

@@ -17,6 +17,13 @@ import (
 	"dupserve/internal/netsim"
 )
 
+// isTransient reports whether err is a transport-level failure (partition,
+// dial failure, lost connection), the errors db.Replicator retries.
+func isTransient(err error) bool {
+	var t interface{ Transient() bool }
+	return errors.As(err, &t) && t.Transient()
+}
+
 // startEcho starts a server answering TypePing with its request payload.
 func startEcho(t *testing.T, opts ...ServerOption) (*Server, string) {
 	t.Helper()
@@ -96,7 +103,7 @@ func TestRemoteErrorsAreNotTransient(t *testing.T) {
 	if !errors.As(err, &re) || re.Msg != "handler boom" {
 		t.Fatalf("handler error: got %v", err)
 	}
-	if IsTransient(err) {
+	if isTransient(err) {
 		t.Fatal("remote handler error classified transient")
 	}
 
@@ -104,7 +111,7 @@ func TestRemoteErrorsAreNotTransient(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("missing handler: got %v", err)
 	}
-	if IsTransient(err) {
+	if isTransient(err) {
 		t.Fatal("missing-handler error classified transient")
 	}
 }
@@ -134,7 +141,7 @@ func TestClientReconnect(t *testing.T) {
 		if err == nil {
 			break
 		}
-		if !IsTransient(err) {
+		if !isTransient(err) {
 			t.Fatalf("reconnect path returned non-transient error: %v", err)
 		}
 		if time.Now().After(deadline) {
@@ -160,12 +167,12 @@ func TestClientBackoffFailFast(t *testing.T) {
 		}))
 	defer c.Close()
 
-	if _, err := c.Call(context.Background(), TypePing, nil); !IsTransient(err) {
+	if _, err := c.Call(context.Background(), TypePing, nil); !isTransient(err) {
 		t.Fatalf("first call: want transient error, got %v", err)
 	}
 	start := time.Now()
 	_, err := c.Call(context.Background(), TypePing, nil)
-	if !IsTransient(err) {
+	if !isTransient(err) {
 		t.Fatalf("second call: want transient error, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
@@ -199,7 +206,7 @@ func TestClientPartitionTaxonomy(t *testing.T) {
 	if !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("partitioned call: got %v, want ErrPartitioned", err)
 	}
-	if !IsTransient(err) {
+	if !isTransient(err) {
 		t.Fatal("ErrPartitioned must be transient")
 	}
 	if m.PartitionDrops.Value() == 0 {

@@ -1,8 +1,9 @@
-// Knob lint: every exported option constructor in internal/ must be set by
-// something that ships. An option that only tests or examples set is a
-// configuration the system never runs in; it keeps a code path alive that
-// no deployment, experiment or benchmark reaches. Delete it, or give it a
-// caller, or (for a test seam only) list it below with its reason.
+// Caller lint: every exported package-level function in internal/ must be
+// called by something that ships. A function that only tests or examples
+// call is a capability the system never exercises, and an option that only
+// tests set is a configuration it never runs in; either keeps a code path
+// alive that no deployment, experiment or benchmark reaches. Delete it, or
+// give it a caller, or (for a test seam only) list it below with its reason.
 package dupserve
 
 import (
@@ -19,8 +20,8 @@ import (
 	"testing"
 )
 
-// knobAllowlist names the option constructors that exist only so a test
-// can replace time, the network or randomness. Production never sets them
+// knobAllowlist names the exported functions that exist only so a test can
+// replace time, the network or randomness. Production never calls them
 // because production wants the real clock, dialer and sleep.
 var knobAllowlist = map[string]string{
 	"dupserve/internal/cache.WithClock":           "test clock for stale-retention and StoredAt",
@@ -38,7 +39,7 @@ var knobAllowlist = map[string]string{
 	"dupserve/internal/wire.WithReconnectBackoff": "shortens reconnect backoff so tests run fast",
 }
 
-// knob is one exported With* option constructor.
+// knob is one exported package-level function.
 type knob struct {
 	pkg, name string // import path and function name
 	pos       string // file:line of the declaration
@@ -46,10 +47,11 @@ type knob struct {
 
 func (k knob) id() string { return k.pkg + "." + k.name }
 
-// TestEveryOptionHasACaller fails for every exported With* option
-// constructor in internal/ that no non-test code under cmd/, internal/ or
-// bench/, and not the root experiment index bench_test.go, refers to.
-func TestEveryOptionHasACaller(t *testing.T) {
+// TestEveryExportedFuncHasACaller fails for every exported package-level
+// function in internal/ (option constructors included) that no non-test
+// code under cmd/, internal/ or bench/, and not the root experiment index
+// bench_test.go, refers to.
+func TestEveryExportedFuncHasACaller(t *testing.T) {
 	files := parseModule(t)
 
 	knobs := map[string]knob{}
@@ -59,7 +61,7 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		}
 		for _, d := range f.ast.Decls {
 			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Recv != nil || !isOptionConstructor(fn) {
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() {
 				continue
 			}
 			k := knob{pkg: f.pkg, name: fn.Name.Name, pos: f.fset.Position(fn.Pos()).String()}
@@ -67,7 +69,7 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		}
 	}
 	if len(knobs) == 0 {
-		t.Fatal("found no option constructors; is the module root the working directory?")
+		t.Fatal("found no exported functions; is the module root the working directory?")
 	}
 
 	used := map[string]bool{}
@@ -96,6 +98,17 @@ func TestEveryOptionHasACaller(t *testing.T) {
 				}
 				// A field or method name is not a use of a package-level name.
 				ast.Inspect(x.X, visit)
+				return false
+			case *ast.Field:
+				// Nor is a declared field or parameter name.
+				ast.Inspect(x.Type, visit)
+				return false
+			case *ast.KeyValueExpr:
+				// Nor is a struct literal's field key (a func cannot be a map key).
+				if _, ok := x.Key.(*ast.Ident); !ok {
+					ast.Inspect(x.Key, visit)
+				}
+				ast.Inspect(x.Value, visit)
 				return false
 			case *ast.FuncDecl:
 				// A declaration is not a use of itself; walk only its body.
@@ -127,25 +140,11 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	}
 	for id := range knobAllowlist {
 		if _, ok := knobs[id]; !ok {
-			t.Errorf("allowlist entry %s names no option constructor", id)
+			t.Errorf("allowlist entry %s names no exported function", id)
 		} else if used[id] {
 			t.Errorf("allowlist entry %s has a production caller; drop it from the allowlist", id)
 		}
 	}
-}
-
-// isOptionConstructor reports whether fn is an exported top-level With*
-// function returning a single type whose name ends in "Option".
-func isOptionConstructor(fn *ast.FuncDecl) bool {
-	if !strings.HasPrefix(fn.Name.Name, "With") || !fn.Name.IsExported() {
-		return false
-	}
-	res := fn.Type.Results
-	if res == nil || len(res.List) != 1 || len(res.List[0].Names) > 1 {
-		return false
-	}
-	id, ok := res.List[0].Type.(*ast.Ident)
-	return ok && strings.HasSuffix(id.Name, "Option")
 }
 
 // goFile is one parsed source file of the module or the nested bench module.
