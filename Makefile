@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race check chaos audit flight recovery smoke bench bench-recovery run
+.PHONY: all build test race check chaos audit flight recovery smoke examples bench bench-recovery run
 
 all: check
 
@@ -52,6 +52,15 @@ recovery:
 smoke:
 	$(GO) run ./cmd/olympicsd -role smoke -nodes 2
 
+# examples runs every program under examples/ once; a non-zero exit fails
+# the step, so an example cannot rot unnoticed. Each finishes in under a
+# second.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "$(GO) run ./$${d%/}"; \
+		$(GO) run ./$${d%/} > /dev/null; \
+	done
+
 # bench-recovery records the warm-vs-cold readmission comparison: MTTR and
 # post-rejoin hit/miss counts for a warmup-gated rejoin against an
 # empty-cache rejoin (the run fails unless warm beats cold).
@@ -76,7 +85,8 @@ endef
 # proves the plant coherent, the recovery scenario readmits a failed node
 # without serving stale pages, the flight recorder captures a dump for each
 # of its triggers (each of those four reports byte-identical to its golden),
-# the multi-process smoke proves the wire path against real child processes. It holds no throughput threshold: the
+# the multi-process smoke proves the wire path against real child processes,
+# and every example runs to a zero exit. It holds no throughput threshold: the
 # benchmark ledger (make bench) judges performance against the parent
 # commit on the same host.
 check: build
@@ -91,6 +101,7 @@ check: build
 	$(call golden,recovery)
 	$(call golden,flight)
 	$(GO) run ./cmd/olympicsd -role smoke -nodes 2
+	$(MAKE) --no-print-directory examples
 
 # bench runs the benchmark ledger: the live plant under the workloads
 # declared in BENCHMARK.json (see bench/README.md). The Go

@@ -97,6 +97,32 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
+// writePage answers one page request with what the dispatcher served:
+// 404 for no route, 503 with Retry-After when every node shed it, 500 with
+// the error text on a failed render, and otherwise 200 with the page
+// bytes, their content type, how they were served (X-Cache) and the
+// version they reflect (X-Version). It returns the status and body length
+// for the access log.
+func writePage(w http.ResponseWriter, r *http.Request, obj *cache.Object, outcome httpserver.Outcome, err error) (status, bytes int) {
+	switch outcome {
+	case httpserver.OutcomeNotFound:
+		http.NotFound(w, r)
+		return http.StatusNotFound, 0
+	case httpserver.OutcomeShed:
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+		return http.StatusServiceUnavailable, 0
+	case httpserver.OutcomeError:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return http.StatusInternalServerError, 0
+	}
+	w.Header().Set("Content-Type", obj.ContentType)
+	w.Header().Set("X-Cache", outcome.String())
+	w.Header().Set("X-Version", fmt.Sprint(obj.Version))
+	w.Write(obj.Value) // a failed write means the client left; nothing to do
+	return http.StatusOK, len(obj.Value)
+}
+
 // guard makes a debug handler read-only (405 on non-GET, with Allow) and
 // answers a JSON 503 with Retry-After until ready reports that startup
 // finished. Every role's /debug handlers go through it.
@@ -361,26 +387,8 @@ func runAll(f flags) {
 			client = client[:i]
 		}
 		obj, outcome, err := nd.Serve(r.URL.Path)
-		switch outcome {
-		case httpserver.OutcomeNotFound:
-			access.Log(client, r.URL.Path, http.StatusNotFound, 0)
-			http.NotFound(w, r)
-			return
-		case httpserver.OutcomeShed:
-			access.Log(client, r.URL.Path, http.StatusServiceUnavailable, 0)
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "overloaded", http.StatusServiceUnavailable)
-			return
-		case httpserver.OutcomeError:
-			access.Log(client, r.URL.Path, http.StatusInternalServerError, 0)
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		access.Log(client, r.URL.Path, http.StatusOK, len(obj.Value))
-		w.Header().Set("Content-Type", obj.ContentType)
-		w.Header().Set("X-Cache", outcome.String())
-		w.Header().Set("X-Version", fmt.Sprint(obj.Version))
-		w.Write(obj.Value)
+		status, n := writePage(w, r, obj, outcome, err)
+		access.Log(client, r.URL.Path, status, n)
 	})
 	mux.HandleFunc("/logreport", func(w http.ResponseWriter, r *http.Request) {
 		access.Flush()
@@ -727,22 +735,7 @@ func (p *masterPlane) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		obj, outcome, err := p.nd.Serve(r.URL.Path)
-		switch outcome {
-		case httpserver.OutcomeNotFound:
-			http.NotFound(w, r)
-			return
-		case httpserver.OutcomeShed:
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "overloaded", http.StatusServiceUnavailable)
-			return
-		case httpserver.OutcomeError:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", obj.ContentType)
-		w.Header().Set("X-Cache", outcome.String())
-		w.Header().Set("X-Version", fmt.Sprint(obj.Version))
-		w.Write(obj.Value)
+		writePage(w, r, obj, outcome, err)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")

@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"dupserve/internal/cache"
+	"dupserve/internal/httpserver"
 	"dupserve/internal/obs"
 	"dupserve/internal/stats"
 )
@@ -89,5 +92,61 @@ func TestRoleDebugSurfacesAreReadOnly(t *testing.T) {
 				t.Fatalf("%s GET %s: status %d, want 200", s.role, path, rec.Code)
 			}
 		}
+	}
+}
+
+// TestWritePage pins the outcome-to-HTTP mapping both the all and master
+// roles answer page requests with.
+func TestWritePage(t *testing.T) {
+	page := &cache.Object{Key: "/en/medals", Value: []byte("<html>medals</html>"),
+		ContentType: "text/html; charset=utf-8", Version: 42}
+	for _, tc := range []struct {
+		name    string
+		obj     *cache.Object
+		outcome httpserver.Outcome
+		err     error
+		status  int
+		body    string
+	}{
+		{"notfound", nil, httpserver.OutcomeNotFound, httpserver.ErrNoRoute, http.StatusNotFound, "404 page not found\n"},
+		{"shed", nil, httpserver.OutcomeShed, httpserver.ErrOverloaded, http.StatusServiceUnavailable, "overloaded\n"},
+		{"error", nil, httpserver.OutcomeError, errors.New("render exploded"), http.StatusInternalServerError, "render exploded\n"},
+		{"hit", page, httpserver.OutcomeHit, nil, http.StatusOK, "<html>medals</html>"},
+		{"miss", page, httpserver.OutcomeMiss, nil, http.StatusOK, "<html>medals</html>"},
+		{"static", page, httpserver.OutcomeStatic, nil, http.StatusOK, "<html>medals</html>"},
+		{"stale", page, httpserver.OutcomeStale, nil, http.StatusOK, "<html>medals</html>"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			status, n := writePage(rec, httptest.NewRequest(http.MethodGet, "/en/medals", nil), tc.obj, tc.outcome, tc.err)
+			if status != tc.status || rec.Code != tc.status {
+				t.Fatalf("status = %d, recorded %d, want %d", status, rec.Code, tc.status)
+			}
+			if got := rec.Body.String(); got != tc.body {
+				t.Fatalf("body = %q, want %q", got, tc.body)
+			}
+			h := rec.Header()
+			if tc.status != http.StatusOK {
+				if n != 0 {
+					t.Fatalf("bytes = %d for an error answer, want 0", n)
+				}
+				if got := h.Get("Retry-After"); (tc.outcome == httpserver.OutcomeShed) != (got != "") {
+					t.Fatalf("Retry-After = %q on a %s answer", got, tc.name)
+				}
+				return
+			}
+			if n != len(page.Value) {
+				t.Fatalf("bytes = %d, want %d", n, len(page.Value))
+			}
+			for key, want := range map[string]string{
+				"Content-Type": page.ContentType,
+				"X-Cache":      tc.name,
+				"X-Version":    "42",
+			} {
+				if got := h.Get(key); got != want {
+					t.Fatalf("%s = %q, want %q", key, got, want)
+				}
+			}
+		})
 	}
 }

@@ -70,6 +70,11 @@ func main() {
 		fmt.Printf("  %-8s -> %-12s [%s] v%d (%d bytes)\n", region, name, outcome, obj.Version, len(obj.Value))
 	}
 
-	agg := d.Stats()
-	fmt.Printf("\nglobal cache: %d hits, %d misses across all serving nodes\n", agg.Hits, agg.Misses)
+	var hits, misses int64
+	for _, cx := range d.Complexes() {
+		st := cx.Cluster.Caches.AggregateStats()
+		hits += st.Hits
+		misses += st.Misses
+	}
+	fmt.Printf("\nglobal cache: %d hits, %d misses across all serving nodes\n", hits, misses)
 }

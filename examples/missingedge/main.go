@@ -146,7 +146,7 @@ func runDemo(out io.Writer) (*audit.Report, error) {
 		return nil, err
 	}
 	fmt.Fprintln(out)
-	if err := rep.Write(out); err != nil {
+	if err := rep.WriteJSON(out); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -157,7 +157,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if rep.OK() {
+	if rep.Incoherent == 0 || len(rep.MissingEdges) == 0 {
 		log.Fatal("missingedge: the audit failed to flag the planted bug")
 	}
 	fmt.Println("\nthe audit caught the planted bug: /champion reads a row the ODG never declared")

@@ -45,8 +45,8 @@ func main() {
 		version++
 		res := engine.OnChange(version, "db:ticker")
 		obj, _ := pages.Peek("/stats")
-		fmt.Printf("ticker update %d: updated=%d deferred=%d pending=%.0f  -> %q\n",
-			i, res.Updated, res.Deferred, engine.PendingStaleness("/stats"), obj.Value)
+		fmt.Printf("ticker update %d: updated=%d deferred=%d (%d deferred so far)  -> %q\n",
+			i, res.Updated, res.Deferred, engine.Stats().Deferred, obj.Value)
 	}
 
 	fmt.Println()

@@ -155,9 +155,6 @@ func New(cfg Config) *Auditor {
 	return &Auditor{cfg: cfg}
 }
 
-// Name returns the auditor's label.
-func (a *Auditor) Name() string { return a.cfg.Name }
-
 // Observe captures one served response. It is the httpserver.ResponseTap
 // for every node of the audited complex, so it runs on the request path:
 // it snapshots the replica LSN and in-flight propagation state, appends to
@@ -193,17 +190,6 @@ func (a *Auditor) Observe(s httpserver.ResponseSample) {
 		a.samples = append(a.samples, smp)
 	}
 	a.mu.Unlock()
-}
-
-// Discard drops all buffered samples, returning how many were discarded.
-// Callers use it to mark an epoch: everything served before this point is
-// outside the next sweep.
-func (a *Auditor) Discard() int {
-	a.mu.Lock()
-	n := len(a.samples)
-	a.samples = nil
-	a.mu.Unlock()
-	return n
 }
 
 // Sweep drains the buffered samples, shadow-renders the full page set

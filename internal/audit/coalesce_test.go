@@ -71,7 +71,10 @@ func TestCoalescedBurstLeavesNoIncoherentPages(t *testing.T) {
 
 	// Quiescent probe: serve every page once and audit. Coalescing must
 	// not have skipped any refresh.
-	cx.Auditor.Discard()
+	// A sweep drains the burst's samples, so the next one sees only the probe.
+	if _, err := cx.Auditor.Sweep(); err != nil {
+		t.Fatal(err)
+	}
 	pages := cx.Site.Pages()
 	for _, p := range pages {
 		if _, _, err := cx.Cluster.Serve(p); err != nil {

@@ -2,7 +2,6 @@ package audit
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -45,41 +44,6 @@ type Report struct {
 	// SuperfluousEdges are declared db-level dependencies no read observed.
 	MissingEdges     []Edge `json:"missing_edges,omitempty"`
 	SuperfluousEdges []Edge `json:"superfluous_edges,omitempty"`
-}
-
-// OK reports whether the sweep found a provably coherent plant: zero
-// incoherent samples and a complete, minimal dependence graph.
-func (r *Report) OK() bool {
-	return r.Incoherent == 0 && len(r.MissingEdges) == 0 && len(r.SuperfluousEdges) == 0
-}
-
-// Write renders the report as stable, human-readable text: one summary
-// line, then one line per incoherent page and flagged edge.
-func (r *Report) Write(w io.Writer) error {
-	_, err := fmt.Fprintf(w,
-		"audit %s: lsn=%d pages=%d samples=%d coherent=%d bounded_stale=%d violating_stale=%d incoherent=%d shed=%d unchecked=%d missing_edges=%d superfluous_edges=%d ok=%t\n",
-		r.Name, r.LSN, r.Pages, r.Samples, r.Coherent, r.BoundedStale,
-		r.ViolatingStale, r.Incoherent, r.Shed, r.Unchecked,
-		len(r.MissingEdges), len(r.SuperfluousEdges), r.OK())
-	if err != nil {
-		return err
-	}
-	for _, p := range r.IncoherentPages {
-		if _, err := fmt.Fprintf(w, "incoherent page %s\n", p); err != nil {
-			return err
-		}
-	}
-	for _, e := range r.MissingEdges {
-		if _, err := fmt.Fprintf(w, "missing edge %s <- %s\n", e.Page, e.Vertex); err != nil {
-			return err
-		}
-	}
-	for _, e := range r.SuperfluousEdges {
-		if _, err := fmt.Fprintf(w, "superfluous edge %s <- %s\n", e.Page, e.Vertex); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteJSON serializes the report as indented JSON (the /debug/audit

@@ -30,7 +30,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dupserve/internal/stats"
@@ -44,7 +43,7 @@ type Key string
 // Object may be served by several caches at once (Group.BroadcastPut and
 // peer warm-up install the same Object in every cache). The one write Put
 // makes, stamping a zero StoredAt, happens before the object is visible
-// anywhere. Object is not copyable by value (the header memo is an atomic).
+// anywhere.
 type Object struct {
 	Key         Key
 	Value       []byte
@@ -56,36 +55,6 @@ type Object struct {
 	// StoredAt is the (possibly simulated) time the object first entered a
 	// cache; Put stamps it only when it is zero.
 	StoredAt time.Time
-
-	// hdr memoizes the pre-serialized response headers for the zero-alloc
-	// HTTP hit path; see ResponseHeaders. Built once per object, so a page
-	// shared by every member of a group is formatted once, not per node.
-	hdr atomic.Pointer[ObjectHeaders]
-}
-
-// ObjectHeaders is the pre-serialized response-header material for an
-// object: the strings the HTTP layer would otherwise format per request,
-// plus ready-made single-value header slices that can be assigned into an
-// http.Header without allocating. Built once per object, on first serve.
-type ObjectHeaders struct {
-	ETag        string
-	Version     string
-	ETagV       []string // []string{ETag}
-	VersionV    []string // []string{Version}
-	ContentType []string // []string{obj.ContentType}; nil when empty
-}
-
-// ResponseHeaders returns the object's memoized pre-serialized headers,
-// building them with build on first call. Concurrent first calls may both
-// build; one wins, and both results are equivalent because the object is
-// immutable.
-func (o *Object) ResponseHeaders(build func(*Object) *ObjectHeaders) *ObjectHeaders {
-	if h := o.hdr.Load(); h != nil {
-		return h
-	}
-	h := build(o)
-	o.hdr.Store(h)
-	return h
 }
 
 // Size returns the accounted byte size of the object.
@@ -236,9 +205,6 @@ func (c *Cache) shardIndex(key Key) int {
 	return int(maphash.String(c.seed, string(key)) & c.mask)
 }
 
-// ShardCount returns the number of stripes.
-func (c *Cache) ShardCount() int { return len(c.shards) }
-
 // Name returns the cache's diagnostic name.
 func (c *Cache) Name() string { return c.name }
 
@@ -286,15 +252,6 @@ func (c *Cache) Peek(key Key) (*Object, bool) {
 		return nil, false
 	}
 	return e.obj, true
-}
-
-// Contains reports whether key is cached, without touching counters.
-func (c *Cache) Contains(key Key) bool {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.items[key]
-	return ok
 }
 
 // Put inserts or replaces the object stored under obj.Key. Replacing an
@@ -388,19 +345,6 @@ func (c *Cache) GetStale(key Key, maxAge time.Duration) (*Object, time.Duration,
 		return nil, 0, false
 	}
 	return se.obj, age, true
-}
-
-// StaleLen returns the number of retained stale copies (0 when retention is
-// off).
-func (c *Cache) StaleLen() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.stale)
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // InvalidatePrefix removes every key with the given prefix and returns the

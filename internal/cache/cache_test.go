@@ -88,7 +88,7 @@ func TestInvalidatePrefix(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	if !c.Contains("/skate/a") || !c.Contains("/home") {
+	if !present(c.Peek("/skate/a")) || !present(c.Peek("/home")) {
 		t.Fatal("unrelated keys were invalidated")
 	}
 }
@@ -117,7 +117,7 @@ func TestUnboundedNeverEvicts(t *testing.T) {
 		t.Fatalf("Len = %d", c.Len())
 	}
 	for i := 0; i < 1000; i++ {
-		if !c.Contains(Key(fmt.Sprintf("k%d", i))) {
+		if !present(c.Peek(Key(fmt.Sprintf("k%d", i)))) {
 			t.Fatalf("k%d left the cache without an invalidation", i)
 		}
 	}
@@ -434,3 +434,6 @@ func BenchmarkGroupBroadcast8(b *testing.B) {
 		g.BroadcastPut(o)
 	}
 }
+
+// present reports the ok of a cache Peek: whether the key is cached.
+func present(_ *Object, ok bool) bool { return ok }

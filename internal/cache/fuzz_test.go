@@ -19,8 +19,8 @@ func FuzzCacheKeyStripe(f *testing.F) {
 		k := Key(key)
 		for _, shards := range []int{1, 2, 8, 64} {
 			c := New("fuzz", withShards(shards))
-			if got := c.ShardCount(); got != shards {
-				t.Fatalf("ShardCount = %d, want %d", got, shards)
+			if got := len(c.shards); got != shards {
+				t.Fatalf("%d shards, want %d", got, shards)
 			}
 			idx := c.shardIndex(k)
 			if idx < 0 || idx >= shards {

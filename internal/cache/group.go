@@ -248,22 +248,6 @@ func (g *Group) ApplyInvalidatePrefix(prefix string) int {
 	return g.BroadcastInvalidatePrefix(prefix)
 }
 
-// PushStats snapshots the group's push-degradation counters.
-type PushStats struct {
-	Retries    int64 // retry attempts after failed pushes
-	Failures   int64 // individual failed push attempts
-	Downgrades int64 // pushes downgraded to an invalidation
-}
-
-// PushStats returns the group's push-degradation counters.
-func (g *Group) PushStats() PushStats {
-	return PushStats{
-		Retries:    g.pushRetries.Value(),
-		Failures:   g.pushFailures.Value(),
-		Downgrades: g.pushDowngrades.Value(),
-	}
-}
-
 // AggregateStats sums the counters of all member caches.
 func (g *Group) AggregateStats() Stats {
 	var agg Stats

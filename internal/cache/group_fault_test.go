@@ -36,9 +36,8 @@ func TestBroadcastPutRetriesTransientFailure(t *testing.T) {
 	if !ok || obj.Version != 2 {
 		t.Fatalf("member state = %v %v, want version 2 cached", ok, obj)
 	}
-	ps := g.PushStats()
-	if ps.Retries < 1 || ps.Failures < 1 || ps.Downgrades != 0 {
-		t.Fatalf("push stats = %+v", ps)
+	if r, f, d := g.pushRetries.Value(), g.pushFailures.Value(), g.pushDowngrades.Value(); r < 1 || f < 1 || d != 0 {
+		t.Fatalf("push retries/failures/downgrades = %d/%d/%d", r, f, d)
 	}
 	if calls != 2 {
 		t.Fatalf("hook calls = %d, want 2 (fail then succeed)", calls)
@@ -74,12 +73,11 @@ func TestBroadcastPutExhaustionDowngradesToInvalidation(t *testing.T) {
 	if !ok || obj.Version != 2 {
 		t.Fatalf("healthy member = %v %v, want fresh", ok, obj)
 	}
-	ps := g.PushStats()
-	if ps.Downgrades != 1 {
-		t.Fatalf("downgrades = %d, want 1", ps.Downgrades)
+	if d := g.pushDowngrades.Value(); d != 1 {
+		t.Fatalf("downgrades = %d, want 1", d)
 	}
-	if ps.Retries < 2 {
-		t.Fatalf("retries = %d, want >= 2 (attempts between failures)", ps.Retries)
+	if r := g.pushRetries.Value(); r < 2 {
+		t.Fatalf("retries = %d, want >= 2 (attempts between failures)", r)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestStaleBudgetEnforced(t *testing.T) {
 		t.Fatal("stale copy served beyond its freshness budget")
 	}
 	// The over-budget copy is dropped, not just hidden.
-	if got := c.StaleLen(); got != 0 {
+	if got := staleLen(c); got != 0 {
 		t.Fatalf("stale entries after budget expiry = %d, want 0", got)
 	}
 }
@@ -57,7 +57,7 @@ func TestStaleSupersededByPut(t *testing.T) {
 	c.Put(&Object{Key: "k", Value: []byte("v1"), Version: 1})
 	c.Invalidate("k")
 	c.Put(&Object{Key: "k", Value: []byte("v2"), Version: 2})
-	if got := c.StaleLen(); got != 0 {
+	if got := staleLen(c); got != 0 {
 		t.Fatalf("stale entries after fresh put = %d, want 0", got)
 	}
 	// Invalidate again: the retained copy must be the newer version.
@@ -108,7 +108,7 @@ func TestStaleRetentionOnPrefixInvalidate(t *testing.T) {
 	c.Put(&Object{Key: "/en/b", Value: []byte("b")})
 	c.Put(&Object{Key: "/ja/a", Value: []byte("c")})
 	c.InvalidatePrefix("/en/")
-	if got := c.StaleLen(); got != 2 {
+	if got := staleLen(c); got != 2 {
 		t.Fatalf("stale entries after prefix invalidate = %d, want 2", got)
 	}
 	if _, _, ok := c.GetStale("/en/a", time.Hour); !ok {
@@ -117,4 +117,16 @@ func TestStaleRetentionOnPrefixInvalidate(t *testing.T) {
 	if _, _, ok := c.GetStale("/ja/a", time.Hour); ok {
 		t.Fatal("untouched entry present in stale table")
 	}
+}
+
+// staleLen counts c's retained stale copies.
+func staleLen(c *Cache) int {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		n += len(sh.stale)
+		sh.mu.Unlock()
+	}
+	return n
 }

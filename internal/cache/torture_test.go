@@ -99,8 +99,8 @@ func TestStripedMatchesSingleLockReference(t *testing.T) {
 			t.Fatalf("key[%d] = %s, ref %s", i, ka[i], kb[i])
 		}
 	}
-	if striped.StaleLen() != ref.StaleLen() {
-		t.Fatalf("stale len %d, ref %d", striped.StaleLen(), ref.StaleLen())
+	if staleLen(striped) != staleLen(ref) {
+		t.Fatalf("stale len %d, ref %d", staleLen(striped), staleLen(ref))
 	}
 }
 
@@ -211,7 +211,7 @@ func TestStripedTorture(t *testing.T) {
 // pathologically hot stripes).
 func TestShardDistribution(t *testing.T) {
 	c := New("dist", withShards(64))
-	counts := make([]int, c.ShardCount())
+	counts := make([]int, len(c.shards))
 	for i := 0; i < 6400; i++ {
 		k := Key(fmt.Sprintf("/en/event%d/results", i))
 		counts[c.shardIndex(k)]++

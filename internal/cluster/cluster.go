@@ -245,16 +245,6 @@ func (n *Node) LoadSignal() float64 {
 	return 0
 }
 
-// Down reports whether the node is currently failed (warming nodes are not
-// down — they are recovering, and report neither down nor ready).
-func (n *Node) Down() bool { return NodeState(n.state.Load()) == NodeDown }
-
-// Warming reports whether a recovery warmup is in flight.
-func (n *Node) Warming() bool { return NodeState(n.state.Load()) == NodeWarming }
-
-// State returns the node's lifecycle state.
-func (n *Node) State() NodeState { return NodeState(n.state.Load()) }
-
 // Ready implements dispatch.ReadyReporter: the advisors' synthetic health
 // check. A node is ready only when it is up AND its inner server is (a
 // draining httpserver reports not-ready through the same interface).
@@ -334,9 +324,6 @@ type Complex struct {
 	Dispatcher *dispatch.Dispatcher
 	Caches     *cache.Group
 	Frames     []*Frame
-
-	mu    sync.Mutex
-	nodes map[string]*Node
 }
 
 // NewComplex builds a complex per cfg: Frames x NodesPerFrame serving
@@ -352,7 +339,6 @@ func NewComplex(cfg Config) *Complex {
 	cx := &Complex{
 		name:   cfg.Name,
 		Caches: cache.NewGroup(cfg.GroupOptions...),
-		nodes:  make(map[string]*Node),
 	}
 	var poolNodes []dispatch.Node
 	for f := 0; f < cfg.Frames; f++ {
@@ -372,7 +358,6 @@ func NewComplex(cfg Config) *Complex {
 			node := NewNode(name, srv, c)
 			frame.Nodes = append(frame.Nodes, node)
 			poolNodes = append(poolNodes, node)
-			cx.nodes[name] = node
 		}
 		cx.Frames = append(cx.Frames, frame)
 	}
@@ -395,14 +380,6 @@ func (c *Complex) Serve(path string) (*cache.Object, httpserver.Outcome, error) 
 // serve spans survive the routing layer's complex indirection.
 func (c *Complex) ServeCtx(ctx context.Context, path string) (*cache.Object, httpserver.Outcome, error) {
 	return c.Dispatcher.ServeCtx(ctx, path)
-}
-
-// NodeByName returns the named node.
-func (c *Complex) NodeByName(name string) (*Node, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.nodes[name]
-	return n, ok
 }
 
 // Nodes returns every node in the complex.
@@ -468,9 +445,6 @@ func (c *Complex) Advise() int {
 	return healthy
 }
 
-// Healthy reports how many nodes are currently serving.
-func (c *Complex) Healthy() int { return c.Dispatcher.HealthyCount() }
-
 // Ledger tracks availability over a sampled timeline: each Record call is
 // one observation of whether the site could serve at that instant. The
 // paper's headline is "available 100% of the time"; the simulation records
@@ -507,13 +481,6 @@ func (l *Ledger) Availability() float64 {
 		return 1
 	}
 	return float64(l.up) / float64(l.samples)
-}
-
-// Samples returns the number of observations.
-func (l *Ledger) Samples() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.samples
 }
 
 // Outages returns the number of distinct down intervals observed.

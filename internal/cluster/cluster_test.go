@@ -37,14 +37,11 @@ func TestComplexTopology(t *testing.T) {
 	if c.Caches.Len() != 24 {
 		t.Fatalf("cache group = %d", c.Caches.Len())
 	}
-	if c.Healthy() != 24 {
-		t.Fatalf("healthy = %d", c.Healthy())
+	if c.Dispatcher.HealthyCount() != 24 {
+		t.Fatalf("healthy = %d", c.Dispatcher.HealthyCount())
 	}
-	if _, ok := c.NodeByName("tokyo-sp2-0-up0"); !ok {
-		t.Fatal("node naming drift")
-	}
-	if _, ok := c.NodeByName("ghost"); ok {
-		t.Fatal("unknown node found")
+	if got := c.Nodes()[0].Name(); got != "tokyo-sp2-0-up0" {
+		t.Fatalf("first node = %q: node naming drift", got)
 	}
 }
 
@@ -65,7 +62,7 @@ func TestNodeFailClearsCacheAndErrors(t *testing.T) {
 	srv := httpserver.New("n", c, gen(), nil)
 	n := NewNode("n", srv, c)
 	n.Fail()
-	if !n.Down() {
+	if stateOf(n) != NodeDown {
 		t.Fatal("not down after Fail")
 	}
 	if _, _, err := n.Serve("/p"); !errors.Is(err, ErrNodeDown) {
@@ -75,7 +72,7 @@ func TestNodeFailClearsCacheAndErrors(t *testing.T) {
 		t.Fatal("cache survived the crash")
 	}
 	n.Recover()
-	if n.Down() {
+	if stateOf(n) == NodeDown {
 		t.Fatal("still down after Recover")
 	}
 	// Recovered node serves again (cold cache -> miss).
@@ -93,16 +90,16 @@ func TestNodeFailureDegradesElegantly(t *testing.T) {
 			t.Fatalf("request %d failed: %v", i, err)
 		}
 	}
-	if c.Healthy() != 3 {
-		t.Fatalf("healthy = %d, want 3", c.Healthy())
+	if c.Dispatcher.HealthyCount() != 3 {
+		t.Fatalf("healthy = %d, want 3", c.Dispatcher.HealthyCount())
 	}
 }
 
 func TestFrameFailure(t *testing.T) {
 	c := newComplex(t, 2, 4)
 	c.FailFrame(0)
-	if c.Healthy() != 4 {
-		t.Fatalf("healthy = %d, want 4", c.Healthy())
+	if c.Dispatcher.HealthyCount() != 4 {
+		t.Fatalf("healthy = %d, want 4", c.Dispatcher.HealthyCount())
 	}
 	for i := 0; i < 20; i++ {
 		if _, _, err := c.Serve("/p"); err != nil {
@@ -110,8 +107,8 @@ func TestFrameFailure(t *testing.T) {
 		}
 	}
 	c.RecoverFrame(0)
-	if c.Healthy() != 8 {
-		t.Fatalf("healthy after recovery = %d", c.Healthy())
+	if c.Dispatcher.HealthyCount() != 8 {
+		t.Fatalf("healthy after recovery = %d", c.Dispatcher.HealthyCount())
 	}
 	// Out-of-range indices are no-ops.
 	c.FailFrame(-1)
@@ -123,15 +120,15 @@ func TestFrameFailure(t *testing.T) {
 func TestComplexTotalFailure(t *testing.T) {
 	c := newComplex(t, 2, 2)
 	c.FailAll()
-	if c.Healthy() != 0 {
-		t.Fatalf("healthy = %d", c.Healthy())
+	if c.Dispatcher.HealthyCount() != 0 {
+		t.Fatalf("healthy = %d", c.Dispatcher.HealthyCount())
 	}
 	if _, _, err := c.Serve("/p"); err == nil {
 		t.Fatal("dead complex served")
 	}
 	c.RecoverAll()
-	if c.Healthy() != 4 {
-		t.Fatalf("healthy after recovery = %d", c.Healthy())
+	if c.Dispatcher.HealthyCount() != 4 {
+		t.Fatalf("healthy after recovery = %d", c.Dispatcher.HealthyCount())
 	}
 	if _, _, err := c.Serve("/p"); err != nil {
 		t.Fatalf("serve after recovery: %v", err)
@@ -144,8 +141,8 @@ func TestAdviseRestoresRecoveredNodes(t *testing.T) {
 	n.Fail()
 	c.Serve("/p") // dispatcher pulls the failed node on error or picks other
 	c.Advise()
-	if c.Healthy() != 1 {
-		t.Fatalf("healthy = %d, want 1", c.Healthy())
+	if c.Dispatcher.HealthyCount() != 1 {
+		t.Fatalf("healthy = %d, want 1", c.Dispatcher.HealthyCount())
 	}
 	n.Recover()
 	if got := c.Advise(); got != 2 {
@@ -187,9 +184,6 @@ func TestLedger(t *testing.T) {
 	l.Record(false)
 	if got := l.Availability(); got != 0.98 {
 		t.Fatalf("availability = %v", got)
-	}
-	if l.Samples() != 100 {
-		t.Fatalf("samples = %d", l.Samples())
 	}
 	if l.Outages() != 1 {
 		t.Fatalf("outages = %d, want 1 contiguous run", l.Outages())

@@ -21,12 +21,12 @@ func TestWarmupGatesReadmission(t *testing.T) {
 	})
 
 	n.Fail()
-	if !n.Down() {
+	if stateOf(n) != NodeDown {
 		t.Fatal("node not down after Fail")
 	}
 	n.Recover()
-	if !n.Warming() {
-		t.Fatalf("state = %s, want warming", n.State())
+	if stateOf(n) != NodeWarming {
+		t.Fatalf("state = %s, want warming", stateOf(n))
 	}
 	if n.Ready() {
 		t.Fatal("warming node reports ready")
@@ -64,9 +64,9 @@ func TestWarmupErrorLeavesNodeDown(t *testing.T) {
 	n.Fail()
 	n.Recover()
 	deadline := time.Now().Add(5 * time.Second)
-	for !n.Down() {
+	for stateOf(n) != NodeDown {
 		if time.Now().After(deadline) {
-			t.Fatalf("state = %s, want down after warmup error", n.State())
+			t.Fatalf("state = %s, want down after warmup error", stateOf(n))
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -92,7 +92,7 @@ func TestFailDuringWarmupWins(t *testing.T) {
 
 	n.Fail()
 	n.Recover()
-	if !n.Warming() {
+	if stateOf(n) != NodeWarming {
 		t.Fatal("node not warming")
 	}
 	n.Fail() // re-fail mid-warmup
@@ -100,8 +100,8 @@ func TestFailDuringWarmupWins(t *testing.T) {
 
 	// The stale warmup must not flip the node up.
 	time.Sleep(5 * time.Millisecond)
-	if !n.Down() {
-		t.Fatalf("state = %s, want down (stale warmup abandoned)", n.State())
+	if stateOf(n) != NodeDown {
+		t.Fatalf("state = %s, want down (stale warmup abandoned)", stateOf(n))
 	}
 }
 
@@ -127,7 +127,7 @@ func TestDoubleFailIsIdempotent(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("transitions = %d, want 1 (double Fail is a no-op)", got)
 	}
-	if !n.Down() {
+	if stateOf(n) != NodeDown {
 		t.Fatal("node not down")
 	}
 }
@@ -229,3 +229,6 @@ func TestAdviseDuringWarmup(t *testing.T) {
 		t.Fatalf("healthy = %d, want 2 after warmup", got)
 	}
 }
+
+// stateOf returns n's lifecycle state.
+func stateOf(n *Node) NodeState { return NodeState(n.state.Load()) }

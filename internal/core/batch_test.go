@@ -183,7 +183,7 @@ func TestBatchStoreFailedRenderInvalidatesAtOnce(t *testing.T) {
 		if !reflect.DeepEqual(store.ops, want) {
 			t.Fatalf("workers=%d: ops = %q, want %q", workers, store.ops, want)
 		}
-		if store.Contains("/b") {
+		if present(store.Peek("/b")) {
 			t.Fatalf("workers=%d: known-stale /b left in the cache", workers)
 		}
 	}

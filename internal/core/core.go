@@ -73,8 +73,9 @@ func (p Policy) String() string {
 
 // Store is where DUP applies its remedies. It is the single shared
 // contract of the propagation pipeline: *cache.Cache and *cache.Group
-// implement it directly (Apply* methods), and decorators such as
-// fault.FlakyStore wrap any Store with injected failure behaviour.
+// implement it directly (Apply* methods). Injected push faults live in
+// cache.Group's put hook (fault.Injector.PushHook), which downgrades a
+// failed push to an invalidation.
 type Store interface {
 	// ApplyPut installs a freshly generated object.
 	ApplyPut(obj *cache.Object)
@@ -297,13 +298,6 @@ func NewEngine(graph *odg.Graph, store Store, opts ...Option) *Engine {
 	return e
 }
 
-// Graph exposes the engine's dependence graph (registration helpers in
-// other packages need it).
-func (e *Engine) Graph() *odg.Graph { return e.graph }
-
-// Policy returns the configured remedy policy.
-func (e *Engine) Policy() Policy { return e.policy }
-
 // RegisterObject declares that the cached object key depends on exactly the
 // given underlying-data IDs, replacing any previous registration. Server
 // programs call this after each render.
@@ -316,12 +310,6 @@ func (e *Engine) RegisterObject(key cache.Key, deps []odg.NodeID) {
 func (e *Engine) RegisterFragment(key cache.Key, deps []odg.NodeID) {
 	e.graph.ReplaceDependencies(odg.NodeID(key), deps)
 	e.graph.AddNode(odg.NodeID(key), odg.KindBoth)
-}
-
-// Unregister removes the object from the dependence graph (a page retired
-// from the site).
-func (e *Engine) Unregister(key cache.Key) {
-	e.graph.RemoveNode(odg.NodeID(key))
 }
 
 // OnChange runs one DUP propagation for a batch of changed underlying-data
@@ -638,14 +626,6 @@ func (e *Engine) conservative(res Result, changed []odg.NodeID) Result {
 	res.Affected = res.Invalidated
 	e.invalidated.Add(int64(res.Invalidated))
 	return res
-}
-
-// PendingStaleness returns the accumulated below-threshold staleness for an
-// object (0 if none). Visible for tests and monitoring.
-func (e *Engine) PendingStaleness(key cache.Key) float64 {
-	e.staleMu.Lock()
-	defer e.staleMu.Unlock()
-	return e.staleAcc[key]
 }
 
 // EngineStats is a snapshot of engine counters.

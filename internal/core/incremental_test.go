@@ -171,8 +171,8 @@ func TestIncrementalBatchSkipsUnchangedFragments(t *testing.T) {
 func TestPartitionSeparatesFragmentsFromPages(t *testing.T) {
 	_, _, e, _ := fragmentStack(t, 3)
 	d := odg.NodeID(db.RowID("rows", "score"))
-	affected := e.Graph().Affected(d)
-	frags, pages := e.Graph().Partition(affected)
+	affected := e.graph.Affected(d)
+	frags, pages := e.graph.Partition(affected)
 	if len(frags) != 1 || frags[0] != "frag:score" {
 		t.Fatalf("fragments = %v, want [frag:score]", frags)
 	}

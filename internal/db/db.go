@@ -123,9 +123,6 @@ func NextTraceID() int64 { return traceSeq.Add(1) }
 // never created.
 var ErrNoTable = errors.New("db: no such table")
 
-// ErrClosed is returned by operations on a closed database.
-var ErrClosed = errors.New("db: closed")
-
 type table struct {
 	name string
 	rows map[string]Row
@@ -144,7 +141,6 @@ type DB struct {
 	lsn      int64
 	subs     map[int]*subscriber
 	nextID   int
-	closed   bool
 	readHook ReadHook
 }
 
@@ -262,18 +258,6 @@ func (d *DB) CreateTable(name string) {
 	}
 }
 
-// Tables returns the table names, sorted.
-func (d *DB) Tables() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.tables))
-	for n := range d.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Get returns the stored row, with ok reporting presence. The row's Cols is
 // shared with the store and must not be modified; a later commit replaces
 // the map rather than writing to it, so a row read earlier keeps its
@@ -327,17 +311,6 @@ func (d *DB) Scan(tbl, prefix string) ([]Row, error) {
 	return out, nil
 }
 
-// Count returns the number of rows in the table.
-func (d *DB) Count(tbl string) (int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	t, ok := d.tables[tbl]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoTable, tbl)
-	}
-	return len(t.rows), nil
-}
-
 // Tx accumulates changes for an atomic commit. A Tx is not safe for
 // concurrent use; build it on one goroutine and Commit it once.
 type Tx struct {
@@ -358,15 +331,6 @@ func (t *Tx) Put(tbl, key string, cols map[string]string) *Tx {
 	return t
 }
 
-// Delete stages a row deletion.
-func (t *Tx) Delete(tbl, key string) *Tx {
-	t.changes = append(t.changes, Change{Table: tbl, Key: key, Op: OpDelete})
-	return t
-}
-
-// Len returns the number of staged changes.
-func (t *Tx) Len() int { return len(t.changes) }
-
 // Commit atomically applies the transaction, assigns it the next LSN,
 // appends it to the retained log, and publishes it to all subscribers. Each
 // put stores the column map Tx.Put copied, replacing the row's previous map
@@ -379,10 +343,6 @@ func (d *DB) Commit(tx *Tx) (Transaction, error) {
 		return Transaction{}, nil
 	}
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return Transaction{}, ErrClosed
-	}
 	// Validate all tables first so a commit is all-or-nothing.
 	for _, c := range tx.changes {
 		if _, ok := d.tables[c.Table]; !ok {
@@ -422,10 +382,6 @@ func (d *DB) Commit(tx *Tx) (Transaction, error) {
 // replication bugs surface instead of silently corrupting the replica.
 func (d *DB) Apply(tx Transaction) error {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
-	}
 	if tx.LSN != d.lsn+1 {
 		cur := d.lsn
 		d.mu.Unlock()
@@ -521,12 +477,4 @@ func (d *DB) RegisterMetrics(reg *stats.Registry, labels stats.Labels) {
 			defer d.mu.RUnlock()
 			return float64(len(d.subs))
 		})
-}
-
-// Close marks the database closed. Subsequent commits fail with ErrClosed;
-// reads continue to work (a failed complex can still serve stale reads).
-func (d *DB) Close() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
 }

@@ -17,11 +17,8 @@ func TestCreateTableIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.CreateTable("results") // must not wipe rows
-	if n, _ := d.Count("results"); n != 1 {
+	if n := count(t, d, "results"); n != 1 {
 		t.Fatalf("Count = %d, want 1", n)
-	}
-	if got := d.Tables(); len(got) != 1 || got[0] != "results" {
-		t.Fatalf("Tables = %v", got)
 	}
 }
 
@@ -31,9 +28,6 @@ func TestGetMissingTable(t *testing.T) {
 		t.Fatal("expected ErrNoTable")
 	}
 	if _, err := d.Scan("ghost", ""); err == nil {
-		t.Fatal("expected ErrNoTable")
-	}
-	if _, err := d.Count("ghost"); err == nil {
 		t.Fatal("expected ErrNoTable")
 	}
 }
@@ -76,7 +70,7 @@ func TestCommitUnknownTableAtomic(t *testing.T) {
 		t.Fatal("expected error for unknown table")
 	}
 	// Nothing may have been applied.
-	if n, _ := d.Count("good"); n != 0 {
+	if n := count(t, d, "good"); n != 0 {
 		t.Fatal("failed commit partially applied")
 	}
 	if d.LSN() != 0 {
@@ -141,17 +135,22 @@ func TestTxPutCopiesCols(t *testing.T) {
 	}
 }
 
+// TestDelete: a replica applying a shipped OpDelete change drops the row.
 func TestDelete(t *testing.T) {
 	d := New("t")
 	d.CreateTable("x")
 	if _, err := d.Commit(d.NewTx().Put("x", "k", nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Commit(d.NewTx().Delete("x", "k")); err != nil {
+	del := Transaction{LSN: 2, Changes: []Change{{Table: "x", Key: "k", Op: OpDelete}}}
+	if err := d.Apply(del); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := d.Get("x", "k"); ok {
 		t.Fatal("deleted row still present")
+	}
+	if n := count(t, d, "x"); n != 0 {
+		t.Fatalf("%d rows after the delete, want 0", n)
 	}
 }
 
@@ -249,22 +248,6 @@ func TestSubscribeCancelClosesFeed(t *testing.T) {
 	}
 }
 
-func TestCloseRejectsCommits(t *testing.T) {
-	d := New("t")
-	d.CreateTable("x")
-	if _, err := d.Commit(d.NewTx().Put("x", "k", nil)); err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-	if _, err := d.Commit(d.NewTx().Put("x", "k2", nil)); err != ErrClosed {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-	// Reads still work.
-	if _, ok, err := d.Get("x", "k"); !ok || err != nil {
-		t.Fatal("reads should survive Close")
-	}
-}
-
 func TestApplyOutOfOrderRejected(t *testing.T) {
 	d := New("t")
 	if err := d.Apply(Transaction{LSN: 2}); err == nil {
@@ -344,9 +327,9 @@ func TestReplicationCatchUpAndLive(t *testing.T) {
 		}
 	}
 	if !r.WaitCaughtUp(5 * time.Second) {
-		t.Fatalf("replica lag = %d after timeout", r.Lag())
+		t.Fatalf("replica at LSN %d of %d after timeout", replica.LSN(), master.LSN())
 	}
-	if n, _ := replica.Count("x"); n != 10 {
+	if n := count(t, replica, "x"); n != 10 {
 		t.Fatalf("replica rows = %d, want 10", n)
 	}
 }
@@ -373,7 +356,7 @@ func TestChainedReplication(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n, _ := columbus.Count("x"); n != 20 {
+	if n := count(t, columbus, "x"); n != 20 {
 		t.Fatalf("columbus rows = %d, want 20", n)
 	}
 }
@@ -447,7 +430,7 @@ func TestConcurrentCommits(t *testing.T) {
 	if d.LSN() != workers*per {
 		t.Fatalf("LSN = %d, want %d", d.LSN(), workers*per)
 	}
-	if n, _ := d.Count("x"); n != workers*per {
+	if n := count(t, d, "x"); n != workers*per {
 		t.Fatalf("rows = %d, want %d", n, workers*per)
 	}
 	// The log must contain exactly one transaction per LSN, in order.
@@ -470,11 +453,7 @@ func TestReplayEquivalenceProperty(t *testing.T) {
 			tx := m.NewTx()
 			for j := 0; j <= rng.Intn(3); j++ {
 				k := fmt.Sprintf("k%d", rng.Intn(20))
-				if rng.Intn(4) == 0 {
-					tx.Delete("x", k)
-				} else {
-					tx.Put("x", k, map[string]string{"v": fmt.Sprint(rng.Intn(1000))})
-				}
+				tx.Put("x", k, map[string]string{"v": fmt.Sprint(rng.Intn(1000))})
 			}
 			if _, err := m.Commit(tx); err != nil {
 				return false
@@ -563,4 +542,14 @@ func TestApplyPreservesTraceID(t *testing.T) {
 	if len(got) != 1 || got[0].TraceID != tx.TraceID {
 		t.Fatalf("replica log TraceID = %+v, want %d (identity must survive log shipping)", got, tx.TraceID)
 	}
+}
+
+// count returns the number of rows in table tbl of d.
+func count(t *testing.T, d *DB, tbl string) int {
+	t.Helper()
+	rows, err := d.Scan(tbl, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(rows)
 }

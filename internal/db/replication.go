@@ -39,7 +39,6 @@ type Replicator struct {
 	quitOnce sync.Once
 
 	mu      sync.Mutex
-	applied int64
 	stopped bool
 }
 
@@ -145,9 +144,6 @@ func (r *Replicator) apply(tx Transaction) {
 	for {
 		err := r.replica.Apply(tx)
 		if err == nil {
-			r.mu.Lock()
-			r.applied = tx.LSN
-			r.mu.Unlock()
 			return
 		}
 		var t interface{ Transient() bool }
@@ -169,8 +165,8 @@ func (r *Replicator) apply(tx Transaction) {
 			}
 			continue
 		}
-		// Non-transient Apply failures are LSN gaps (a replication bug) or a
-		// closed replica (a simulated complex failure). Either way the
+		// A non-transient Apply failure is an LSN gap (a replication bug)
+		// or a remote replica that refused the transaction. Either way the
 		// replicator must not silently skip: record and stop consuming.
 		r.mu.Lock()
 		r.stopped = true
@@ -178,18 +174,6 @@ func (r *Replicator) apply(tx Transaction) {
 		r.cancel()
 		return
 	}
-}
-
-// Lag returns how many transactions the replica trails the master by.
-func (r *Replicator) Lag() int64 {
-	return r.master.LSN() - r.replica.LSN()
-}
-
-// Applied returns the highest LSN the replicator has applied.
-func (r *Replicator) Applied() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.applied
 }
 
 // Stop unsubscribes from the master and waits for the shipping goroutine to

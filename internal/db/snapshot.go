@@ -39,9 +39,6 @@ func (d *DB) Snapshot() Snapshot {
 func (d *DB) Restore(s Snapshot) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
 	if d.lsn != 0 || len(d.log) != 0 {
 		return fmt.Errorf("db: restore into non-empty database %q (LSN %d)", d.name, d.lsn)
 	}
@@ -55,22 +52,6 @@ func (d *DB) Restore(s Snapshot) error {
 	}
 	d.lsn = s.LSN
 	return nil
-}
-
-// TruncateLog discards retained transactions with LSN <= before, bounding
-// the memory a long-running master spends on replica catch-up history.
-// Replicas older than the truncation point must bootstrap from a Snapshot
-// instead of LogSince. Returns the number of entries dropped.
-func (d *DB) TruncateLog(before int64) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	i := sort.Search(len(d.log), func(i int) bool { return d.log[i].LSN > before })
-	if i == 0 {
-		return 0
-	}
-	dropped := i
-	d.log = append([]Transaction(nil), d.log[i:]...)
-	return dropped
 }
 
 // OldestRetainedLSN returns the LSN of the oldest retained log entry, or 0

@@ -55,27 +55,6 @@ func TestRestoreRejectsNonEmpty(t *testing.T) {
 	if err := m.Restore(m.Snapshot()); err == nil {
 		t.Fatal("restore into non-empty database accepted")
 	}
-	closed := New("c")
-	closed.Close()
-	if err := closed.Restore(Snapshot{}); err != ErrClosed {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
-func TestTruncateLog(t *testing.T) {
-	m := seeded(t, 10)
-	if dropped := m.TruncateLog(4); dropped != 4 {
-		t.Fatalf("dropped = %d, want 4", dropped)
-	}
-	if got := m.OldestRetainedLSN(); got != 5 {
-		t.Fatalf("oldest = %d, want 5", got)
-	}
-	if log := m.LogSince(0); len(log) != 6 || log[0].LSN != 5 {
-		t.Fatalf("log = %d entries from %d", len(log), log[0].LSN)
-	}
-	if dropped := m.TruncateLog(4); dropped != 0 {
-		t.Fatalf("second truncate dropped %d", dropped)
-	}
 }
 
 func TestOldestRetainedEmpty(t *testing.T) {
@@ -86,11 +65,10 @@ func TestOldestRetainedEmpty(t *testing.T) {
 }
 
 func TestBootstrapFromSnapshotThenLiveFeed(t *testing.T) {
-	// The mid-games replica bootstrap: snapshot, truncated master log, then
-	// live replication.
+	// The mid-games replica bootstrap: snapshot, then live replication
+	// from the snapshot's LSN on.
 	m := seeded(t, 20)
 	snap := m.Snapshot()
-	m.TruncateLog(20) // history before the snapshot is gone
 
 	r := New("late-replica")
 	if err := r.Restore(snap); err != nil {
@@ -106,7 +84,7 @@ func TestBootstrapFromSnapshotThenLiveFeed(t *testing.T) {
 	if !repl.WaitCaughtUp(5e9) {
 		t.Fatal("late replica never caught up")
 	}
-	if n, _ := r.Count("x"); n != 25 {
+	if n := count(t, r, "x"); n != 25 {
 		t.Fatalf("replica rows = %d, want 25", n)
 	}
 }

@@ -10,9 +10,10 @@
 // determinism, a Deployment runs the real asynchronous pipeline: results
 // committed at the master flow through replication delay, land on each
 // replica's change feed, and each complex's trigger monitor independently
-// regenerates and redistributes its own pages. This is the component a
-// downstream user would actually deploy; cmd/olympicsd and the
-// examples/globalgames example run on it.
+// regenerates and redistributes its own pages. The chaos, audit, recovery
+// and flight scenarios (internal/chaos, run by cmd/simulate) and
+// examples/globalgames run on it; cmd/olympicsd still assembles its own
+// plant.
 //
 // A Deployment has a start/drain lifecycle: New constructs the
 // entire topology cold, Start(ctx) brings up replication and the trigger
@@ -528,9 +529,8 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 	}
 	var recMetrics *recovery.Metrics
 	if d.recovery != nil {
-		recMetrics = recovery.NewMetrics()
+		recMetrics = &recovery.Metrics{}
 		p := *d.recovery
-		metrics := recMetrics
 		clCfg.DispatcherOptions = append(clCfg.DispatcherOptions,
 			dispatch.WithHealthPolicy(dispatch.HealthPolicy{
 				FailThreshold:    p.FailThreshold,
@@ -540,18 +540,16 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 				FlapWindow:       p.FlapWindow,
 				QuarantineBase:   p.QuarantineBase,
 				QuarantineMax:    p.QuarantineMax,
-			}),
-			// Probation-machine transitions feed the recovery metrics and,
-			// under observability, the journal: node/down on eviction (plus
-			// node/flap_quarantine when damping trips — a flight-recorder
-			// trigger), node/readmitted when a node re-enters the list.
-			dispatch.WithStateChange(func(ch dispatch.StateChange) {
-				switch {
-				case ch.To == dispatch.StateDown:
-					if ch.Flapped {
-						metrics.FlapQuarantines.Inc()
-					}
-					if suite != nil {
+			}))
+		if suite != nil {
+			// Probation-machine transitions feed the journal: node/down on
+			// eviction (plus node/flap_quarantine when damping trips — a
+			// flight-recorder trigger), node/readmitted when a node
+			// re-enters the list.
+			clCfg.DispatcherOptions = append(clCfg.DispatcherOptions,
+				dispatch.WithStateChange(func(ch dispatch.StateChange) {
+					switch {
+					case ch.To == dispatch.StateDown:
 						suite.Journal.Event(obs.LevelWarn, "node", "down",
 							"dispatcher evicted the node from the distribution list",
 							"node", ch.Node, "cause", ch.Cause)
@@ -562,16 +560,13 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 								"flaps", strconv.Itoa(ch.Flaps),
 								"quarantine", strconv.Itoa(ch.Quarantine))
 						}
-					}
-				case ch.From == dispatch.StateDown:
-					metrics.Readmissions.Inc()
-					if suite != nil {
+					case ch.From == dispatch.StateDown:
 						suite.Journal.Event(obs.LevelInfo, "node", "readmitted",
 							"node readmitted to the distribution list",
 							"node", ch.Node, "state", ch.To.String())
 					}
-				}
-			}))
+				}))
+		}
 	}
 	if len(nodeOptFns) > 0 {
 		fns := nodeOptFns
@@ -825,27 +820,6 @@ func (d *Deployment) Shutdown(ctx context.Context) error {
 // performed across all complexes.
 func (d *Deployment) MonitorRestarts() int64 { return d.restarts.Value() }
 
-// RegisterMetrics publishes deployment-level recovery metrics — the
-// monitor_restarts_total family, labeled per complex — plus each complex's
-// audit_* families when the deployment was built WithAudit.
-func (d *Deployment) RegisterMetrics(reg *stats.Registry) {
-	for _, name := range d.order {
-		cx := d.complexes[name]
-		reg.RegisterCounter("monitor_restarts_total",
-			"trigger monitors restarted from checkpoint by supervision",
-			stats.Labels{"complex": name}, &cx.restarts)
-		if cx.Auditor != nil {
-			cx.Auditor.RegisterMetrics(reg, stats.Labels{"complex": name})
-		}
-		if cx.Obs != nil {
-			cx.Obs.RegisterMetrics(reg, stats.Labels{"complex": name})
-		}
-		if cx.Recovery != nil {
-			cx.Recovery.Register(reg, stats.Labels{"complex": name})
-		}
-	}
-}
-
 // Complex returns a deployed complex by name.
 func (d *Deployment) Complex(name string) (*Complex, bool) {
 	cx, ok := d.complexes[name]
@@ -926,24 +900,6 @@ func (d *Deployment) Serve(region routing.Region, path string) (*cache.Object, h
 	return d.Router.Request(region, path)
 }
 
-// Stats aggregates cache behaviour across every serving node of every
-// complex.
-func (d *Deployment) Stats() cache.Stats {
-	var agg cache.Stats
-	for _, cx := range d.Complexes() {
-		s := cx.Cluster.Caches.AggregateStats()
-		agg.Hits += s.Hits
-		agg.Misses += s.Misses
-		agg.Puts += s.Puts
-		agg.Updates += s.Updates
-		agg.Invalidations += s.Invalidations
-		agg.Items += s.Items
-		agg.Bytes += s.Bytes
-		agg.PeakBytes += s.PeakBytes
-	}
-	return agg
-}
-
 // AdviseLoad runs one load-advisor sweep, closing the overload loop at the
 // routing layer: each complex's aggregate load (the mean of its nodes'
 // limiter signals, as seen by the Network Dispatcher) is fed to MSIRP,
@@ -958,37 +914,4 @@ func (d *Deployment) AdviseLoad() map[string]float64 {
 		_ = d.Router.SetComplexLoad(name, load)
 	}
 	return loads
-}
-
-// FailComplex takes an entire complex offline: every node errors, the
-// dispatcher drains, and MSIRP reroutes its traffic to the next-cheapest
-// advertisers. Unknown names are ignored.
-func (d *Deployment) FailComplex(name string) {
-	cx, ok := d.complexes[name]
-	if !ok {
-		return
-	}
-	cx.Cluster.FailAll()
-	d.Router.SetComplexUp(name, false)
-}
-
-// RecoverComplex brings a failed complex back: nodes recover, the router
-// re-advertises, and — because the crash discarded the memory-resident
-// caches — the complex's own site re-renders and redistributes the full
-// page set from its replica, exactly as the trigger-monitor distribution
-// path would, so it rejoins warm.
-func (d *Deployment) RecoverComplex(name string) error {
-	cx, ok := d.complexes[name]
-	if !ok {
-		return fmt.Errorf("deploy: unknown complex %q", name)
-	}
-	cx.Cluster.RecoverAll()
-	d.Router.SetComplexUp(name, true)
-	group := cx.Cluster.Caches
-	if err := cx.Site.PrerenderAll(cx.Replica.LSN(), func(o *cache.Object) {
-		group.BroadcastPut(o)
-	}); err != nil {
-		return fmt.Errorf("deploy: rewarm %s: %w", name, err)
-	}
-	return nil
 }

@@ -149,15 +149,18 @@ func TestHitRateStays100UnderLiveUpdates(t *testing.T) {
 			}
 		}
 	}
-	agg := d.Stats()
-	if agg.Misses != 0 {
-		t.Fatalf("misses = %d, want 0", agg.Misses)
+	for _, cx := range d.Complexes() {
+		if m := cx.Cluster.Caches.AggregateStats().Misses; m != 0 {
+			t.Fatalf("complex %s misses = %d, want 0", cx.Name, m)
+		}
 	}
 }
 
 func TestComplexFailureServedElsewhere(t *testing.T) {
 	d := newDeployment(t)
-	d.FailComplex("tokyo")
+	tokyo, _ := d.Complex("tokyo")
+	tokyo.Cluster.FailAll()
+	d.Router.SetComplexUp("tokyo", false)
 	for i := 0; i < 24; i++ {
 		_, _, name, err := d.Serve(routing.RegionJapan, "/en/medals")
 		if err != nil {
@@ -167,18 +170,11 @@ func TestComplexFailureServedElsewhere(t *testing.T) {
 			t.Fatal("served by failed complex")
 		}
 	}
-	// Recovery re-advertises and rewarms the crashed caches.
-	if err := d.RecoverComplex("tokyo"); err != nil {
-		t.Fatal(err)
-	}
-	_, outcome, name, err := d.Serve(routing.RegionJapan, "/en/medals")
-	if err != nil || name != "tokyo" || outcome != httpserver.OutcomeHit {
-		t.Fatalf("after recovery: %v %s %v", outcome, name, err)
-	}
-	// Helpers tolerate unknown names.
-	d.FailComplex("atlantis")
-	if err := d.RecoverComplex("atlantis"); err == nil {
-		t.Fatal("recover of unknown complex should error")
+	// Once its nodes recover and it is re-advertised, Japan goes home.
+	tokyo.Cluster.RecoverAll()
+	d.Router.SetComplexUp("tokyo", true)
+	if _, _, name, err := d.Serve(routing.RegionJapan, "/en/medals"); err != nil || name != "tokyo" {
+		t.Fatalf("after recovery: served by %s, %v", name, err)
 	}
 }
 

@@ -54,9 +54,18 @@ func TestWithOverloadArmsEveryNode(t *testing.T) {
 
 func TestPolicyReachesEveryEngine(t *testing.T) {
 	d := newOverloadDeployment(t, overload.Config{MaxConcurrent: 2}, time.Minute)
+	ev := d.MasterSite.Events[0]
+	if _, err := d.MasterSite.RecordResult(ev, ev.Participants[0], ev.Participants[1], ev.Participants[2], "1"); err != nil {
+		t.Fatal(err)
+	}
+	if !d.WaitFresh(10 * time.Second) {
+		t.Fatal("freshness timeout")
+	}
+	// Under the invalidate policy a commit drops the affected pages and
+	// renders none of them.
 	for _, cx := range d.Complexes() {
-		if got := cx.Engine.Policy(); got != core.PolicyInvalidate {
-			t.Fatalf("complex %s engine policy = %v, want invalidate", cx.Name, got)
+		if st := cx.Engine.Stats(); st.Invalidated == 0 || st.Updated != 0 {
+			t.Fatalf("complex %s engine invalidated %d and updated %d pages, want invalidate only", cx.Name, st.Invalidated, st.Updated)
 		}
 	}
 }

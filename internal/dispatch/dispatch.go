@@ -12,16 +12,16 @@
 // # Pick-path concurrency
 //
 // Request routing is lock-free: the distribution list is an immutable
-// snapshot swapped atomically (RCU-style) whenever membership or probation
+// snapshot swapped atomically (RCU-style) whenever a member's probation
 // state changes. A pick reads the current snapshot, scans it with atomic
 // per-member counters (outstanding work, slow-start credit, cached load
 // signal), and never takes the dispatcher lock — so routing does not
 // serialize concurrent requests, and two requests never observe a torn
-// member list. The lock still guards the slow path: membership changes,
-// the probation state machine, and advisor sweeps. Each member's overload
-// signal is cached in the snapshot's atomics and refreshed when a request
-// completes on that member and on every advisor observation, so the pick
-// path never calls into a node's limiter.
+// member list. The lock still guards the slow path: the probation state
+// machine and advisor sweeps. Each member's overload signal is cached in
+// the snapshot's atomics and refreshed when a request completes on that
+// member and on every advisor observation, so the pick path never calls
+// into a node's limiter.
 //
 // Dispatcher itself satisfies the Node interface, so dispatchers compose:
 // the routing layer treats a whole complex (one dispatcher over many
@@ -93,12 +93,12 @@ var ErrNoBackends = errors.New("dispatch: no healthy backends")
 type MemberState uint8
 
 const (
-	// StateUp: full member of the distribution list at its configured weight.
+	// StateUp: full member of the distribution list.
 	StateUp MemberState = iota
 	// StateProbation: readmitted but ramping — the member takes only a
 	// fraction of the traffic an equally loaded up member would, and the
-	// fraction grows with each good probe observation until it reaches full
-	// weight.
+	// fraction grows with each good probe observation until it reaches a full
+	// share.
 	StateProbation
 	// StateDown: out of the distribution list.
 	StateDown
@@ -117,7 +117,7 @@ func (s MemberState) String() string {
 
 // HealthPolicy tunes the probation state machine. The zero value (after
 // normalization) reproduces the dispatcher's historical behaviour exactly:
-// one bad observation evicts, one good observation readmits at full weight,
+// one bad observation evicts, one good observation readmits at full share,
 // and no flap damping — the paper's instant-eviction advisors.
 type HealthPolicy struct {
 	// FailThreshold is how many consecutive bad probe observations evict an
@@ -130,7 +130,7 @@ type HealthPolicy struct {
 	ReadmitThreshold int
 	// RampStart is the traffic share a freshly readmitted member starts at,
 	// in (0,1]. 1 (the default) disables the ramp: readmission goes straight
-	// to full weight.
+	// to full share.
 	RampStart float64
 	// RampFactor multiplies the share on each further good observation until
 	// it reaches 1 (default 2: exponential slow-start).
@@ -201,16 +201,14 @@ type member struct {
 	cs   ctxServer    // pre-resolved ServeCtx, nil if unsupported
 	ls   loadSignaler // pre-resolved LoadSignal, nil if unsupported
 
-	weight    int          // capacity multiplier (the ND weighted SMPs above UPs)
-	invWeight float64      // 1/weight, precomputed for the pick path
-	state     MemberState  // guarded by d.mu
-	out       atomic.Int64 // outstanding requests
-	served    atomic.Int64
-	failures  atomic.Int64
-	sheds     atomic.Int64  // requests this node refused under overload
-	credit    atomic.Int64  // slow-start token bucket, creditUnit fixed-point
-	rampM     atomic.Int64  // probation traffic share, creditUnit fixed-point
-	loadBits  atomic.Uint64 // cached LoadSignal (float64 bits)
+	state    MemberState  // guarded by d.mu
+	out      atomic.Int64 // outstanding requests
+	served   atomic.Int64
+	failures atomic.Int64
+	sheds    atomic.Int64  // requests this node refused under overload
+	credit   atomic.Int64  // slow-start token bucket, creditUnit fixed-point
+	rampM    atomic.Int64  // probation traffic share, creditUnit fixed-point
+	loadBits atomic.Uint64 // cached LoadSignal (float64 bits)
 
 	// Probation state machine (guarded by d.mu; see HealthPolicy).
 	failStreak int // consecutive bad observations while up/probation
@@ -221,8 +219,8 @@ type member struct {
 	quarantine int // good observations still ignored before readmission
 }
 
-func newMember(n Node, weight int) *member {
-	m := &member{node: n, weight: weight, invWeight: 1 / float64(weight), state: StateUp}
+func newMember(n Node) *member {
+	m := &member{node: n, state: StateUp}
 	m.cs, _ = n.(ctxServer)
 	m.ls, _ = n.(loadSignaler)
 	m.refreshLoad()
@@ -246,11 +244,10 @@ func (m *member) cachedLoad() float64 {
 	return math.Float64frombits(m.loadBits.Load())
 }
 
-// load is the member's normalized queue depth: outstanding work divided by
-// capacity. A weight-4 node with 4 requests in flight is as "busy" as a
-// weight-1 node with one.
+// load is the member's queue depth at the dispatcher: its outstanding
+// requests.
 func (m *member) load() float64 {
-	return float64(m.out.Load()) * m.invWeight
+	return float64(m.out.Load())
 }
 
 // score is the pick-path selection key: queue depth here at the dispatcher
@@ -343,8 +340,7 @@ func WithStateChange(fn func(StateChange)) Option {
 type Config struct {
 	// Name appears in diagnostics and error messages.
 	Name string
-	// Nodes seeds the pool, all initially up with weight 1. Add/AddWeighted
-	// extend it later.
+	// Nodes is the pool, all initially up.
 	Nodes []Node
 	// ProbeInterval, when positive, makes Start launch a background advisor
 	// loop probing the pool at this interval. Zero leaves health management
@@ -365,7 +361,7 @@ func New(cfg Config, opts ...Option) *Dispatcher {
 		o(d)
 	}
 	for _, n := range cfg.Nodes {
-		d.members = append(d.members, newMember(n, 1))
+		d.members = append(d.members, newMember(n))
 	}
 	d.rebuildLocked()
 	return d
@@ -422,38 +418,6 @@ func (d *Dispatcher) Shutdown(ctx context.Context) error {
 // Name implements Node.
 func (d *Dispatcher) Name() string { return d.name }
 
-// Add inserts a node into the pool (initially up, weight 1).
-func (d *Dispatcher) Add(n Node) { d.AddWeighted(n, 1) }
-
-// AddWeighted inserts a node with a capacity weight: the Network Dispatcher
-// supported heterogeneous pools (the 8-way SMP could absorb several times a
-// uniprocessor's load), and the picker balances outstanding work divided by
-// weight. Weights below 1 are clamped to 1.
-func (d *Dispatcher) AddWeighted(n Node, weight int) {
-	if weight < 1 {
-		weight = 1
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.members = append(d.members, newMember(n, weight))
-	d.rebuildLocked()
-}
-
-// Remove deletes a node from the pool by name, reporting whether it was
-// present.
-func (d *Dispatcher) Remove(name string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i, m := range d.members {
-		if m.node.Name() == name {
-			d.members = append(d.members[:i], d.members[i+1:]...)
-			d.rebuildLocked()
-			return true
-		}
-	}
-	return false
-}
-
 // MarkDown pulls a node from the distribution list without removing it.
 // An explicit mark-down is external certainty (the cluster's advisor saw
 // the node die), so it evicts immediately regardless of FailThreshold.
@@ -473,7 +437,7 @@ func (d *Dispatcher) MarkDown(name string) bool {
 }
 
 // MarkUp counts one good advisor observation for the node. Under the
-// default policy that readmits it to full weight immediately; under a
+// default policy that readmits it to full share immediately; under a
 // stricter HealthPolicy it works through quarantine, the readmit threshold,
 // and the slow-start ramp like any good probe observation.
 func (d *Dispatcher) MarkUp(name string) bool {
@@ -606,21 +570,6 @@ func (d *Dispatcher) fire(changes []StateChange) {
 	for _, ch := range changes {
 		d.onChange(ch)
 	}
-}
-
-// Healthy returns the names of nodes currently in the distribution list
-// (up or in probation), sorted.
-func (d *Dispatcher) Healthy() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []string
-	for _, m := range d.members {
-		if m.inList() {
-			out = append(out, m.node.Name())
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // HealthyCount returns how many nodes are in the distribution list.
@@ -931,7 +880,6 @@ type NodeStats struct {
 	Up bool
 	// State is the probation-machine state ("up", "probation", "down").
 	State       string
-	Weight      int
 	Outstanding int
 	Served      int64
 	Failures    int64
@@ -1013,7 +961,6 @@ func (d *Dispatcher) Stats() DispatcherStats {
 			Name:        m.node.Name(),
 			Up:          m.inList(),
 			State:       m.state.String(),
-			Weight:      m.weight,
 			Outstanding: int(m.out.Load()),
 			Served:      m.served.Load(),
 			Failures:    m.failures.Load(),

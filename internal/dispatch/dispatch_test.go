@@ -230,8 +230,11 @@ func TestMarkDownAndUp(t *testing.T) {
 	if !d.MarkDown("up0") {
 		t.Fatal("MarkDown failed")
 	}
-	if got := d.Healthy(); len(got) != 1 || got[0] != "up1" {
-		t.Fatalf("Healthy = %v", got)
+	if got := d.HealthyCount(); got != 1 {
+		t.Fatalf("HealthyCount = %d, want 1", got)
+	}
+	if st, _ := d.MemberState("up1"); st != StateUp {
+		t.Fatalf("up1 state = %v, want up", st)
 	}
 	for i := 0; i < 10; i++ {
 		d.Serve("/p")
@@ -247,24 +250,6 @@ func TestMarkDownAndUp(t *testing.T) {
 	}
 	if d.MarkDown("ghost") {
 		t.Fatal("MarkDown of unknown node returned true")
-	}
-}
-
-func TestAddRemove(t *testing.T) {
-	d := New(Config{Name: "nd"})
-	f := &fakeNode{name: "late"}
-	d.Add(f)
-	if _, _, err := d.Serve("/p"); err != nil {
-		t.Fatal(err)
-	}
-	if !d.Remove("late") {
-		t.Fatal("Remove failed")
-	}
-	if d.Remove("late") {
-		t.Fatal("double Remove returned true")
-	}
-	if _, _, err := d.Serve("/p"); !errors.Is(err, ErrNoBackends) {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -419,67 +404,5 @@ func BenchmarkDispatchForward(b *testing.B) {
 		if _, _, err := d.Serve("/p"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestWeightedDistribution(t *testing.T) {
-	// An SMP (weight 4) alongside a UP (weight 1): with all nodes idle the
-	// tie-break cycles, but under sustained concurrent load the SMP should
-	// carry roughly 4x the traffic. Emulate concurrency by holding
-	// requests open.
-	smp := &fakeNode{name: "smp", slow: make(chan struct{})}
-	up := &fakeNode{name: "up", slow: make(chan struct{})}
-	d := New(Config{Name: "nd"})
-	d.AddWeighted(smp, 4)
-	d.AddWeighted(up, 1)
-
-	var wg sync.WaitGroup
-	const inflight = 10
-	for i := 0; i < inflight; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d.Serve("/p")
-		}()
-	}
-	// Wait until all ten are held open, then inspect the split.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		st := d.Stats()
-		total := 0
-		for _, n := range st.Nodes {
-			total += n.Outstanding
-		}
-		if total == inflight {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st := d.Stats()
-	var smpOut, upOut int
-	for _, n := range st.Nodes {
-		switch n.Name {
-		case "smp":
-			smpOut = n.Outstanding
-		case "up":
-			upOut = n.Outstanding
-		}
-	}
-	close(smp.slow)
-	close(up.slow)
-	wg.Wait()
-	if smpOut != 8 || upOut != 2 {
-		t.Fatalf("outstanding split smp=%d up=%d, want 8/2 (weight-proportional)", smpOut, upOut)
-	}
-	if got := st.Nodes[0].Weight + st.Nodes[1].Weight; got != 5 {
-		t.Fatalf("weights = %d, want 5", got)
-	}
-}
-
-func TestAddWeightedClampsToOne(t *testing.T) {
-	d := New(Config{Name: "nd"})
-	d.AddWeighted(&fakeNode{name: "n"}, 0)
-	if w := d.Stats().Nodes[0].Weight; w != 1 {
-		t.Fatalf("weight = %d, want clamped to 1", w)
 	}
 }

@@ -341,16 +341,10 @@ func TestProbationMachineRace(t *testing.T) {
 		}
 	})
 	worker(func(r *rand.Rand) {
-		extra := newProbeNode("extra")
-		d.Add(extra)
-		_, _, _ = d.Serve("/p")
-		d.Remove("extra")
-	})
-	worker(func(r *rand.Rand) {
 		_ = d.Stats()
 		_ = d.LoadSignal()
 		_, _ = d.MemberState("up0")
-		_ = d.Healthy()
+		_ = d.HealthyCount()
 	})
 
 	time.Sleep(200 * time.Millisecond)

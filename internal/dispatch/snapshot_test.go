@@ -77,16 +77,15 @@ func TestSnapshotSwapNoTornMemberList(t *testing.T) {
 			}
 		}()
 	}
-	// Membership churn: transient nodes come and go.
+	// Membership churn: other stable nodes leave and rejoin the list.
 	for g := 0; g < churns; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			name := nodes[1+g].name
 			for i := 0; i < iters/4; i++ {
-				n := &churnNode{name: fmt.Sprintf("transient-%d-%d", g, i)}
-				n.valid.Store(true)
-				d.Add(n)
-				d.Remove(n.name)
+				d.MarkDown(name)
+				d.MarkUp(name)
 			}
 		}(g)
 	}
@@ -107,26 +106,22 @@ func TestSnapshotSwapNoTornMemberList(t *testing.T) {
 		t.Fatal("no requests served during churn")
 	}
 	// The pool must converge: all stable nodes present and pickable.
-	d.MarkUp(nodes[0].name)
+	for _, n := range nodes {
+		d.MarkUp(n.name)
+	}
 	if got := d.HealthyCount(); got != stable {
 		t.Fatalf("healthy = %d after churn, want %d", got, stable)
 	}
-	for _, n := range d.Healthy() {
-		var ok bool
-		for i := 0; i < stable; i++ {
-			if n == nodes[i].name {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Fatalf("unexpected member %q after churn", n)
+	for _, n := range nodes {
+		if st, _ := d.MemberState(n.name); st != StateUp {
+			t.Fatalf("member %q is %v after churn, want up", n.name, st)
 		}
 	}
 }
 
 // TestSnapshotIsolatedFromMutation proves a pick loop holding one snapshot
 // is unaffected by concurrent rebuilds: the snapshot a request starts with
-// keeps serving it even as members are removed behind it.
+// keeps serving it even as members are marked down behind it.
 func TestSnapshotIsolatedFromMutation(t *testing.T) {
 	a := &churnNode{name: "a"}
 	a.valid.Store(true)
@@ -137,14 +132,14 @@ func TestSnapshotIsolatedFromMutation(t *testing.T) {
 	if len(sn.entries) != 2 {
 		t.Fatalf("snapshot has %d entries, want 2", len(sn.entries))
 	}
-	d.Remove("a")
-	d.Remove("b")
+	d.MarkDown("a")
+	d.MarkDown("b")
 	// The captured snapshot still lists both members — immutable.
 	if len(sn.entries) != 2 {
 		t.Fatalf("captured snapshot mutated to %d entries", len(sn.entries))
 	}
 	// New requests see the empty pool.
 	if _, _, err := d.Serve("/p"); err == nil {
-		t.Fatal("expected ErrNoBackends after removing all members")
+		t.Fatal("expected ErrNoBackends after marking every member down")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"dupserve/internal/cache"
 	"dupserve/internal/core"
-	"dupserve/internal/stats"
 )
 
 // ErrInjected wraps every synthetic failure an Injector produces, so logs
@@ -64,43 +63,3 @@ func (i *Injector) CrashHook(site string, generation int) func(lsn int64) bool {
 		return i.Should(KindMonitorCrash, id)
 	}
 }
-
-// FlakyStore decorates any core.Store with push faults at the store level:
-// a faulted put is downgraded to an invalidation of the same key, so the
-// inner store can transiently miss but can never serve a page the pipeline
-// knows is stale. It satisfies core.Store, composing with SingleCache-style
-// direct stores, groups, and other decorators.
-type FlakyStore struct {
-	Inner core.Store
-	Inj   *Injector
-	// Site namespaces fault decisions (may be empty).
-	Site string
-
-	downgrades stats.Counter
-}
-
-// ApplyPut implements core.Store: install the object, or — under an
-// injected push fault — invalidate it instead.
-func (s *FlakyStore) ApplyPut(obj *cache.Object) {
-	id := s.Site + "|" + string(obj.Key) + "|" + fmt.Sprint(obj.Version)
-	if s.Inj != nil && s.Inj.Should(KindPush, id) {
-		s.Inner.ApplyInvalidate(obj.Key)
-		s.downgrades.Inc()
-		return
-	}
-	s.Inner.ApplyPut(obj)
-}
-
-// ApplyInvalidate implements core.Store (invalidations never fault: the
-// degraded path must stay reliable).
-func (s *FlakyStore) ApplyInvalidate(key cache.Key) int {
-	return s.Inner.ApplyInvalidate(key)
-}
-
-// ApplyInvalidatePrefix implements core.Store.
-func (s *FlakyStore) ApplyInvalidatePrefix(prefix string) int {
-	return s.Inner.ApplyInvalidatePrefix(prefix)
-}
-
-// Downgrades returns how many puts this store downgraded to invalidations.
-func (s *FlakyStore) Downgrades() int64 { return s.downgrades.Value() }

@@ -118,9 +118,6 @@ func New(cfg Config, opts ...Option) *Injector {
 	return i
 }
 
-// Seed returns the injector's seed.
-func (i *Injector) Seed() int64 { return i.seed }
-
 // SetRate arms (p > 0) or disarms (p <= 0) fault kind k. p is a probability
 // in [0, 1]; p >= 1 faults every evaluated identity.
 func (i *Injector) SetRate(k Kind, p float64) {
@@ -279,19 +276,6 @@ func (i *Injector) Partitioned(link string) bool {
 // reports whether the named link is partitioned right now.
 func (i *Injector) PartitionCheck(link string) func() bool {
 	return func() bool { return i.Partitioned(link) }
-}
-
-// RegisterMetrics publishes per-kind injection counters as the
-// fault_injected_total family, labeled by kind.
-func (i *Injector) RegisterMetrics(reg *stats.Registry, extra stats.Labels) {
-	for _, k := range Kinds() {
-		labels := stats.Labels{"kind": k.String()}
-		for key, v := range extra {
-			labels[key] = v
-		}
-		reg.RegisterCounter("fault_injected_total",
-			"faults injected into the propagation pipeline", labels, &i.injected[k])
-	}
 }
 
 // unit hashes (seed, kind, key) to a uniform float64 in [0, 1).

@@ -210,35 +210,6 @@ func TestCrashHookGenerationIndependence(t *testing.T) {
 	}
 }
 
-func TestFlakyStoreDowngradesToInvalidation(t *testing.T) {
-	inner := cache.New("n0")
-	inj := New(Config{Seed: 19})
-	var s core.Store = &FlakyStore{Inner: inner, Inj: inj, Site: "tokyo"}
-
-	stale := &cache.Object{Key: "/p", Value: []byte("old"), Version: 1}
-	s.ApplyPut(stale)
-	if _, ok := inner.Peek("/p"); !ok {
-		t.Fatal("healthy put did not land")
-	}
-
-	inj.SetRate(KindPush, 1)
-	s.ApplyPut(&cache.Object{Key: "/p", Value: []byte("new"), Version: 2})
-	if _, ok := inner.Peek("/p"); ok {
-		t.Fatal("faulted put left a (stale) entry cached")
-	}
-	fs := s.(*FlakyStore)
-	if fs.Downgrades() != 1 {
-		t.Fatalf("downgrades = %d, want 1", fs.Downgrades())
-	}
-
-	// Invalidations never fault.
-	s.ApplyPut(stale) // faulted again, no entry
-	inner.Put(&cache.Object{Key: "/q", Value: []byte("x")})
-	if n := s.ApplyInvalidate("/q"); n != 1 {
-		t.Fatalf("invalidate = %d, want 1", n)
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	for _, k := range Kinds() {
 		if k.String() == "" || k.String() == fmt.Sprintf("kind(%d)", uint8(k)) {

@@ -126,7 +126,7 @@ func TestFloorGatesReuse(t *testing.T) {
 	var renders atomic.Int64
 	e.Define("frag:a", func(ctx *Context) ([]byte, error) {
 		renders.Add(1)
-		return []byte(fmt.Sprintf("a@%d", ctx.Version())), nil
+		return []byte(fmt.Sprintf("a@%d", ctx.version)), nil
 	})
 	e.Define("/page", func(ctx *Context) ([]byte, error) {
 		if err := ctx.IncludeInto("frag:a"); err != nil {

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -193,32 +192,8 @@ func (e *Engine) Define(name string, fn Func) {
 	e.defs[name] = fn
 }
 
-// Names returns all registered names, sorted.
-func (e *Engine) Names() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.defs))
-	for n := range e.defs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Defined reports whether name has a renderer.
-func (e *Engine) Defined(name string) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	_, ok := e.defs[name]
-	return ok
-}
-
 // IsFragment reports whether name uses the fragment namespace.
 func IsFragment(name string) bool { return strings.HasPrefix(name, FragPrefix) }
-
-// FragmentCache exposes the internal fragment store (diagnostics and
-// tests).
-func (e *Engine) FragmentCache() *cache.Cache { return e.fragCache }
 
 // Generate renders name at the given version, registers its dependencies,
 // and returns the cacheable object. It satisfies core.Generator, so an
@@ -315,9 +290,6 @@ type Context struct {
 // SetContentType overrides the rendered object's content type (default
 // "text/html; charset=utf-8") — syndication feeds render JSON or XML.
 func (c *Context) SetContentType(ct string) { c.contentType = ct }
-
-// Version returns the version (database LSN) this render was requested at.
-func (c *Context) Version() int64 { return c.version }
 
 // DependOn records an explicit dependency on an arbitrary ODG vertex.
 // Renderers use it for computed dependencies that no direct read expresses

@@ -159,7 +159,7 @@ func TestIncludeRecordsFragmentDependencyOnly(t *testing.T) {
 		t.Fatalf("fragment deps = %v", got)
 	}
 	// The fragment landed in the fragment cache.
-	if _, ok := e.FragmentCache().Peek("frag:medals"); !ok {
+	if _, ok := e.fragCache.Peek("frag:medals"); !ok {
 		t.Fatal("fragment not cached")
 	}
 }
@@ -281,19 +281,6 @@ func TestDependOnExplicit(t *testing.T) {
 	}
 }
 
-func TestNamesAndDefined(t *testing.T) {
-	d := testDB(t)
-	e := New(Config{DB: d})
-	e.Define("/b", func(*Context) ([]byte, error) { return nil, nil })
-	e.Define("/a", func(*Context) ([]byte, error) { return nil, nil })
-	if got := e.Names(); !reflect.DeepEqual(got, []string{"/a", "/b"}) {
-		t.Fatalf("Names = %v", got)
-	}
-	if !e.Defined("/a") || e.Defined("/zzz") {
-		t.Fatal("Defined drift")
-	}
-}
-
 func TestNilRegistrarOK(t *testing.T) {
 	d := testDB(t)
 	e := New(Config{DB: d})
@@ -379,7 +366,7 @@ func BenchmarkGeneratePageWithFragments(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Invalidate the fragment each round so the bench measures full
 		// regeneration, not cached splicing.
-		e.FragmentCache().Invalidate("frag:medals")
+		e.fragCache.Invalidate("frag:medals")
 		if _, err := e.Generate("/home", int64(i)); err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,7 @@
 package httpserver
 
 import (
-	"net/http"
-	"net/http/httptest"
-	"net/url"
+	"context"
 	"testing"
 	"time"
 
@@ -13,7 +11,7 @@ import (
 
 // FuzzHTTPServePath throws arbitrary request paths at a serving node whose
 // render capacity is fully occupied. No input may panic any layer (Serve,
-// ServeHTTP, the striped cache underneath), and no input may reach the
+// ServeCtx, the striped cache underneath), and no input may reach the
 // generator without passing admission control: with every render slot held,
 // a miss must degrade (stale) or shed — a render would mean the path
 // smuggled itself past the limiter.
@@ -61,15 +59,9 @@ func FuzzHTTPServePath(f *testing.F) {
 			t.Fatalf("path %q invoked the generator %d times past admission control", path, rendered)
 		}
 
-		// The HTTP layer must be equally panic-free on the same input.
-		req := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: path}, Header: http.Header{}}
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req)
-		if rec.Code == 0 {
-			t.Fatalf("path %q produced no status", path)
-		}
-		if rendered != 0 {
-			t.Fatalf("path %q rendered via ServeHTTP past admission control", path)
+		// The context path must be equally panic-free on the same input.
+		if _, outcome, _ := s.ServeCtx(context.Background(), path); outcome == OutcomeMiss || rendered != 0 {
+			t.Fatalf("path %q rendered via ServeCtx past admission control", path)
 		}
 	})
 }

@@ -10,16 +10,15 @@
 // reproduces the CGI cost for the E2 baseline benchmarks.
 //
 // Server doubles as the node model for the discrete-event simulation: the
-// Serve method performs the full cache-first logic without any networking,
-// and ServeHTTP wraps it for real sockets (cmd/olympicsd).
+// Serve method performs the full cache-first logic without any networking.
+// The front ends that put it on a socket (cmd/olympicsd, bench/) call
+// Serve/ServeCtx through a dispatcher and write the response themselves.
 package httpserver
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -94,7 +93,6 @@ type VersionFunc func() int64
 // plus a static store. Safe for concurrent use.
 type Server struct {
 	name     string
-	nameV    []string // []string{name}: ready-made X-Node header value
 	cache    *cache.Cache
 	gen      core.Generator
 	version  VersionFunc
@@ -220,7 +218,6 @@ func New(name string, c *cache.Cache, gen core.Generator, version VersionFunc, o
 	}
 	s := &Server{
 		name:    name,
-		nameV:   []string{name},
 		cache:   c,
 		gen:     gen,
 		version: version,
@@ -237,9 +234,6 @@ func New(name string, c *cache.Cache, gen core.Generator, version VersionFunc, o
 
 // Name returns the node name.
 func (s *Server) Name() string { return s.name }
-
-// Cache returns the node-local cache.
-func (s *Server) Cache() *cache.Cache { return s.cache }
 
 // SetStatic installs a static page (served from the "file system", never
 // cached or invalidated).
@@ -272,8 +266,8 @@ func (s *Server) LoadSignal() float64 {
 }
 
 // Serve satisfies one request for path, returning the object and how it was
-// satisfied. This is the transport-independent core used by both ServeHTTP
-// and the simulator.
+// satisfied. This is the transport-independent core every front end and
+// the simulator use.
 func (s *Server) Serve(path string) (*cache.Object, Outcome, error) {
 	return s.ServeCtx(context.Background(), path)
 }
@@ -394,81 +388,6 @@ func isUnknownPage(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "unknown page")
 }
 
-// ETag derives the entity tag for a cached object from its version and
-// size. Because DUP stamps every regenerated object with the LSN of the
-// update that produced it, the tag changes exactly when the content does —
-// conditional GETs ride the same freshness information the cache uses.
-func ETag(obj *cache.Object) string {
-	return fmt.Sprintf(`"v%d-%d"`, obj.Version, len(obj.Value))
-}
-
-// buildObjectHeaders formats an object's response-header material once; the
-// result is memoized on the object (cache.Object.ResponseHeaders), so the
-// per-request hit path only assigns ready-made slices into the header map.
-func buildObjectHeaders(obj *cache.Object) *cache.ObjectHeaders {
-	h := &cache.ObjectHeaders{
-		ETag:    ETag(obj),
-		Version: strconv.FormatInt(obj.Version, 10),
-	}
-	h.ETagV = []string{h.ETag}
-	h.VersionV = []string{h.Version}
-	if obj.ContentType != "" {
-		h.ContentType = []string{obj.ContentType}
-	}
-	return h
-}
-
-// xCacheValue holds one ready-made header slice per outcome so the hit path
-// never allocates to say how it served. Indexed by Outcome.
-var xCacheValue = [...][]string{
-	OutcomeHit:    {"hit"},
-	OutcomeMiss:   {"miss"},
-	OutcomeStatic: {"static"},
-	OutcomeStale:  {"stale"},
-}
-
-// ServeHTTP implements http.Handler over Serve, with conditional-GET
-// support: a matching If-None-Match yields 304 Not Modified with no body.
-//
-// The success path performs no heap allocation of its own: the entity tag
-// and version strings are memoized on the cached object, and all header
-// values are pre-built single-value slices assigned directly under their
-// canonical keys (the spellings http.Header.Set would produce).
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	obj, outcome, err := s.Serve(r.URL.Path)
-	switch outcome {
-	case OutcomeNotFound:
-		http.NotFound(w, r)
-		return
-	case OutcomeError:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	case OutcomeShed:
-		// Overloaded and no bounded-stale fallback: tell the client (or
-		// front-end dispatcher) to come back, not that the node is broken.
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "overloaded, retry shortly", http.StatusServiceUnavailable)
-		return
-	}
-	hdr := obj.ResponseHeaders(buildObjectHeaders)
-	h := w.Header()
-	h["Etag"] = hdr.ETagV
-	h["X-Cache"] = xCacheValue[outcome]
-	h["X-Version"] = hdr.VersionV
-	h["X-Node"] = s.nameV
-	if r.Header.Get("If-None-Match") == hdr.ETag {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	if hdr.ContentType != nil {
-		h["Content-Type"] = hdr.ContentType
-	}
-	if _, err := w.Write(obj.Value); err != nil {
-		// Client went away mid-write; nothing further to do.
-		return
-	}
-}
-
 // ServerStats snapshots a node's counters.
 type ServerStats struct {
 	Requests int64
@@ -541,18 +460,4 @@ func (s *Server) RegisterMetrics(reg *stats.Registry, extra stats.Labels) {
 	if s.limiter != nil {
 		s.limiter.RegisterMetrics(reg, labels)
 	}
-}
-
-// ResetStats zeroes the node's counters.
-func (s *Server) ResetStats() {
-	s.requests.Reset()
-	s.hits.Reset()
-	s.misses.Reset()
-	s.statics.Reset()
-	s.notFound.Reset()
-	s.errs.Reset()
-	s.bytesOut.Reset()
-	s.servedStale.Reset()
-	s.shed.Reset()
-	s.staleAgeMax.Reset()
 }

@@ -3,9 +3,6 @@ package httpserver
 import (
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -143,68 +140,6 @@ func TestSpinOverheadRuns(t *testing.T) {
 	SpinOverhead(100)() // must not panic
 }
 
-func TestServeHTTPHeadersAndBody(t *testing.T) {
-	s := New("node7", cache.New("c"), okGen("body"), func() int64 { return 3 })
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/en/home")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if string(body) != "body:/en/home" {
-		t.Fatalf("body = %q", body)
-	}
-	if got := resp.Header.Get("X-Cache"); got != "miss" {
-		t.Fatalf("X-Cache = %q", got)
-	}
-	if got := resp.Header.Get("X-Node"); got != "node7" {
-		t.Fatalf("X-Node = %q", got)
-	}
-	if got := resp.Header.Get("X-Version"); got != "3" {
-		t.Fatalf("X-Version = %q", got)
-	}
-	resp2, err := http.Get(ts.URL + "/en/home")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if got := resp2.Header.Get("X-Cache"); got != "hit" {
-		t.Fatalf("second X-Cache = %q", got)
-	}
-}
-
-func TestServeHTTP404And500(t *testing.T) {
-	gen := func(key cache.Key, version int64) (*cache.Object, error) {
-		if key == "/boom" {
-			return nil, errors.New("explode")
-		}
-		return nil, fmt.Errorf("unknown page %q", key)
-	}
-	s := New("n", cache.New("c"), gen, nil)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/nothere")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/boom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", resp.StatusCode)
-	}
-}
-
 func TestConcurrentServe(t *testing.T) {
 	s := New("n", cache.New("c"), okGen("x"), nil)
 	var wg sync.WaitGroup
@@ -228,15 +163,6 @@ func TestConcurrentServe(t *testing.T) {
 	if st.Misses < 10 || st.Misses > 80 {
 		// At most one miss per (path, racing goroutine window); typically 10.
 		t.Fatalf("misses = %d, outside plausible range", st.Misses)
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	s := New("n", cache.New("c"), okGen("x"), nil)
-	s.Serve("/p")
-	s.ResetStats()
-	if st := s.Stats(); st.Requests != 0 || st.Misses != 0 {
-		t.Fatalf("stats after reset = %+v", st)
 	}
 }
 
@@ -307,84 +233,5 @@ func BenchmarkServeStatic(b *testing.B) {
 		if _, out, _ := s.Serve("/s"); out != OutcomeStatic {
 			b.Fatal("not static")
 		}
-	}
-}
-
-func TestConditionalGet304(t *testing.T) {
-	s := New("n", cache.New("c"), okGen("body"), func() int64 { return 5 })
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	etag := resp.Header.Get("ETag")
-	if etag == "" {
-		t.Fatal("no ETag issued")
-	}
-
-	req, _ := http.NewRequest("GET", ts.URL+"/p", nil)
-	req.Header.Set("If-None-Match", etag)
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotModified {
-		t.Fatalf("status = %d, want 304", resp2.StatusCode)
-	}
-	if len(body) != 0 {
-		t.Fatalf("304 carried a body: %q", body)
-	}
-}
-
-func TestConditionalGetChangesWithVersion(t *testing.T) {
-	// When DUP updates the page in place, the version bumps, the ETag
-	// changes, and the conditional GET returns fresh content.
-	c := cache.New("c")
-	c.Put(&cache.Object{Key: "/p", Value: []byte("old"), Version: 1})
-	s := New("n", c, nil, nil)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	etag := resp.Header.Get("ETag")
-
-	// DUP-style update-in-place.
-	c.Put(&cache.Object{Key: "/p", Value: []byte("new content"), Version: 2})
-
-	req, _ := http.NewRequest("GET", ts.URL+"/p", nil)
-	req.Header.Set("If-None-Match", etag)
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 after update", resp2.StatusCode)
-	}
-	if string(body) != "new content" {
-		t.Fatalf("body = %q", body)
-	}
-	if resp2.Header.Get("ETag") == etag {
-		t.Fatal("ETag did not change with version")
-	}
-}
-
-func TestETagFormat(t *testing.T) {
-	a := ETag(&cache.Object{Version: 1, Value: []byte("xy")})
-	b := ETag(&cache.Object{Version: 2, Value: []byte("xy")})
-	if a == b {
-		t.Fatal("ETag ignores version")
 	}
 }

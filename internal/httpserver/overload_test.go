@@ -2,9 +2,6 @@ package httpserver
 
 import (
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -159,57 +156,6 @@ func TestOverloadLoadSignal(t *testing.T) {
 	}
 }
 
-func TestServeHTTPShedReturns503RetryAfter(t *testing.T) {
-	c := cache.New("c", cache.WithStaleRetention())
-	lim := overload.NewLimiter(overload.Config{MaxConcurrent: 1, MaxQueue: -1})
-	s := New("n", c, okGen("x"), nil, WithOverload(lim, time.Second))
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	free := saturate(t, lim, 1)
-	defer free()
-	resp, err := http.Get(ts.URL + "/p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
-}
-
-func TestServeHTTPStaleResponse(t *testing.T) {
-	c := cache.New("c", cache.WithStaleRetention())
-	c.Put(&cache.Object{Key: "/p", Value: []byte("old copy"), Version: 7})
-	c.Invalidate("/p")
-	lim := overload.NewLimiter(overload.Config{MaxConcurrent: 1, MaxQueue: -1})
-	s := New("n", c, okGen("x"), nil, WithOverload(lim, time.Minute))
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	free := saturate(t, lim, 1)
-	defer free()
-	resp, err := http.Get(ts.URL + "/p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (degraded, not down)", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Cache"); got != "stale" {
-		t.Fatalf("X-Cache = %q, want stale", got)
-	}
-	if string(body) != "old copy" {
-		t.Fatalf("body = %q", body)
-	}
-}
-
 func TestOverloadMetricsRegistered(t *testing.T) {
 	reg := stats.NewRegistry()
 	lim := overload.NewLimiter(overload.Config{MaxConcurrent: 1})
@@ -226,22 +172,5 @@ func TestOverloadMetricsRegistered(t *testing.T) {
 		if !found[want] {
 			t.Fatalf("metric %q not registered (have %v)", want, found)
 		}
-	}
-}
-
-func TestResetStatsClearsOverloadCounters(t *testing.T) {
-	c := cache.New("c", cache.WithStaleRetention())
-	c.Put(&cache.Object{Key: "/p", Value: []byte("old")})
-	c.Invalidate("/p")
-	lim := overload.NewLimiter(overload.Config{MaxConcurrent: 1, MaxQueue: -1})
-	s := New("n", c, okGen("x"), nil, WithOverload(lim, time.Minute))
-	free := saturate(t, lim, 1)
-	s.Serve("/p")       // stale
-	s.Serve("/missing") // shed
-	free()
-	s.ResetStats()
-	st := s.Stats()
-	if st.ServedStale != 0 || st.Shed != 0 || st.StaleAgeMax != 0 {
-		t.Fatalf("stats after reset = %+v", st)
 	}
 }

@@ -79,7 +79,7 @@ func TestStageDurSkipsUnvisitedStages(t *testing.T) {
 	sp.Stamp(SpanAdmit)
 	sp.Stamp(SpanRender)
 	sp.SetOutcome(OutcomeMiss)
-	tr := sp.Trace()
+	tr := sp.tr
 	sp.Finish()
 
 	if d := tr.StageDur(SpanRender); d != time.Millisecond {
@@ -122,8 +122,8 @@ func TestCollectorRecentNewestFirstAndBounded(t *testing.T) {
 			t.Fatalf("Recent[%d].LSN = %d, want %d", i, tr.LSN, want)
 		}
 	}
-	if c.Recorded() != total {
-		t.Fatalf("Recorded = %d, want %d", c.Recorded(), total)
+	if got := c.recorded.Value(); got != total {
+		t.Fatalf("recorded = %d, want %d", got, total)
 	}
 }
 

@@ -211,14 +211,6 @@ func (sp *Span) AddDBReads(n int64) {
 	}
 }
 
-// Trace returns a copy of the span's current state (test/debug use).
-func (sp *Span) Trace() ServeTrace {
-	if sp == nil {
-		return ServeTrace{}
-	}
-	return sp.tr
-}
-
 // Finish stamps SpanDone, records the span into the collector's histograms
 // and ring, and returns the span to the pool. The span must not be used
 // after Finish.
@@ -319,9 +311,6 @@ func (c *Collector) record(tr *ServeTrace) {
 	c.ring.Push(*tr)
 	c.mu.Unlock()
 }
-
-// Recorded returns how many spans have been recorded.
-func (c *Collector) Recorded() int64 { return c.recorded.Value() }
 
 // Recent returns up to n recorded spans, newest first.
 func (c *Collector) Recent(n int) []ServeTrace {

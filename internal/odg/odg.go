@@ -16,10 +16,11 @@
 // direct successor list. Graph tracks simplicity incrementally and Affected
 // takes that O(out-degree) fast path automatically.
 //
-// All methods are safe for concurrent use. Mutations (AddEdge, RemoveNode,
-// ...) take the write lock, except a re-registration that would change
-// nothing, which only reads; propagation queries take the read lock, so many
-// trigger-monitor propagations may run concurrently with page serving.
+// All methods are safe for concurrent use. Mutations (AddEdge,
+// ReplaceDependencies, ...) take the write lock, except a re-registration
+// that would change nothing, which only reads; propagation queries take the
+// read lock, so many trigger-monitor propagations may run concurrently with
+// page serving.
 package odg
 
 import (
@@ -66,10 +67,6 @@ func (k Kind) String() string {
 // weight. A simple ODG contains only edges of this weight.
 const DefaultWeight = 1.0
 
-// ErrNodeNotFound is returned by operations that reference a vertex absent
-// from the graph.
-var ErrNodeNotFound = errors.New("odg: node not found")
-
 // ErrBadWeight is returned when an edge weight is not strictly positive.
 var ErrBadWeight = errors.New("odg: edge weight must be > 0")
 
@@ -86,7 +83,6 @@ type node struct {
 type Graph struct {
 	mu    sync.RWMutex
 	nodes map[NodeID]*node
-	edges int
 	// weighted counts edges whose weight differs from DefaultWeight;
 	// simplicity requires weighted == 0 plus the structural bipartite
 	// property, tracked by violations.
@@ -166,25 +162,6 @@ func (g *Graph) AddNode(id NodeID, kind Kind) {
 	})
 }
 
-// Contains reports whether id is a vertex of the graph.
-func (g *Graph) Contains(id NodeID) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	_, ok := g.nodes[id]
-	return ok
-}
-
-// NodeKind returns the kind of vertex id.
-func (g *Graph) NodeKind(id NodeID) (Kind, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNodeNotFound, id)
-	}
-	return n.kind, nil
-}
-
 // AddEdge records the dependence from -> to with DefaultWeight, creating
 // missing vertices (from as underlying data, to as object — the common
 // registration pattern for server programs declaring "this page depends on
@@ -204,12 +181,8 @@ func (g *Graph) AddWeightedEdge(from, to NodeID, weight float64) error {
 	nf := g.getOrAddLocked(from, KindUnderlying)
 	nt := g.getOrAddLocked(to, KindObject)
 	g.mutateLocked(map[NodeID]*node{from: nf, to: nt}, func() {
-		if old, existed := nf.out[to]; existed {
-			if old != DefaultWeight {
-				g.weighted--
-			}
-		} else {
-			g.edges++
+		if old, existed := nf.out[to]; existed && old != DefaultWeight {
+			g.weighted--
 		}
 		nf.out[to] = weight
 		nt.in[from] = weight
@@ -218,68 +191,6 @@ func (g *Graph) AddWeightedEdge(from, to NodeID, weight float64) error {
 		}
 	})
 	return nil
-}
-
-// RemoveEdge deletes the dependence from -> to. Removing a non-existent
-// edge is a no-op, mirroring delete on maps.
-func (g *Graph) RemoveEdge(from, to NodeID) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	nf, ok := g.nodes[from]
-	if !ok {
-		return
-	}
-	w, ok := nf.out[to]
-	if !ok {
-		return
-	}
-	nt := g.nodes[to]
-	g.mutateLocked(map[NodeID]*node{from: nf, to: nt}, func() {
-		delete(nf.out, to)
-		delete(nt.in, from)
-		g.edges--
-		if w != DefaultWeight {
-			g.weighted--
-		}
-	})
-}
-
-// RemoveNode deletes a vertex and all edges incident on it. Removing a
-// non-existent vertex is a no-op.
-func (g *Graph) RemoveNode(id NodeID) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n, ok := g.nodes[id]
-	if !ok {
-		return
-	}
-	touched := map[NodeID]*node{id: n}
-	for succ := range n.out {
-		touched[succ] = g.nodes[succ]
-	}
-	for pred := range n.in {
-		touched[pred] = g.nodes[pred]
-	}
-	g.mutateLocked(touched, func() {
-		for succ, w := range n.out {
-			delete(g.nodes[succ].in, id)
-			g.edges--
-			if w != DefaultWeight {
-				g.weighted--
-			}
-		}
-		for pred, w := range n.in {
-			if pred == id {
-				continue // self-loop already counted via out
-			}
-			delete(g.nodes[pred].out, id)
-			g.edges--
-			if w != DefaultWeight {
-				g.weighted--
-			}
-		}
-		delete(g.nodes, id)
-	})
 }
 
 // ReplaceDependencies atomically replaces the full set of incoming edges of
@@ -314,18 +225,13 @@ func (g *Graph) ReplaceDependencies(id NodeID, preds []NodeID) {
 	g.mutateLocked(touched, func() {
 		for pred, w := range n.in {
 			delete(g.nodes[pred].out, id)
-			g.edges--
 			if w != DefaultWeight {
 				g.weighted--
 			}
 		}
 		n.in = make(map[NodeID]float64, len(preds))
 		for _, pred := range preds {
-			np := g.nodes[pred]
-			if _, existed := np.out[id]; !existed {
-				g.edges++
-			}
-			np.out[id] = DefaultWeight
+			g.nodes[pred].out[id] = DefaultWeight
 			n.in[pred] = DefaultWeight
 		}
 	})
@@ -351,20 +257,6 @@ func (g *Graph) hasExactDependenciesLocked(id NodeID, preds []NodeID) bool {
 		}
 	}
 	return true
-}
-
-// NumNodes returns the number of vertices.
-func (g *Graph) NumNodes() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.nodes)
-}
-
-// NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.edges
 }
 
 // IsSimple reports whether the graph currently satisfies the paper's three
@@ -407,19 +299,6 @@ func (g *Graph) Predecessors(id NodeID) []NodeID {
 		out = append(out, p)
 	}
 	return out
-}
-
-// EdgeWeight returns the weight of edge from -> to, with ok reporting
-// whether the edge exists.
-func (g *Graph) EdgeWeight(from, to NodeID) (weight float64, ok bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n, found := g.nodes[from]
-	if !found {
-		return 0, false
-	}
-	weight, ok = n.out[to]
-	return weight, ok
 }
 
 // Affected returns every object vertex transitively reachable from the
@@ -708,72 +587,6 @@ func (g *Graph) sccLocked(sub map[NodeID]struct{}) [][]NodeID {
 	return comps
 }
 
-// HasCycle reports whether the graph contains a directed cycle. Simple ODGs
-// are acyclic by construction; general ODGs may not be, and DUP must remain
-// correct on them (Staleness handles cycles via SCC condensation).
-func (g *Graph) HasCycle() bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	all := make(map[NodeID]struct{}, len(g.nodes))
-	for id, n := range g.nodes {
-		all[id] = struct{}{}
-		if _, self := n.out[id]; self {
-			return true
-		}
-	}
-	for _, comp := range g.sccLocked(all) {
-		if len(comp) > 1 {
-			return true
-		}
-	}
-	return false
-}
-
-// TopoOrder returns the vertices in a topological order, or an error if the
-// graph has a cycle. Useful for regenerating objects bottom-up (fragments
-// before the pages embedding them).
-func (g *Graph) TopoOrder() ([]NodeID, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	indeg := make(map[NodeID]int, len(g.nodes))
-	for id := range g.nodes {
-		indeg[id] = 0
-	}
-	for _, n := range g.nodes {
-		for s := range n.out {
-			indeg[s]++
-		}
-	}
-	queue := make([]NodeID, 0, len(g.nodes))
-	for id, d := range indeg {
-		if d == 0 {
-			queue = append(queue, id)
-		}
-	}
-	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
-	order := make([]NodeID, 0, len(g.nodes))
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		succs := make([]NodeID, 0, len(g.nodes[id].out))
-		for s := range g.nodes[id].out {
-			succs = append(succs, s)
-		}
-		sort.Slice(succs, func(i, j int) bool { return succs[i] < succs[j] })
-		for _, s := range succs {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if len(order) != len(g.nodes) {
-		return nil, errors.New("odg: graph has a cycle")
-	}
-	return order, nil
-}
-
 // SubgraphTopoOrder orders the given vertices so that, within the set,
 // predecessors come before successors — the order DUP regenerates affected
 // objects in (fragments before the pages embedding them). Unknown vertices
@@ -837,81 +650,16 @@ func (g *Graph) SubgraphTopoOrder(ids []NodeID) []NodeID {
 	return order
 }
 
-// Objects returns all vertices of kind object or both, sorted.
-func (g *Graph) Objects() []NodeID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]NodeID, 0, len(g.nodes))
-	for id, n := range g.nodes {
-		if n.kind != KindUnderlying {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Underlying returns all vertices of kind underlying or both, sorted.
-func (g *Graph) Underlying() []NodeID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]NodeID, 0, len(g.nodes))
-	for id, n := range g.nodes {
-		if n.kind != KindObject {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Stats summarizes the graph for diagnostics.
-type Stats struct {
-	Nodes      int
-	Edges      int
-	Objects    int
-	Underlying int
-	Both       int
-	Simple     bool
-	MaxOutDeg  int
-	MaxInDeg   int
-}
-
-// Snapshot returns current graph statistics.
-func (g *Graph) Snapshot() Stats {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	st := Stats{Nodes: len(g.nodes), Edges: g.edges, Simple: g.weighted == 0 && g.violations == 0}
-	for _, n := range g.nodes {
-		switch n.kind {
-		case KindObject:
-			st.Objects++
-		case KindUnderlying:
-			st.Underlying++
-		case KindBoth:
-			st.Both++
-		}
-		if len(n.out) > st.MaxOutDeg {
-			st.MaxOutDeg = len(n.out)
-		}
-		if len(n.in) > st.MaxInDeg {
-			st.MaxInDeg = len(n.in)
-		}
-	}
-	return st
-}
-
 // checkInvariants verifies internal consistency (edge symmetry, counter
 // accuracy). It exists for tests; it is unexported but reachable via the
 // package's test files.
 func (g *Graph) checkInvariants() error {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	edges, weighted, violations := 0, 0, 0
+	weighted, violations := 0, 0
 	for id, n := range g.nodes {
 		violations += violationCount(n)
 		for s, w := range n.out {
-			edges++
 			if w != DefaultWeight {
 				weighted++
 			}
@@ -932,9 +680,6 @@ func (g *Graph) checkInvariants() error {
 				return fmt.Errorf("in-edge %v<-%v asymmetric", id, p)
 			}
 		}
-	}
-	if edges != g.edges {
-		return fmt.Errorf("edge count drift: counted %d, stored %d", edges, g.edges)
 	}
 	if weighted != g.weighted {
 		return fmt.Errorf("weighted count drift: counted %d, stored %d", weighted, g.weighted)

@@ -106,9 +106,9 @@ func TestSimplicityTransitions(t *testing.T) {
 	if g.IsSimple() {
 		t.Fatal("weighted edge should break simplicity")
 	}
-	g.RemoveEdge("a", "c")
+	g.ReplaceDependencies("c", []NodeID{"a"})
 	if !g.IsSimple() {
-		t.Fatal("removing the weighted edge should restore simplicity")
+		t.Fatal("re-registering c at the default weight should restore simplicity")
 	}
 	// Chain through an object breaks simplicity (b gains an out-edge).
 	if err := g.AddEdge("b", "d"); err != nil {
@@ -117,9 +117,9 @@ func TestSimplicityTransitions(t *testing.T) {
 	if g.IsSimple() {
 		t.Fatal("object with out-edge should break simplicity")
 	}
-	g.RemoveNode("d")
+	g.ReplaceDependencies("d", nil)
 	if !g.IsSimple() {
-		t.Fatal("removing d should restore simplicity")
+		t.Fatal("dropping d's dependencies should restore simplicity")
 	}
 	if err := g.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -129,22 +129,15 @@ func TestSimplicityTransitions(t *testing.T) {
 func TestAddNodeUpdatesKind(t *testing.T) {
 	g := New()
 	g.AddNode("x", KindObject)
-	if k, _ := g.NodeKind("x"); k != KindObject {
+	if k, _ := kindOf(g, "x"); k != KindObject {
 		t.Fatalf("kind = %v, want object", k)
 	}
 	g.AddNode("x", KindBoth)
-	if k, _ := g.NodeKind("x"); k != KindBoth {
+	if k, _ := kindOf(g, "x"); k != KindBoth {
 		t.Fatalf("kind = %v, want both", k)
 	}
-	if g.NumNodes() != 1 {
-		t.Fatalf("NumNodes = %d, want 1", g.NumNodes())
-	}
-}
-
-func TestNodeKindMissing(t *testing.T) {
-	g := New()
-	if _, err := g.NodeKind("ghost"); err == nil {
-		t.Fatal("expected error for missing node")
+	if len(g.nodes) != 1 {
+		t.Fatalf("%d vertices, want 1", len(g.nodes))
 	}
 }
 
@@ -155,55 +148,8 @@ func TestBadWeightRejected(t *testing.T) {
 			t.Fatalf("weight %v accepted", w)
 		}
 	}
-	if g.NumNodes() != 0 {
+	if len(g.nodes) != 0 {
 		t.Fatal("failed AddWeightedEdge must not create nodes")
-	}
-}
-
-func TestRemoveEdgeNonexistentNoop(t *testing.T) {
-	g := New()
-	g.RemoveEdge("a", "b") // nothing should happen
-	if err := g.AddEdge("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	g.RemoveEdge("a", "zzz")
-	if g.NumEdges() != 1 {
-		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
-	}
-}
-
-func TestRemoveNode(t *testing.T) {
-	g := paperFig1(t)
-	g.RemoveNode("go5")
-	got := g.Affected("go2")
-	want := []NodeID{"go6", "go7"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("after RemoveNode(go5), Affected(go2) = %v, want %v", got, want)
-	}
-	got = g.Affected("go1")
-	if len(got) != 0 {
-		t.Fatalf("Affected(go1) = %v, want empty", got)
-	}
-	if err := g.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRemoveNodeWithSelfLoop(t *testing.T) {
-	g := New()
-	g.AddNode("s", KindBoth)
-	if err := g.AddEdge("s", "s"); err != nil {
-		t.Fatal(err)
-	}
-	if !g.HasCycle() {
-		t.Fatal("self-loop should be a cycle")
-	}
-	g.RemoveNode("s")
-	if g.NumNodes() != 0 || g.NumEdges() != 0 {
-		t.Fatalf("nodes=%d edges=%d after removal, want 0/0", g.NumNodes(), g.NumEdges())
-	}
-	if err := g.checkInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -222,8 +168,8 @@ func TestReplaceDependencies(t *testing.T) {
 	if got := g.Affected("r3"); !reflect.DeepEqual(got, []NodeID{"page"}) {
 		t.Fatalf("Affected(r3) = %v", got)
 	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d, want 2", g.NumEdges())
+	if n := numEdges(g); n != 2 {
+		t.Fatalf("%d edges, want 2", n)
 	}
 	if !g.IsSimple() {
 		t.Fatal("replace-deps graph should be simple")
@@ -236,8 +182,8 @@ func TestReplaceDependencies(t *testing.T) {
 func TestReplaceDependenciesDuplicatePreds(t *testing.T) {
 	g := New()
 	g.ReplaceDependencies("page", []NodeID{"r1", "r1", "r1"})
-	if g.NumEdges() != 1 {
-		t.Fatalf("NumEdges = %d, want 1 (deduped)", g.NumEdges())
+	if n := numEdges(g); n != 1 {
+		t.Fatalf("%d edges, want 1 (deduped)", n)
 	}
 	if err := g.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -280,9 +226,6 @@ func TestStalenessCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !g.HasCycle() {
-		t.Fatal("x<->y should form a cycle")
-	}
 	st := g.Staleness(map[NodeID]float64{"a": 1})
 	// a contributes 2 into the {x,y} SCC; both members share it.
 	if st["x"] != 2 || st["y"] != 2 {
@@ -318,76 +261,24 @@ func TestStalenessDiamond(t *testing.T) {
 	}
 }
 
-func TestTopoOrder(t *testing.T) {
-	g := paperFig1(t)
-	order, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := make(map[NodeID]int, len(order))
-	for i, id := range order {
-		pos[id] = i
-	}
-	for _, e := range [][2]NodeID{{"go1", "go5"}, {"go2", "go5"}, {"go2", "go6"}, {"go5", "go7"}, {"go6", "go7"}} {
-		if pos[e[0]] >= pos[e[1]] {
-			t.Fatalf("topo order violates edge %v->%v: %v", e[0], e[1], order)
-		}
-	}
-}
-
-func TestTopoOrderCycleError(t *testing.T) {
-	g := New()
-	g.AddNode("x", KindBoth)
-	g.AddNode("y", KindBoth)
-	if err := g.AddEdge("x", "y"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge("y", "x"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.TopoOrder(); err == nil {
-		t.Fatal("expected cycle error")
-	}
-}
-
-func TestObjectsUnderlyingPartition(t *testing.T) {
-	g := paperFig1(t)
-	objs := g.Objects()
-	want := []NodeID{"go5", "go6", "go7"}
-	if !reflect.DeepEqual(objs, want) {
-		t.Fatalf("Objects = %v, want %v", objs, want)
-	}
-	und := g.Underlying()
-	wantU := []NodeID{"go1", "go2", "go5", "go6"}
-	if !reflect.DeepEqual(und, wantU) {
-		t.Fatalf("Underlying = %v, want %v", und, wantU)
-	}
-}
-
-func TestSnapshot(t *testing.T) {
-	g := paperFig1(t)
-	st := g.Snapshot()
-	if st.Nodes != 5 || st.Edges != 5 || st.Objects != 1 || st.Underlying != 2 || st.Both != 2 {
-		t.Fatalf("snapshot = %+v", st)
-	}
-	if st.Simple {
-		t.Fatal("figure 1 graph must not report simple")
-	}
-	if st.MaxOutDeg != 2 || st.MaxInDeg != 2 {
-		t.Fatalf("degrees = out %d in %d, want 2/2", st.MaxOutDeg, st.MaxInDeg)
-	}
-}
-
+// TestEdgeWeight: an edge's weight scales the staleness it carries, and
+// re-adding an edge overwrites its weight rather than adding a second one.
 func TestEdgeWeight(t *testing.T) {
 	g := paperFig1(t)
-	if w, ok := g.EdgeWeight("go1", "go5"); !ok || w != 5 {
-		t.Fatalf("EdgeWeight(go1,go5) = %v,%v", w, ok)
+	if st := g.Staleness(map[NodeID]float64{"go1": 1}); st["go5"] != 5 {
+		t.Fatalf("staleness(go5 | go1 changed) = %v, want the edge weight 5", st["go5"])
 	}
-	if _, ok := g.EdgeWeight("go1", "go7"); ok {
-		t.Fatal("EdgeWeight of missing edge reported ok")
+	if err := g.AddWeightedEdge("go1", "go5", 2); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := g.EdgeWeight("ghost", "go7"); ok {
-		t.Fatal("EdgeWeight from missing node reported ok")
+	if st := g.Staleness(map[NodeID]float64{"go1": 1}); st["go5"] != 2 {
+		t.Fatalf("staleness(go5 | go1 changed) = %v after re-adding at weight 2, want 2", st["go5"])
+	}
+	if n := numEdges(g); n != 5 {
+		t.Fatalf("%d edges after re-adding one, want 5", n)
+	}
+	if err := g.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -422,7 +313,7 @@ func TestConcurrentMutationAndQuery(t *testing.T) {
 				case 1:
 					g.Affected(u)
 				case 2:
-					g.RemoveEdge(u, o)
+					g.ReplaceDependencies(o, nil)
 				case 3:
 					g.Staleness(map[NodeID]float64{u: 1})
 				}
@@ -448,15 +339,15 @@ func buildRandom(rng *rand.Rand, nOps int) *Graph {
 		case 3:
 			_ = g.AddWeightedEdge(a, b, float64(1+rng.Intn(5)))
 		case 4:
-			g.RemoveEdge(a, b)
+			g.ReplaceDependencies(b, nil)
 		case 5:
-			g.RemoveNode(a)
+			g.ReplaceDependencies(b, []NodeID{a})
 		}
 	}
 	return g
 }
 
-// Property: internal counters (edges, weighted, violations) never drift from
+// Property: internal counters (weighted, violations) never drift from
 // a full recount, for any mutation sequence.
 func TestInvariantsUnderRandomMutation(t *testing.T) {
 	f := func(seed int64) bool {
@@ -480,7 +371,7 @@ func TestAffectedMatchesReachability(t *testing.T) {
 		seen := map[NodeID]struct{}{}
 		var frontier []NodeID
 		for _, r := range roots {
-			if g.Contains(r) {
+			if _, ok := kindOf(g, r); ok {
 				seen[r] = struct{}{}
 				frontier = append(frontier, r)
 			}
@@ -499,7 +390,7 @@ func TestAffectedMatchesReachability(t *testing.T) {
 		}
 		want := map[NodeID]struct{}{}
 		for id := range seen {
-			if k, err := g.NodeKind(id); err == nil && k != KindUnderlying {
+			if k, ok := kindOf(g, id); ok && k != KindUnderlying {
 				want[id] = struct{}{}
 			}
 		}
@@ -701,7 +592,7 @@ func TestSubgraphTopoOrderProperty(t *testing.T) {
 		var subset []NodeID
 		for i := 0; i < 12; i++ {
 			id := NodeID(fmt.Sprintf("n%d", rng.Intn(30)))
-			if g.Contains(id) {
+			if _, ok := kindOf(g, id); ok {
 				subset = append(subset, id)
 			}
 		}
@@ -722,7 +613,7 @@ func TestSubgraphTopoOrderProperty(t *testing.T) {
 		for i, id := range order {
 			pos[id] = i
 		}
-		if g.HasCycle() {
+		if cyclic(g, ids) {
 			return true // ordering not guaranteed, only permutation
 		}
 		for _, id := range ids {
@@ -755,4 +646,43 @@ func BenchmarkSubgraphTopoOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.SubgraphTopoOrder(subset)
 	}
+}
+
+// kindOf returns the kind of vertex id, with ok reporting whether it exists.
+func kindOf(g *Graph, id NodeID) (Kind, bool) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	n, ok := g.nodes[id]
+	if !ok {
+		return 0, false
+	}
+	return n.kind, true
+}
+
+// numEdges counts g's edges.
+func numEdges(g *Graph) int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	n := 0
+	for _, v := range g.nodes {
+		n += len(v.out)
+	}
+	return n
+}
+
+// cyclic reports whether the subgraph induced by ids has a cycle through
+// two or more vertices (SubgraphTopoOrder ignores self-loops).
+func cyclic(g *Graph, ids []NodeID) bool {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	sub := make(map[NodeID]struct{}, len(ids))
+	for _, id := range ids {
+		sub[id] = struct{}{}
+	}
+	for _, comp := range g.sccLocked(sub) {
+		if len(comp) > 1 {
+			return true
+		}
+	}
+	return false
 }

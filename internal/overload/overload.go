@@ -266,34 +266,6 @@ func (l *Limiter) Waiting() int {
 	return l.waiting
 }
 
-// LimiterStats snapshots the limiter's counters.
-type LimiterStats struct {
-	Admitted  int64 // admissions straight into a free slot
-	Queued    int64 // admissions after waiting in the bounded queue
-	Shed      int64 // refusals (queue full or CoDel shedding)
-	ShedCodel int64 // refusals due to the CoDel standing-delay state
-	Inflight  int
-	Waiting   int
-	Load      float64
-}
-
-// Stats returns a snapshot of the limiter.
-func (l *Limiter) Stats() LimiterStats {
-	load := l.Load()
-	l.mu.Lock()
-	inflight, waiting := l.inflight, l.waiting
-	l.mu.Unlock()
-	return LimiterStats{
-		Admitted:  l.admitted.Value(),
-		Queued:    l.queued.Value(),
-		Shed:      l.shed.Value(),
-		ShedCodel: l.shedCodel.Value(),
-		Inflight:  inflight,
-		Waiting:   waiting,
-		Load:      load,
-	}
-}
-
 // RegisterMetrics publishes the limiter's counters and load signal into a
 // registry. labels (may be nil) are attached to every series.
 func (l *Limiter) RegisterMetrics(reg *stats.Registry, labels stats.Labels) {

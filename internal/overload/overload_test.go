@@ -50,9 +50,8 @@ func TestAcquireReleaseBasic(t *testing.T) {
 	if got := l.Inflight(); got != 0 {
 		t.Fatalf("inflight after release = %d, want 0", got)
 	}
-	st := l.Stats()
-	if st.Admitted != 2 || st.Shed != 0 {
-		t.Fatalf("stats = %+v, want 2 admitted 0 shed", st)
+	if a, s := l.admitted.Value(), l.shed.Value(); a != 2 || s != 0 {
+		t.Fatalf("admitted %d shed %d, want 2 admitted 0 shed", a, s)
 	}
 }
 
@@ -108,9 +107,8 @@ func TestBoundedQueueAdmitsAfterRelease(t *testing.T) {
 		t.Fatal("queued waiter not admitted")
 	}
 	r2()
-	st := l.Stats()
-	if st.Queued != 1 {
-		t.Fatalf("queued = %d, want 1", st.Queued)
+	if q := l.queued.Value(); q != 1 {
+		t.Fatalf("queued = %d, want 1", q)
 	}
 }
 
@@ -164,9 +162,8 @@ func TestCodelShedsOnStandingDelay(t *testing.T) {
 	if _, err := l.Acquire(); !errors.Is(err, ErrShed) {
 		t.Fatalf("acquire while shedding err = %v, want ErrShed", err)
 	}
-	st := l.Stats()
-	if st.ShedCodel == 0 {
-		t.Fatalf("shedCodel = 0, want > 0 (stats %+v)", st)
+	if l.shedCodel.Value() == 0 {
+		t.Fatal("shedCodel = 0, want > 0")
 	}
 	r2()
 	if l.Shedding() {
@@ -275,9 +272,8 @@ func TestConcurrentChurn(t *testing.T) {
 	if total != 16*200 {
 		t.Fatalf("accounted %d of %d acquisitions", total, 16*200)
 	}
-	st := l.Stats()
-	if st.Admitted+st.Queued != served.Load() || st.Shed != shed.Load() {
-		t.Fatalf("stats %+v disagree with observed served=%d shed=%d", st, served.Load(), shed.Load())
+	if a, q, s := l.admitted.Value(), l.queued.Value(), l.shed.Value(); a+q != served.Load() || s != shed.Load() {
+		t.Fatalf("admitted %d queued %d shed %d disagree with observed served=%d shed=%d", a, q, s, served.Load(), shed.Load())
 	}
 }
 

@@ -90,7 +90,7 @@ type Config struct {
 	Cold bool
 	// Clock stamps the warmup duration (default time.Now).
 	Clock func() time.Time
-	// Metrics, when set, accumulates recovery_* counters across warmups.
+	// Metrics, when set, accumulates page counts across warmups.
 	Metrics *Metrics
 }
 
@@ -151,7 +151,7 @@ func (w *Warmer) Warm() (Report, error) {
 		}
 		rep.Duration = cfg.Clock().Sub(start)
 		if cfg.Metrics != nil {
-			cfg.Metrics.observe(rep, nil)
+			cfg.Metrics.observe(rep)
 		}
 		return rep, nil
 	}
@@ -175,9 +175,6 @@ func (w *Warmer) Warm() (Report, error) {
 		obj, err := cfg.Render(p, rep.FloorLSN)
 		if err != nil {
 			err = fmt.Errorf("recovery: warm %s: render %s: %w", cfg.Node, p, err)
-			if cfg.Metrics != nil {
-				cfg.Metrics.observe(rep, err)
-			}
 			return rep, err
 		}
 		cfg.Cache.Put(obj)
@@ -199,9 +196,6 @@ func (w *Warmer) Warm() (Report, error) {
 				obj, err := cfg.Render(p, tx.LSN)
 				if err != nil {
 					err = fmt.Errorf("recovery: warm %s: replay %s@%d: %w", cfg.Node, p, tx.LSN, err)
-					if cfg.Metrics != nil {
-						cfg.Metrics.observe(rep, err)
-					}
 					return rep, err
 				}
 				cfg.Cache.Put(obj)
@@ -212,7 +206,7 @@ func (w *Warmer) Warm() (Report, error) {
 	rep.FinalLSN = cfg.CurrentLSN()
 	rep.Duration = cfg.Clock().Sub(start)
 	if cfg.Metrics != nil {
-		cfg.Metrics.observe(rep, nil)
+		cfg.Metrics.observe(rep)
 	}
 	return rep, nil
 }
@@ -230,60 +224,14 @@ func newestPeerCopy(peers []*cache.Cache, key cache.Key) *cache.Object {
 	return best
 }
 
-// Metrics accumulates recovery counters across a complex's warmups. The
-// readmission and flap counters are fed by the dispatcher's state-change
-// hook (deploy wires both sides).
+// Metrics accumulates, across a complex's warmups, how many pages came from
+// a peer's cache and how many were re-rendered.
 type Metrics struct {
-	Warmups              stats.Counter
-	WarmupFailures       stats.Counter
-	PagesFromPeer        stats.Counter
-	PagesRendered        stats.Counter
-	ReplayedTransactions stats.Counter
-	ReplayedPages        stats.Counter
-	Readmissions         stats.Counter
-	FlapQuarantines      stats.Counter
-	WarmupSeconds        *stats.Histogram
+	PagesFromPeer stats.Counter
+	PagesRendered stats.Counter
 }
 
-// NewMetrics returns an empty metrics set.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		WarmupSeconds: stats.NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5),
-	}
-}
-
-func (m *Metrics) observe(rep Report, err error) {
-	if err != nil {
-		m.WarmupFailures.Inc()
-		return
-	}
-	m.Warmups.Inc()
+func (m *Metrics) observe(rep Report) {
 	m.PagesFromPeer.Add(int64(rep.FromPeer))
 	m.PagesRendered.Add(int64(rep.Rendered))
-	m.ReplayedTransactions.Add(int64(rep.ReplayedTx))
-	m.ReplayedPages.Add(int64(rep.ReplayedPages))
-	m.WarmupSeconds.Observe(rep.Duration.Seconds())
-}
-
-// Register publishes the recovery_* metric families into a registry.
-// labels (may be nil) are attached to every series.
-func (m *Metrics) Register(reg *stats.Registry, labels stats.Labels) {
-	reg.RegisterCounter("recovery_warmups_total",
-		"node warmups completed before readmission", labels, &m.Warmups)
-	reg.RegisterCounter("recovery_warmup_failures_total",
-		"node warmups that failed (the node stayed down)", labels, &m.WarmupFailures)
-	reg.RegisterCounter("recovery_pages_from_peer_total",
-		"pages restored by copying a healthy peer's cache entry", labels, &m.PagesFromPeer)
-	reg.RegisterCounter("recovery_pages_rendered_total",
-		"pages re-rendered at the pinned LSN floor during warmup", labels, &m.PagesRendered)
-	reg.RegisterCounter("recovery_replayed_transactions_total",
-		"retained-log transactions replayed past the pinned floor", labels, &m.ReplayedTransactions)
-	reg.RegisterCounter("recovery_replayed_pages_total",
-		"pages re-rendered by the post-attach log replay", labels, &m.ReplayedPages)
-	reg.RegisterCounter("recovery_readmissions_total",
-		"nodes readmitted to the distribution list after eviction", labels, &m.Readmissions)
-	reg.RegisterCounter("recovery_flap_quarantines_total",
-		"flap-damping quarantines imposed on repeatedly failing nodes", labels, &m.FlapQuarantines)
-	reg.RegisterHistogram("recovery_warmup_seconds",
-		"wall-clock duration of node warmups", labels, m.WarmupSeconds)
 }

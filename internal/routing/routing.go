@@ -28,7 +28,6 @@ import (
 	"dupserve/internal/cache"
 	"dupserve/internal/dispatch"
 	"dupserve/internal/httpserver"
-	"dupserve/internal/stats"
 )
 
 // Address is one of the virtual SIPR addresses (0..NumAddresses-1).
@@ -93,13 +92,6 @@ type Router struct {
 	// routes[addr] lists advertisements for the address.
 	routes []([]advert)
 	dnsRR  int
-
-	requests     stats.Counter
-	reroutes     stats.Counter
-	shedReroutes stats.Counter
-	rejected     stats.Counter
-	byComplex    sync.Map // string -> *stats.Counter
-	byRegion     sync.Map // Region -> *stats.Counter
 
 	onShed func(complexName string, withdrawn, prev int) // fired outside mu
 }
@@ -353,8 +345,6 @@ func (r *Router) Route(region Region, addr Address) []string {
 // next-cheapest complex if the chosen one cannot answer. It returns the
 // object, the outcome, and the complex that finally served.
 func (r *Router) Request(region Region, path string) (*cache.Object, httpserver.Outcome, string, error) {
-	r.requests.Inc()
-	r.counter(&r.byRegion, region).Inc()
 	addr := r.Resolve()
 	return r.RequestVia(region, addr, path)
 }
@@ -364,7 +354,6 @@ func (r *Router) Request(region Region, path string) (*cache.Object, httpserver.
 func (r *Router) RequestVia(region Region, addr Address, path string) (*cache.Object, httpserver.Outcome, string, error) {
 	order := r.Route(region, addr)
 	if len(order) == 0 {
-		r.rejected.Inc()
 		return nil, httpserver.OutcomeError, "", fmt.Errorf("%w: addr %d from %s", ErrNoRoute, addr, region)
 	}
 	for i, name := range order {
@@ -379,78 +368,22 @@ func (r *Router) RequestVia(region Region, addr Address, path string) (*cache.Ob
 			// The whole complex is saturated, not failed: reroute to the
 			// next-cheapest advertiser but leave the complex up — its
 			// remaining addresses keep serving and it recovers on its own.
-			r.shedReroutes.Inc()
 			if i < len(order)-1 {
 				continue
 			}
-			r.rejected.Inc()
 			return nil, outcome, name, err
 		}
 		if outcome == httpserver.OutcomeError && err != nil {
 			// Complex-level failure: mark it down and reroute.
 			r.SetComplexUp(name, false)
-			r.reroutes.Inc()
 			if i < len(order)-1 {
 				continue
 			}
-			r.rejected.Inc()
 			return nil, outcome, name, err
 		}
-		r.counter(&r.byComplex, name).Inc()
 		return obj, outcome, name, err
 	}
-	r.rejected.Inc()
 	return nil, httpserver.OutcomeError, "", fmt.Errorf("%w: all advertisers failed", ErrNoRoute)
-}
-
-func (r *Router) counter(m *sync.Map, key any) *stats.Counter {
-	if c, ok := m.Load(key); ok {
-		return c.(*stats.Counter)
-	}
-	c, _ := m.LoadOrStore(key, &stats.Counter{})
-	return c.(*stats.Counter)
-}
-
-// RouterStats snapshots router counters.
-type RouterStats struct {
-	Requests int64
-	Reroutes int64
-	// ShedReroutes counts requests rerouted because a complex was shedding
-	// under overload (the complex stayed up).
-	ShedReroutes int64
-	Rejected     int64
-	ByComplex    map[string]int64
-	ByRegion     map[Region]int64
-	// LoadShed maps each complex to the number of addresses currently
-	// withdrawn because of load.
-	LoadShed map[string]int
-}
-
-// Stats returns a snapshot of routing counters.
-func (r *Router) Stats() RouterStats {
-	st := RouterStats{
-		Requests:     r.requests.Value(),
-		Reroutes:     r.reroutes.Value(),
-		ShedReroutes: r.shedReroutes.Value(),
-		Rejected:     r.rejected.Value(),
-		ByComplex:    make(map[string]int64),
-		ByRegion:     make(map[Region]int64),
-		LoadShed:     make(map[string]int),
-	}
-	r.mu.Lock()
-	for name, c := range r.complexes {
-		st.LoadShed[name] = len(c.shed)
-	}
-	r.mu.Unlock()
-	r.byComplex.Range(func(k, v any) bool {
-		st.ByComplex[k.(string)] = v.(*stats.Counter).Value()
-		return true
-	})
-	r.byRegion.Range(func(k, v any) bool {
-		st.ByRegion[k.(Region)] = v.(*stats.Counter).Value()
-		return true
-	})
-	return st
 }
 
 // PrimaryShare returns the fraction of addresses for which the complex is

@@ -161,13 +161,6 @@ func TestComplexFailureReroutes(t *testing.T) {
 			t.Fatal("served by failed complex")
 		}
 	}
-	st := r.Stats()
-	if st.Reroutes == 0 {
-		t.Fatal("no reroutes recorded")
-	}
-	if st.Rejected != 0 {
-		t.Fatalf("rejected = %d, want 0 (elegant degradation)", st.Rejected)
-	}
 }
 
 func TestComplexRecovery(t *testing.T) {
@@ -193,9 +186,6 @@ func TestAllComplexesDown(t *testing.T) {
 	_, _, _, err := r.Request(RegionUS, "/p")
 	if err == nil {
 		t.Fatal("expected total failure")
-	}
-	if r.Stats().Rejected == 0 {
-		t.Fatal("rejected not counted")
 	}
 }
 
@@ -223,26 +213,6 @@ func TestRegionWithoutDistanceIsFarthest(t *testing.T) {
 	}
 	if order := r.Route("mars", 0); order[0] != "near" {
 		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestStatsBreakdowns(t *testing.T) {
-	r, _ := paperTopology(t)
-	for i := 0; i < 10; i++ {
-		r.Request(RegionJapan, "/p")
-	}
-	for i := 0; i < 20; i++ {
-		r.Request(RegionUS, "/p")
-	}
-	st := r.Stats()
-	if st.Requests != 30 {
-		t.Fatalf("requests = %d", st.Requests)
-	}
-	if st.ByRegion[RegionJapan] != 10 || st.ByRegion[RegionUS] != 20 {
-		t.Fatalf("by region = %v", st.ByRegion)
-	}
-	if st.ByComplex["tokyo"] != 10 {
-		t.Fatalf("by complex = %v", st.ByComplex)
 	}
 }
 

@@ -133,7 +133,6 @@ type Result struct {
 	DynamicHits   int64
 	DynamicMisses int64
 	HitRate       float64
-	StaticHits    int64
 
 	PeakMinute           PeakMinute
 	SkiJumpMinuteHits    int64   // busiest minute of the day-10 spike hour

@@ -31,9 +31,6 @@ func (r *Ring[T]) Len() int {
 	return r.next
 }
 
-// Cap returns the ring's capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Recent returns up to n values, newest first. n <= 0 means all of them.
 func (r *Ring[T]) Recent(n int) []T {
 	size := r.Len()

@@ -21,8 +21,8 @@ func TestRingOrdersAndBounds(t *testing.T) {
 	for v := 3; v <= 5; v++ {
 		r.Push(v)
 	}
-	if r.Len() != 3 || r.Cap() != 3 {
-		t.Fatalf("Len=%d Cap=%d, want 3 and 3", r.Len(), r.Cap())
+	if r.Len() != 3 || len(r.buf) != 3 {
+		t.Fatalf("Len=%d cap=%d, want 3 and 3", r.Len(), len(r.buf))
 	}
 	if got := r.Recent(0); !reflect.DeepEqual(got, []int{5, 4, 3}) {
 		t.Fatalf("Recent(0) = %v, want [5 4 3]", got)

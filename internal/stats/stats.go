@@ -28,9 +28,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Reset sets the counter back to zero and returns the previous value.
-func (c *Counter) Reset() int64 { return c.v.Swap(0) }
-
 // Gauge is an atomically updated instantaneous value that also tracks the
 // maximum it has ever reached (used, e.g., for peak cache memory).
 type Gauge struct {
@@ -67,12 +64,6 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Max returns the maximum value ever set.
 func (g *Gauge) Max() int64 { return g.max.Load() }
-
-// Reset zeroes both the current value and the running maximum.
-func (g *Gauge) Reset() {
-	g.v.Store(0)
-	g.max.Store(0)
-}
 
 // Histogram is a fixed-boundary histogram. Boundaries are upper bounds of
 // each bucket; observations greater than the last boundary land in the
@@ -214,17 +205,6 @@ func (s *Summary) Mean() float64 {
 		t += v
 	}
 	return t / float64(len(s.vs))
-}
-
-// Min returns the smallest observation, or 0 if empty.
-func (s *Summary) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.vs) == 0 {
-		return 0
-	}
-	s.sortLocked()
-	return s.vs[0]
 }
 
 // Max returns the largest observation, or 0 if empty.

@@ -210,9 +210,6 @@ func New(opts ...Option) *Tracer {
 	return t
 }
 
-// SLO returns the configured freshness objective.
-func (t *Tracer) SLO() time.Duration { return t.slo }
-
 // SetOnViolation installs a callback fired once per trace whose
 // commit-to-push latency exceeds the SLO. The callback runs on the
 // recording goroutine after the tracer's lock is released; it must not
@@ -267,9 +264,6 @@ func (t *Tracer) Recent(n int) []Trace {
 	return t.ring.Recent(n)
 }
 
-// RingSize returns the ring capacity.
-func (t *Tracer) RingSize() int { return t.ring.Cap() }
-
 // Recorded returns the total number of traces recorded.
 func (t *Tracer) Recorded() int64 { return t.recorded.Value() }
 
@@ -299,18 +293,6 @@ func (t *Tracer) WorstInFlight() time.Duration {
 	}
 	return worst
 }
-
-// StageHistogram returns the latency histogram for stage s (nil for
-// StageCommit, which has no duration).
-func (t *Tracer) StageHistogram(s Stage) *stats.Histogram {
-	if s <= StageCommit || s >= NumStages {
-		return nil
-	}
-	return t.stageHist[s]
-}
-
-// TotalHistogram returns the commit-to-push latency histogram.
-func (t *Tracer) TotalHistogram() *stats.Histogram { return t.totalHist }
 
 // RegisterMetrics publishes the tracer into a registry: per-stage latency
 // histograms (labeled by stage), the end-to-end latency histogram, the SLO

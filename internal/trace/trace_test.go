@@ -79,8 +79,8 @@ func TestRingBoundsMemoryUnder10kTransactions(t *testing.T) {
 		tr.Record(mk(int64(i), int64(i), base.Add(time.Duration(i)*time.Millisecond),
 			[NumStages]time.Duration{0, 1, 2, 3, 4, 5}))
 	}
-	if tr.RingSize() != ringSize {
-		t.Fatalf("RingSize = %d, want %d (ring must not grow)", tr.RingSize(), ringSize)
+	if got := len(tr.Recent(0)); got != ringSize {
+		t.Fatalf("ring holds %d traces, want %d (ring must not grow)", got, ringSize)
 	}
 	if got := tr.Recorded(); got != txCount {
 		t.Fatalf("Recorded = %d, want %d", got, txCount)
@@ -165,15 +165,15 @@ func TestStageHistogramsObserve(t *testing.T) {
 		}))
 	}
 	for s := StageCDC; s < NumStages; s++ {
-		h := tr.StageHistogram(s)
+		h := tr.stageHist[s]
 		if h.Count() != 50 {
 			t.Fatalf("stage %v histogram count = %d, want 50", s, h.Count())
 		}
 	}
-	if tr.StageHistogram(StageCommit) != nil {
-		t.Fatal("StageHistogram(commit) should be nil")
+	if tr.stageHist[StageCommit] != nil {
+		t.Fatal("commit stage has a histogram; it has no duration")
 	}
-	total := tr.TotalHistogram()
+	total := tr.totalHist
 	if total.Count() != 50 {
 		t.Fatalf("total histogram count = %d, want 50", total.Count())
 	}

@@ -93,8 +93,8 @@ func (hold *holder) pileUp(t *testing.T, h *harness, n int) {
 
 // TestBurstCoalescesIntoOneBatch holds the monitor inside the propagation
 // of a lone commit while a commit burst of 63 accumulates on the feed, then
-// verifies the backlog propagates as ONE merged batch under the default
-// MaxPending (128): the sublinear-burst guarantee.
+// verifies the backlog propagates as ONE merged batch under the batch cap
+// (defaultMaxPending, 128): the sublinear-burst guarantee.
 func TestBurstCoalescesIntoOneBatch(t *testing.T) {
 	h, hold := newHeldHarness(t)
 	h.registerPage(t, "ev1")
@@ -120,7 +120,7 @@ func TestBurstCoalescesIntoOneBatch(t *testing.T) {
 }
 
 // TestMaxPendingBoundsCoalescing verifies the batch cap: the same backlog
-// of 63 under MaxPending 16 leaves in MaxPending slices, 16+16+16+15,
+// of 63 under a cap of 16 leaves in slices of 16, 16+16+16+15,
 // without Flush, rather than as one unbounded batch.
 func TestMaxPendingBoundsCoalescing(t *testing.T) {
 	h, hold := newHeldHarness(t, withMaxPending(16))
@@ -134,15 +134,15 @@ func TestMaxPendingBoundsCoalescing(t *testing.T) {
 	// Batch 1 holds the lone LSN 1; the backlog LSNs 2..64 follow as
 	// 2..17, 18..33, 34..49 and 50..64.
 	if got, want := hold.batchLSNs(), []int64{1, 17, 33, 49, 64}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("batch LSNs = %v, want %v (MaxPending must bound each batch)", got, want)
+		t.Fatalf("batch LSNs = %v, want %v (the cap must bound each batch)", got, want)
 	}
 	if st.Batches != 5 || st.Coalesced != 62 {
 		t.Fatalf("batches = %d, coalesced = %d, want 5 and 62", st.Batches, st.Coalesced)
 	}
-	bounds, counts := h.monitor.BatchSizes().Buckets()
+	bounds, counts := h.monitor.batchSizes.Buckets()
 	for i, c := range counts {
 		if c > 0 && (i >= len(bounds) || bounds[i] > 16) {
-			t.Fatalf("a batch exceeded MaxPending (histogram bucket %d has %d)", i, c)
+			t.Fatalf("a batch exceeded the cap (histogram bucket %d has %d)", i, c)
 		}
 	}
 }

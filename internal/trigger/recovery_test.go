@@ -62,7 +62,7 @@ func (p *plant) commit(t *testing.T, row, score string) int64 {
 func waitDone(t *testing.T, m *Monitor) {
 	t.Helper()
 	select {
-	case <-m.Done():
+	case <-m.done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("monitor did not stop")
 	}
@@ -244,7 +244,7 @@ func TestOnCrashCallbackFiresAfterDone(t *testing.T) {
 	}
 	// Done must already be closed when the callback runs.
 	select {
-	case <-m.Done():
+	case <-m.done:
 	default:
 		t.Fatal("OnCrash fired before Done closed")
 	}

@@ -13,7 +13,7 @@
 //
 // Batching is self-clocked: there is no timer. An idle monitor that
 // receives a transaction absorbs whatever else is already on the feed (up
-// to MaxPending, default 128) and propagates at once. Transactions that
+// to a cap of 128 transactions) and propagates at once. Transactions that
 // arrive while a batch propagates queue on the feed and form the next
 // batch. A lone commit therefore never waits, while a commit burst still
 // coalesces into batches as large as the backlog the previous propagation
@@ -86,16 +86,13 @@ type Config struct {
 	// package documentation); no timer holds a batch back. The field stays
 	// only because the benchmark plant (bench/plant.go) still sets it.
 	BatchWindow time.Duration
-	// MaxPending caps the transactions in one batch (default 128). Under a
-	// commit burst the backlog on the feed drains in MaxPending slices, one
-	// propagation each. A merged batch's changed-vertex frontiers
-	// deduplicate, so a burst costs one ODG traversal over the union
-	// instead of one per transaction: propagation work grows sublinearly
-	// with burst size.
-	MaxPending int
 }
 
-// defaultMaxPending is the batch cap when Config.MaxPending is unset.
+// defaultMaxPending caps the transactions in one batch. Under a commit
+// burst the backlog on the feed drains in slices of this size, one
+// propagation each. A merged batch's changed-vertex frontiers deduplicate,
+// so a burst costs one ODG traversal over the union instead of one per
+// transaction: propagation work grows sublinearly with burst size.
 const defaultMaxPending = 128
 
 // Monitor consumes a CDC feed and drives a DUP engine. Create with New,
@@ -204,17 +201,11 @@ func New(cfg Config, opts ...Option) *Monitor {
 		batchWait: stats.NewHistogram(0.0001, 0.00025, 0.0005, 0.001, 0.0025,
 			0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5),
 	}
-	if cfg.MaxPending > 0 {
-		m.maxPending = cfg.MaxPending
-	}
 	for _, o := range opts {
 		o(m)
 	}
 	return m
 }
-
-// Name returns the monitor's diagnostic name.
-func (m *Monitor) Name() string { return m.name }
 
 // Start subscribes to the database's CDC feed, replays the retained log
 // from the checkpoint (Config.StartLSN), and begins propagating.
@@ -528,10 +519,6 @@ func (m *Monitor) Err() error {
 	return m.err
 }
 
-// Done returns a channel closed when the monitor's goroutine has exited
-// (shutdown or crash).
-func (m *Monitor) Done() <-chan struct{} { return m.done }
-
 // MonitorStats snapshots the monitor's counters.
 type MonitorStats struct {
 	Batches       int64
@@ -568,12 +555,6 @@ func (m *Monitor) Stats() MonitorStats {
 		LatencyMax:    m.latency.Max(),
 	}
 }
-
-// BatchSizes returns the histogram of transactions per propagated batch.
-func (m *Monitor) BatchSizes() *stats.Histogram { return m.batchSizes }
-
-// BatchWait returns the histogram of first-arrival-to-flush wait, seconds.
-func (m *Monitor) BatchWait() *stats.Histogram { return m.batchWait }
 
 // RegisterMetrics publishes the monitor's counters and batching histograms
 // into a registry. labels (may be nil) are attached to every series.

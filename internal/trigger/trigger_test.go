@@ -62,21 +62,10 @@ func startMonitor(t testing.TB, d *db.DB, e *core.Engine, opts ...Option) *Monit
 	return m
 }
 
-// withMaxPending sets the monitor's batch cap exactly as Config.MaxPending
-// does, so the option-based harness can vary it.
+// withMaxPending overrides the monitor's batch cap (defaultMaxPending), so
+// the option-based harness can vary it.
 func withMaxPending(n int) Option {
 	return func(m *Monitor) { m.maxPending = n }
-}
-
-// TestMaxPendingFromConfig: Config.MaxPending sets the batch cap, and an
-// unset one leaves the default.
-func TestMaxPendingFromConfig(t *testing.T) {
-	if m := New(Config{MaxPending: 5}); m.maxPending != 5 {
-		t.Fatalf("maxPending = %d, want 5", m.maxPending)
-	}
-	if m := New(Config{}); m.maxPending != defaultMaxPending {
-		t.Fatalf("maxPending = %d, want the default %d", m.maxPending, defaultMaxPending)
-	}
 }
 
 // registerPage declares /page/<row> depending on db:results:<row> and
@@ -150,7 +139,7 @@ func TestBatchingCoalescesDuplicateRows(t *testing.T) {
 }
 
 // TestBatchSizeTriggersPropagation: a batch that comes out full triggers
-// the next propagation at once, so a backlog larger than MaxPending drains
+// the next propagation at once, so a backlog larger than the batch cap drains
 // without Flush.
 func TestBatchSizeTriggersPropagation(t *testing.T) {
 	h, hold := newHeldHarness(t, withMaxPending(3))
@@ -264,7 +253,7 @@ func TestCustomIndexer(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Flush()
-	if !c.Contains("/extra") {
+	if !present(c.Peek("/extra")) {
 		t.Fatal("custom indexer vertex did not propagate")
 	}
 	mu.Lock()
@@ -349,7 +338,7 @@ func TestManyPagesPerUpdate(t *testing.T) {
 }
 
 // TestConcurrentCommittersSingleMonitor: four committers race one monitor
-// whose small MaxPending splits every backlog they build; every
+// whose small batch cap splits every backlog they build; every
 // transaction still propagates exactly once, in LSN order.
 func TestConcurrentCommittersSingleMonitor(t *testing.T) {
 	h := newHarness(t, withMaxPending(8))
@@ -389,7 +378,7 @@ func TestTracePropagationStages(t *testing.T) {
 		{"unbatched single tx", nil, 0},
 		// The backlog coalesces into one batch.
 		{"windowed batch", nil, 4},
-		// The backlog leaves in MaxPending slices: 2+1.
+		// The backlog leaves in cap-sized slices: 2+1.
 		{"size-triggered batch", []Option{withMaxPending(2)}, 3},
 	}
 	for _, tc := range cases {
@@ -488,8 +477,8 @@ func TestBatchHistograms(t *testing.T) {
 	hold.Release()
 	h.monitor.Flush()
 
-	sizes := h.monitor.BatchSizes()
-	waits := h.monitor.BatchWait()
+	sizes := h.monitor.batchSizes
+	waits := h.monitor.batchWait
 	if sizes.Count() != 2 {
 		t.Fatalf("size observations = %d, want 2 (the lone commit, then the backlog)", sizes.Count())
 	}
@@ -506,3 +495,6 @@ func TestBatchHistograms(t *testing.T) {
 		t.Fatalf("mean batch size = %v, want 2", sizes.Mean())
 	}
 }
+
+// present reports the ok of a cache Peek: whether the key is cached.
+func present(_ *cache.Object, ok bool) bool { return ok }

@@ -61,7 +61,7 @@ func (e *RemoteError) Error() string { return "wire: remote: " + e.Msg }
 // to one address, RPCs correlated by frame id, per-call deadlines, and a
 // bounded in-flight window so a slow or dead peer exerts backpressure
 // instead of accumulating unbounded queued requests (the same design rule
-// as the trigger monitor's MaxPending high-water mark).
+// as the trigger monitor's 128-transaction batch cap).
 type Client struct {
 	name string
 	addr string
@@ -201,12 +201,6 @@ func Dial(name, addr string, opts ...ClientOption) *Client {
 	}
 	return c
 }
-
-// Name returns the client's diagnostic name.
-func (c *Client) Name() string { return c.name }
-
-// Addr returns the dialed address.
-func (c *Client) Addr() string { return c.addr }
 
 // emit fires the state hook if installed.
 func (c *Client) emit(event, detail string) {
@@ -494,22 +488,6 @@ func (c *Client) dropAll(partition bool) {
 	for _, cc := range conns {
 		c.dropConn(cc, partition, c.addr)
 	}
-}
-
-// Connected reports whether the client currently holds at least one live
-// connection.
-func (c *Client) Connected() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cc := range c.conns {
-		cc.mu.Lock()
-		dead := cc.dead
-		cc.mu.Unlock()
-		if !dead {
-			return true
-		}
-	}
-	return false
 }
 
 // Close severs every connection and fails future calls.

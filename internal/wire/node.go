@@ -77,9 +77,6 @@ func NewRemoteNode(name string, c *Client) *RemoteNode {
 // Name implements dispatch.Node.
 func (n *RemoteNode) Name() string { return n.name }
 
-// Client returns the underlying wire client.
-func (n *RemoteNode) Client() *Client { return n.c }
-
 // Serve implements dispatch.Node by forwarding the path over the wire.
 func (n *RemoteNode) Serve(path string) (*cache.Object, httpserver.Outcome, error) {
 	resp, err := n.c.Call(context.Background(), TypeServe, EncodeString(nil, path))
@@ -132,6 +129,3 @@ func (n *RemoteNode) LoadSignal() float64 {
 	p, _ := n.probe()
 	return p.Load
 }
-
-// Close closes the underlying client.
-func (n *RemoteNode) Close() { n.c.Close() }

@@ -89,6 +89,3 @@ func (r *ReplicaClient) note(lsn int64) {
 	}
 	r.mu.Unlock()
 }
-
-// Close closes the underlying client.
-func (r *ReplicaClient) Close() { r.c.Close() }

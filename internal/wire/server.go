@@ -58,9 +58,6 @@ func NewServer(name string, opts ...ServerOption) *Server {
 	return s
 }
 
-// Name returns the server's diagnostic name.
-func (s *Server) Name() string { return s.name }
-
 // Handle registers h for frame type t, replacing any previous handler.
 // Registration is expected at wiring time, before Serve.
 func (s *Server) Handle(t Type, h Handler) {
@@ -112,16 +109,6 @@ func (s *Server) Serve(l net.Listener) {
 			go s.serveConn(conn)
 		}
 	}()
-}
-
-// Addr returns the listening address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return nil
-	}
-	return s.listener.Addr()
 }
 
 // emit fires the state hook if installed.

@@ -62,19 +62,6 @@ func NewStoreClient(name string, c *Client) *StoreClient {
 // Name returns the remote node's name.
 func (sc *StoreClient) Name() string { return sc.name }
 
-// Client returns the underlying wire client.
-func (sc *StoreClient) Client() *Client { return sc.c }
-
-// PutBatch installs objs on the remote node in order, as TypePutBatch
-// frames of at most MaxPayload bytes each.
-func (sc *StoreClient) PutBatch(objs []*cache.Object) error {
-	payloads, err := batchPayloads(objs)
-	if err != nil {
-		return err
-	}
-	return sc.putPayloads(payloads)
-}
-
 // putPayloads sends encoded TypePutBatch payloads one after another, each
 // acked before the next leaves, so the node applies them in order.
 func (sc *StoreClient) putPayloads(payloads [][]byte) error {

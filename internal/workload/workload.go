@@ -148,9 +148,6 @@ func New(cfg Config, st *site.Site) *Model {
 	return m
 }
 
-// Days returns the number of competition days.
-func (m *Model) Days() int { return m.days }
-
 // HitsForDay returns the target hit count for day (1-based), following the
 // Figure 20 shape.
 func (m *Model) HitsForDay(day int) int64 {

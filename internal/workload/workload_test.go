@@ -38,7 +38,7 @@ func TestDailyProfileShape(t *testing.T) {
 	m, _ := testModel(t)
 	var total int64
 	peakDay, peak := 0, int64(0)
-	for d := 1; d <= m.Days(); d++ {
+	for d := 1; d <= m.days; d++ {
 		h := m.HitsForDay(d)
 		total += h
 		if h > peak {
@@ -147,10 +147,14 @@ func TestSamplePageAlwaysResolvable(t *testing.T) {
 	m, st := testModel(t)
 	rng := rand.New(rand.NewSource(42))
 	statics := st.Statics()
+	pages := make(map[string]bool)
+	for _, p := range st.Pages() {
+		pages[p] = true
+	}
 	for i := 0; i < 5000; i++ {
 		day := 1 + rng.Intn(st.Spec.Days)
 		p := m.SamplePage(rng, day, m.SampleRegion(rng))
-		if st.Engine.Defined(p) {
+		if pages[p] {
 			continue
 		}
 		if _, ok := statics[p]; ok {
@@ -306,6 +310,10 @@ func TestSampleSessionStructure(t *testing.T) {
 	m, st := testModel(t)
 	rng := rand.New(rand.NewSource(9))
 	statics := st.Statics()
+	pages := make(map[string]bool)
+	for _, p := range st.Pages() {
+		pages[p] = true
+	}
 	starts, singles, total := 0, 0, 0
 	for i := 0; i < 5000; i++ {
 		visit := m.SampleSession(rng, 2, routing.RegionUS)
@@ -321,7 +329,7 @@ func TestSampleSessionStructure(t *testing.T) {
 		total += len(visit)
 		// Every page in a session must resolve.
 		for _, p := range visit {
-			if !st.Engine.Defined(p) {
+			if !pages[p] {
 				if _, ok := statics[p]; !ok {
 					t.Fatalf("session page %q unresolvable", p)
 				}
