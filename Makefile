@@ -46,9 +46,13 @@ recovery:
 
 # smoke runs the multi-process deployment end to end on loopback: the
 # olympicsd binary re-executes itself as two serving-node processes, the
-# parent runs the master plane against them over TCP (log shipping, page
-# pushes, remote serves), commits a result, and asserts the updated page
-# is a cache hit with fresh bytes on every node.
+# parent runs the master role's plant against them over TCP (log shipping,
+# page pushes, remote serves), commits a result, and asserts the updated
+# page is a cache hit with fresh bytes on every node. It then expects 200
+# from the master's /stats, /debug/metrics and /debug/traces, restarts node
+# up1 empty on its old wire address, waits two probe intervals, and asserts
+# that 20 page GETs through the master all show the commit and that
+# dispatch_healthy_nodes reads 1: the restarted node is not readmitted.
 smoke:
 	$(GO) run ./cmd/olympicsd -role smoke -nodes 2
 

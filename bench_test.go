@@ -127,15 +127,15 @@ func BenchmarkE2_ServerThroughput(b *testing.B) {
 		}
 	})
 	b.Run("UncachedDynamic", func(b *testing.B) {
-		s := httpserver.New("n", cache.New("c"), gen, nil, httpserver.WithoutCache())
+		s := httpserver.New("n", nil, gen, nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Serve("/d")
 		}
 	})
 	b.Run("UncachedCGI", func(b *testing.B) {
-		s := httpserver.New("n", cache.New("c"), gen, nil,
-			httpserver.WithoutCache(), httpserver.WithOverhead(httpserver.SpinOverhead(200000)))
+		s := httpserver.New("n", nil, gen, nil,
+			httpserver.WithOverhead(httpserver.SpinOverhead(200000)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Serve("/d")

@@ -32,6 +32,7 @@ import (
 	"io"
 	"log"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -42,20 +43,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dupserve/internal/audit"
 	"dupserve/internal/cache"
 	"dupserve/internal/core"
 	"dupserve/internal/db"
-	"dupserve/internal/dispatch"
-	"dupserve/internal/fragment"
+	"dupserve/internal/deploy"
 	"dupserve/internal/httpserver"
 	"dupserve/internal/netsim"
 	"dupserve/internal/obs"
 	"dupserve/internal/odg"
 	"dupserve/internal/site"
 	"dupserve/internal/stats"
-	"dupserve/internal/trace"
-	"dupserve/internal/trigger"
 	"dupserve/internal/weblog"
 	"dupserve/internal/wire"
 )
@@ -143,10 +140,6 @@ func guard(ready func() bool, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// serving is the readiness of the node and master roles: both finish
-// startup before their HTTP listener comes up.
-func serving() bool { return true }
-
 // metricsHandler serves reg in the Prometheus text exposition format.
 func metricsHandler(reg *stats.Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -166,7 +159,6 @@ type flags struct {
 	paper     bool
 	accessLog string
 	slo       time.Duration
-	traceRing int
 	name      string
 	wireAddr  string
 	peers     string
@@ -185,7 +177,6 @@ func main() {
 	flag.BoolVar(&f.paper, "paper", false, "build the full paper-scale site (~17.5k pages)")
 	flag.StringVar(&f.accessLog, "accesslog", "", "also write the access log to this file (CLF)")
 	flag.DurationVar(&f.slo, "slo", 60*time.Second, "freshness SLO (the paper's sixty-second guarantee)")
-	flag.IntVar(&f.traceRing, "traces", 256, "recent propagation traces retained for /debug/traces")
 	flag.StringVar(&f.name, "name", "node", "this process's name (node role)")
 	flag.StringVar(&f.wireAddr, "wire-addr", "127.0.0.1:0", "wire transport listen address (node role)")
 	flag.StringVar(&f.peers, "peers", "", "comma-separated node wire addresses (master role)")
@@ -193,18 +184,35 @@ func main() {
 	flag.IntVar(&f.days, "days", 0, "override the site's day count (0 keeps the spec default)")
 	flag.Parse()
 
+	// The master role owns the master database, renders and pushes pages to
+	// the -peers node processes, ships them the log, and fronts them.
+	var cs deploy.ComplexSpec
 	switch *role {
 	case "all":
-		runAll(f)
+		cs = deploy.ComplexSpec{Name: "nagano", NodesPerFrame: f.nodes}
+	case "master", "complex":
+		if f.peers == "" {
+			log.Fatal("master role requires -peers (comma-separated node wire addresses; start nodes with -role node)")
+		}
+		cs = deploy.ComplexSpec{Name: "master", Peers: strings.Split(f.peers, ","), Shaper: wireShaper(f.wan)}
 	case "node":
 		runNode(f)
-	case "master", "complex":
-		runMaster(f)
+		return
 	case "smoke":
 		runSmoke(f)
+		return
 	default:
 		log.Fatalf("unknown -role %q (want all, node, master, or smoke)", *role)
 	}
+	// The listener comes up at once; once the caches are primed the games
+	// feed begins.
+	p := newPlant(f, cs)
+	go func() {
+		p.prime()
+		runGames(p.d.MasterSite, f.tick, f.seed)
+	}()
+	log.Printf("olympicsd listening on %s (%d pages, complex %s)", f.addr, len(p.cx.Site.Pages()), cs.Name)
+	log.Fatal(http.ListenAndServe(f.addr, p.mux()))
 }
 
 // multiSpec is the site specification shared by every process of one
@@ -223,154 +231,75 @@ func multiSpec(f flags) site.Spec {
 	return spec
 }
 
-func runAll(f flags) {
-	addr := &f.addr
-	tick := &f.tick
-	nodes := &f.nodes
-	seed := &f.seed
-	accessLog := &f.accessLog
-	slo := &f.slo
-	traceRing := &f.traceRing
+// plant is what every serving role runs: a deploy.Deployment of one
+// complex, the registry its metrics publish into, and the access log its
+// page handler feeds. The all role's complex is in-process; the master and
+// smoke roles' complex is node processes over the wire.
+type plant struct {
+	d      *deploy.Deployment
+	cx     *deploy.Complex
+	reg    *stats.Registry
+	ready  atomic.Bool
+	logBuf syncBuffer
+	access *weblog.Writer
+}
 
-	// Observability substrate: one registry every subsystem publishes
-	// into, and a tracer following each transaction commit -> push.
-	reg := stats.NewRegistry()
-	tracer := trace.New(trace.WithSLO(*slo), trace.WithRingSize(*traceRing))
-	tracer.RegisterMetrics(reg)
-
-	// Serve-path observability: a span collector the dispatcher mints
-	// request spans into, a structured journal the tracer and auditor
-	// publish anomalies to, and the flight recorder behind /debug/flight.
-	suite := obs.NewSuite(obs.WithName("nagano"),
-		obs.WithTracer(tracer), obs.WithMetrics(reg))
-	suite.RegisterMetrics(reg, nil)
-	tracer.SetOnViolation(func(tr trace.Trace) {
-		suite.Journal.Event(obs.LevelWarn, "trace", "slo_violation",
-			"propagation exceeded the freshness SLO",
-			"lsn", strconv.FormatInt(tr.LSN, 10))
-	})
-
-	master := db.New("nagano-master")
-	probe := obs.NewReadProbe()
-	master.SetReadHook(probe.Hook)
-	graph := odg.New()
-	group := cache.NewGroup()
-	master.RegisterMetrics(reg, stats.Labels{"db": "nagano-master"})
-
-	var st *site.Site
-	gen := func(key cache.Key, version int64) (*cache.Object, error) {
-		return st.Engine.Generate(key, version)
+// newPlant builds and starts the deployment of cs and registers its
+// metrics. The plant serves pages at once; its /debug surface answers 503
+// until prime has warmed every node cache.
+func newPlant(f flags, cs deploy.ComplexSpec) *plant {
+	p := &plant{reg: stats.NewRegistry()}
+	opts := []deploy.Option{deploy.WithTracing(f.slo), deploy.WithObservability(obs.WithMetrics(p.reg))}
+	if len(cs.Peers) == 0 {
+		// Consistency auditor: taps every served response; /debug/audit
+		// shadow-renders the site against a snapshot of the replica.
+		opts = append(opts, deploy.WithAudit())
 	}
-	engine := core.NewEngine(graph, group, core.WithGenerator(gen))
-
-	spec := multiSpec(f)
-	var err error
-	st, err = site.Build(spec, master, engine)
+	cfg := deploy.Config{Spec: multiSpec(f), Complexes: []deploy.ComplexSpec{cs}, ProbeInterval: probeInterval}
+	d, err := deploy.New(cfg, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Incremental propagation: batches render each changed fragment once
-	// and rebuild containing pages by splicing cached fragment bytes.
-	engine.SetAssembler(st.Engine)
-
-	// Consistency auditor: taps every served response and, on demand
-	// (/debug/audit), shadow-renders the site against a snapshot of the
-	// master to verify coherence and ODG completeness.
-	aud := audit.New(audit.Config{
-		Name:    "nagano",
-		Replica: master,
-		Build: func(sdb *db.DB, sreg fragment.Registrar) (*fragment.Engine, []string, error) {
-			s, err := site.BuildReplica(spec, sdb, sreg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return s.Engine, s.Pages(), nil
-		},
-		Indexer:     func(ch db.Change) []odg.NodeID { return st.Indexer(ch) },
-		Tracer:      tracer,
-		StaleBudget: *slo,
-		SLO:         *slo,
-		OnIncoherent: func(page string) {
-			suite.Journal.Event(obs.LevelError, "audit", "incoherent",
-				"served page diverges from shadow render at the same LSN",
-				"page", page)
-		},
-	})
-	aud.RegisterMetrics(reg, nil)
-
-	// Serving pool: one cache + server per node, pooled behind a
-	// dispatcher (the per-complex layout of figure 19).
-	var pool []dispatch.Node
-	statics := st.Statics()
-	for i := 0; i < *nodes; i++ {
-		name := fmt.Sprintf("up%d", i)
-		c := cache.New(name)
-		group.Add(c)
-		srv := httpserver.New(name, c, gen, master.LSN,
-			httpserver.WithResponseTap(aud.Observe),
-			httpserver.WithReadProbe(probe))
-		for p, body := range statics {
-			srv.SetStatic(p, body, "text/html; charset=utf-8")
-		}
-		srv.RegisterMetrics(reg, nil)
-		pool = append(pool, srv)
-	}
-	nd := dispatch.New(dispatch.Config{Name: "nd", Nodes: pool, ProbeInterval: probeInterval},
-		dispatch.WithObserver(suite.Collector))
-	if err := nd.Start(context.Background()); err != nil {
+	if err := d.Start(context.Background()); err != nil {
 		log.Fatal(err)
 	}
-	engine.RegisterMetrics(reg, nil)
-	group.RegisterMetrics(reg, nil)
-	nd.RegisterMetrics(reg, nil)
-
-	// Trigger monitor: the asynchronous component watching the database.
-	// Constructed here (the handlers below reference it) but started only
-	// after the caches are primed, with the checkpoint pinned at the
-	// prerender LSN so nothing is replayed twice.
-	mon := trigger.New(trigger.Config{
-		Name:     "nagano",
-		DB:       master,
-		Engine:   engine,
-		StartLSN: master.LSN(),
-	},
-		trigger.WithIndexer(st.Indexer),
-		trigger.WithTracer(tracer))
-	mon.RegisterMetrics(reg, nil)
-
-	// Startup runs in the background so the listener comes up immediately
-	// and the /debug surface can answer "starting" instead of hanging.
-	// Once every cache is primed and the monitor is consuming the change
-	// feed, ready flips and the games feed begins.
-	var ready atomic.Bool
-	go func() {
-		log.Printf("prerendering %d pages into %d node caches...", len(st.Pages()), *nodes)
-		if err := st.PrerenderAll(master.LSN(), func(o *cache.Object) { group.BroadcastPut(o) }); err != nil {
-			log.Fatal(err)
-		}
-		if err := mon.Start(context.Background()); err != nil {
-			log.Fatal(err)
-		}
-		ready.Store(true)
-		log.Printf("ready: %d pages primed", len(st.Pages()))
-		runGames(st, *tick, *seed)
-	}()
+	d.RegisterMetrics(p.reg)
+	p.d, p.cx = d, d.Complexes()[0]
 
 	// Access log: in-memory for the /logreport endpoint, optionally teed
 	// to a file — the log-driven methodology behind the 1998 redesign.
-	var logBuf syncBuffer
-	var logSink io.Writer = &logBuf
-	if *accessLog != "" {
-		f, err := os.Create(*accessLog)
+	var sink io.Writer = &p.logBuf
+	if f.accessLog != "" {
+		file, err := os.Create(f.accessLog)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		logSink = io.MultiWriter(&logBuf, f)
+		sink = io.MultiWriter(&p.logBuf, file)
 	}
-	access := weblog.NewWriter(logSink)
+	p.access = weblog.NewWriter(sink)
+	return p
+}
 
-	debug := func(h http.HandlerFunc) http.HandlerFunc { return guard(ready.Load, h) }
+// prime prerenders the site into every node cache and marks the plant
+// ready.
+func (p *plant) prime() {
+	log.Printf("prerendering %d pages into complex %s...", len(p.cx.Site.Pages()), p.cx.Name)
+	if err := p.d.Prime(30 * time.Second); err != nil {
+		log.Fatal(err)
+	}
+	p.ready.Store(true)
+	log.Printf("ready: %d pages primed", len(p.cx.Site.Pages()))
+}
+
+// mux is the HTTP surface both serving roles share: pages through the
+// complex's dispatcher, the site map, health, statistics, the access-log
+// report, and the /debug surface — Prometheus text, structured JSON,
+// propagation traces, serve spans, the event journal, flight-recorder
+// dumps, the consistency audit where the complex has an auditor, and
+// pprof. Everything under /debug goes through guard.
+func (p *plant) mux() *http.ServeMux {
+	cx := p.cx
+	debug := func(h http.HandlerFunc) http.HandlerFunc { return guard(p.ready.Load, h) }
 	queryN := func(r *http.Request, def int) int {
 		if v := r.URL.Query().Get("n"); v != "" {
 			if parsed, err := strconv.Atoi(v); err == nil {
@@ -386,13 +315,13 @@ func runAll(f flags) {
 		if i := strings.LastIndexByte(client, ':'); i > 0 {
 			client = client[:i]
 		}
-		obj, outcome, err := nd.Serve(r.URL.Path)
+		obj, outcome, err := cx.Dispatcher.Serve(r.URL.Path)
 		status, n := writePage(w, r, obj, outcome, err)
-		access.Log(client, r.URL.Path, status, n)
+		p.access.Log(client, r.URL.Path, status, n)
 	})
 	mux.HandleFunc("/logreport", func(w http.ResponseWriter, r *http.Request) {
-		access.Flush()
-		rep, err := weblog.Analyze(logBuf.reader(), 10)
+		p.access.Flush()
+		rep, err := weblog.Analyze(p.logBuf.reader(), 10)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -401,25 +330,27 @@ func runAll(f flags) {
 	})
 	mux.HandleFunc("/sitemap", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, strings.Join(st.Pages(), "\n"))
+		fmt.Fprintln(w, strings.Join(cx.Site.Pages(), "\n"))
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		agg := group.AggregateStats()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"cache":      agg,
-			"hitRate":    agg.HitRate(),
-			"engine":     engine.Stats(),
-			"trigger":    mon.Stats(),
-			"dispatcher": nd.Stats(),
-			"serve":      suite.Collector.Snapshot(),
-			"freshness":  tracer.Snapshot(),
-			"dbLSN":      master.LSN(),
-			"pages":      len(st.Pages()),
-			"currentDay": st.CurrentDay(),
-		})
+		out := map[string]any{
+			"engine":     cx.Engine.Stats(),
+			"trigger":    cx.Monitor().Stats(),
+			"dispatcher": cx.Dispatcher.Stats(),
+			"serve":      cx.Obs.Collector.Snapshot(),
+			"freshness":  cx.Tracer.Snapshot(),
+			"dbLSN":      p.d.Master.LSN(),
+			"pages":      len(cx.Site.Pages()),
+			"currentDay": p.d.MasterSite.CurrentDay(),
+		}
+		if cx.Cluster != nil {
+			agg := cx.Cluster.Caches.AggregateStats()
+			out["cache"], out["hitRate"] = agg, agg.HitRate()
+		}
+		writeJSON(w, http.StatusOK, out)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !ready.Load() {
+		if !p.ready.Load() {
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "starting", http.StatusServiceUnavailable)
 			return
@@ -427,28 +358,25 @@ func runAll(f flags) {
 		fmt.Fprintln(w, "ok")
 	})
 
-	// Observability surface: Prometheus text, structured JSON, recent
-	// propagation traces, serve spans, the event journal, flight-recorder
-	// dumps, and pprof. Everything under /debug goes through guard.
-	mux.HandleFunc("/debug/metrics", debug(metricsHandler(reg)))
+	mux.HandleFunc("/debug/metrics", debug(metricsHandler(p.reg)))
 	mux.HandleFunc("/debug/metrics.json", debug(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
-			"metrics":     reg.Snapshot(),
-			"propagation": tracer.Snapshot(),
+			"metrics":     p.reg.Snapshot(),
+			"propagation": cx.Tracer.Snapshot(),
 		})
 	}))
 	mux.HandleFunc("/debug/traces", debug(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
-			"summary": tracer.Snapshot(),
-			"traces":  tracer.Recent(queryN(r, 50)),
+			"summary": cx.Tracer.Snapshot(),
+			"traces":  cx.Tracer.Recent(queryN(r, 50)),
 		})
 	}))
 	mux.HandleFunc("/debug/serve", debug(func(w http.ResponseWriter, r *http.Request) {
-		renders, reuses := st.Engine.Accounting()
-		es := engine.Stats()
+		renders, reuses := cx.Site.Engine.Accounting()
+		es := cx.Engine.Stats()
 		writeJSON(w, http.StatusOK, map[string]any{
-			"summary": suite.Collector.Snapshot(),
-			"spans":   suite.Collector.Recent(queryN(r, 50)),
+			"summary": cx.Obs.Collector.Snapshot(),
+			"spans":   cx.Obs.Collector.Recent(queryN(r, 50)),
 			// Assembly accounting correlates serve-path spans with the
 			// propagation batches that refreshed what was served: renders
 			// are fragments rebuilt by DUP batches, reuses are cached
@@ -463,13 +391,13 @@ func runAll(f flags) {
 	}))
 	mux.HandleFunc("/debug/journal", debug(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
-			"armed":    suite.Journal.Armed(),
-			"appended": suite.Journal.Appended(),
-			"events":   suite.Journal.Recent(queryN(r, 50)),
+			"armed":    cx.Obs.Journal.Armed(),
+			"appended": cx.Obs.Journal.Appended(),
+			"events":   cx.Obs.Journal.Recent(queryN(r, 50)),
 		})
 	}))
 	mux.HandleFunc("/debug/flight", debug(func(w http.ResponseWriter, r *http.Request) {
-		rec := suite.Recorder
+		rec := cx.Obs.Recorder
 		if r.URL.Query().Get("capture") == "1" {
 			writeJSON(w, http.StatusOK, rec.Capture("manual capture via /debug/flight"))
 			return
@@ -487,25 +415,25 @@ func runAll(f flags) {
 			"latest":   dump,
 		})
 	}))
-	mux.HandleFunc("/debug/audit", debug(func(w http.ResponseWriter, r *http.Request) {
-		rep, err := aud.Sweep()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := rep.WriteJSON(w); err != nil {
-			log.Printf("audit report: %v", err)
-		}
-	}))
+	if cx.Auditor != nil {
+		mux.HandleFunc("/debug/audit", debug(func(w http.ResponseWriter, r *http.Request) {
+			rep, err := cx.Auditor.Sweep()
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			if err := rep.WriteJSON(w); err != nil {
+				log.Printf("audit report: %v", err)
+			}
+		}))
+	}
 	mux.HandleFunc("/debug/pprof/", debug(pprof.Index))
 	mux.HandleFunc("/debug/pprof/cmdline", debug(pprof.Cmdline))
 	mux.HandleFunc("/debug/pprof/profile", debug(pprof.Profile))
 	mux.HandleFunc("/debug/pprof/symbol", debug(pprof.Symbol))
 	mux.HandleFunc("/debug/pprof/trace", debug(pprof.Trace))
-
-	log.Printf("olympicsd listening on %s (%d pages, %d nodes)", *addr, len(st.Pages()), *nodes)
-	log.Fatal(http.ListenAndServe(*addr, mux))
+	return mux
 }
 
 // wireShaper maps the -wan flag to a frame shaper (nil = unshaped).
@@ -579,183 +507,25 @@ func runNode(f flags) {
 }
 
 // nodeMux is the node role's HTTP surface: a health check and the node's
-// metrics.
+// metrics. The node listens only once startup is done, so it is always
+// ready.
 func nodeMux(reg *stats.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/debug/metrics", guard(serving, metricsHandler(reg)))
-	return mux
-}
-
-// masterPlane is the propagation plane the master and smoke roles share: a
-// master database feeding per-node replication, a DUP engine pushing
-// rendered pages through a wire group, a trigger monitor on the CDC feed,
-// and a dispatcher fronting the nodes over the wire.
-type masterPlane struct {
-	reg         *stats.Registry
-	suite       *obs.Suite
-	master      *db.DB
-	st          *site.Site
-	engine      *core.Engine
-	group       *wire.GroupClient
-	replicators []*db.Replicator
-	replicas    []*wire.ReplicaClient
-	remotes     []*wire.RemoteNode
-	mon         *trigger.Monitor
-	nd          *dispatch.Dispatcher
-}
-
-// startMasterPlane wires the master side against the given node addresses:
-// one pooled wire client per node carries all three flows (log shipping,
-// cache pushes, serve/probe traffic).
-func startMasterPlane(f flags, peers []string) *masterPlane {
-	p := &masterPlane{reg: stats.NewRegistry()}
-	tracer := trace.New(trace.WithSLO(f.slo), trace.WithRingSize(f.traceRing))
-	tracer.RegisterMetrics(p.reg)
-	p.suite = obs.NewSuite(obs.WithName("master"),
-		obs.WithTracer(tracer), obs.WithMetrics(p.reg))
-	p.suite.RegisterMetrics(p.reg, nil)
-
-	p.master = db.New("master")
-	p.master.RegisterMetrics(p.reg, stats.Labels{"db": "master"})
-	shape := wireShaper(f.wan)
-
-	wm := wire.NewMetrics()
-	wm.RegisterMetrics(p.reg, stats.Labels{"endpoint": "master"})
-	hook := func(name, event, detail string) {
-		level := obs.LevelInfo
-		if event == "disconnect" || event == "read_error" || event == "partition_drop" {
-			level = obs.LevelWarn
-		}
-		p.suite.Journal.Event(level, "wire", event,
-			"wire connection state change", "peer", name, "detail", detail)
-	}
-
-	var stores []*wire.StoreClient
-	var pool []dispatch.Node
-	for i, addr := range peers {
-		name := fmt.Sprintf("up%d", i)
-		opts := []wire.ClientOption{
-			wire.WithClientMetrics(wm),
-			wire.WithClientStateHook(hook),
-		}
-		if shape != nil {
-			opts = append(opts, wire.WithShaper(shape))
-		}
-		c := wire.Dial(name, addr, opts...)
-		stores = append(stores, wire.NewStoreClient(name, c))
-		p.replicas = append(p.replicas, wire.NewReplicaClient(c))
-		rn := wire.NewRemoteNode(name, c)
-		p.remotes = append(p.remotes, rn)
-		pool = append(pool, rn)
-	}
-	p.group = wire.NewGroupClient(stores,
-		wire.WithGroupDowngradeHook(func(node string, key cache.Key) {
-			p.suite.Journal.Event(obs.LevelWarn, "wire", "push_downgrade",
-				"wire push exhausted retries; node entry invalidated",
-				"node", node, "key", string(key))
-		}))
-	p.group.RegisterMetrics(p.reg, stats.Labels{"transport": "wire"})
-
-	var st *site.Site
-	gen := func(key cache.Key, version int64) (*cache.Object, error) {
-		return st.Engine.Generate(key, version)
-	}
-	p.engine = core.NewEngine(odg.New(), p.group, core.WithGenerator(gen))
-	var err error
-	st, err = site.Build(multiSpec(f), p.master, p.engine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p.st = st
-	p.engine.SetAssembler(st.Engine)
-	p.engine.RegisterMetrics(p.reg, nil)
-
-	// Ship the log (seed data included) to every node's replica, then wait
-	// for catch-up so node-side miss renders see the same data the pushed
-	// pages were rendered from.
-	for _, rc := range p.replicas {
-		p.replicators = append(p.replicators, db.StartReplicationTo(p.master, rc))
-	}
-	for i, r := range p.replicators {
-		if !r.WaitCaughtUp(30 * time.Second) {
-			log.Fatalf("node %d replica never caught up (lsn %d vs master %d)",
-				i, p.replicas[i].LSN(), p.master.LSN())
-		}
-	}
-	log.Printf("replicas caught up at lsn %d", p.master.LSN())
-
-	log.Printf("prerendering %d pages into %d node caches over the wire...", len(st.Pages()), len(peers))
-	var prerendered []*cache.Object
-	if err := st.PrerenderAll(p.master.LSN(), func(o *cache.Object) { prerendered = append(prerendered, o) }); err != nil {
-		log.Fatal(err)
-	}
-	p.group.ApplyBatch(prerendered)
-
-	p.mon = trigger.New(trigger.Config{
-		Name:     "master",
-		DB:       p.master,
-		Engine:   p.engine,
-		StartLSN: p.master.LSN(),
-	}, trigger.WithIndexer(st.Indexer), trigger.WithTracer(tracer))
-	p.mon.RegisterMetrics(p.reg, nil)
-	if err := p.mon.Start(context.Background()); err != nil {
-		log.Fatal(err)
-	}
-
-	p.nd = dispatch.New(dispatch.Config{Name: "nd", Nodes: pool, ProbeInterval: probeInterval},
-		dispatch.WithObserver(p.suite.Collector))
-	if err := p.nd.Start(context.Background()); err != nil {
-		log.Fatal(err)
-	}
-	p.nd.RegisterMetrics(p.reg, nil)
-	return p
-}
-
-// runMaster is the propagation-plane process: it owns the master database,
-// renders and pushes pages to the -peers nodes, ships them the log, and
-// fronts them with a dispatcher on -addr.
-func runMaster(f flags) {
-	if f.peers == "" {
-		log.Fatal("master role requires -peers (comma-separated node wire addresses; start nodes with -role node)")
-	}
-	peers := strings.Split(f.peers, ",")
-	p := startMasterPlane(f, peers)
-	go runGames(p.st, f.tick, f.seed)
-	log.Printf("master listening on %s (%d pages, %d nodes over the wire)",
-		f.addr, len(p.st.Pages()), len(peers))
-	log.Fatal(http.ListenAndServe(f.addr, p.mux()))
-}
-
-// mux is the master role's HTTP surface: pages served through the
-// dispatcher over the wire, plus health, sitemap and debug endpoints.
-func (p *masterPlane) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		obj, outcome, err := p.nd.Serve(r.URL.Path)
-		writePage(w, r, obj, outcome, err)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/sitemap", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, strings.Join(p.st.Pages(), "\n"))
-	})
-	mux.HandleFunc("/debug/metrics", guard(serving, metricsHandler(p.reg)))
-	mux.HandleFunc("/debug/journal", guard(serving, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"events": p.suite.Journal.Recent(100)})
-	}))
+	mux.HandleFunc("/debug/metrics", guard(func() bool { return true }, metricsHandler(reg)))
 	return mux
 }
 
 // runSmoke is the loopback deployment check `make check` runs: self-exec
-// -nodes node child processes, bring up the master plane against them,
-// commit a result, and verify the wire carried it into every node — log
-// shipping, cache push, and remote serve all exercised across real process
-// boundaries. Exits 0 on success.
+// -nodes node child processes, bring up the master role's plant against
+// them, commit a result, and verify the wire carried it into every node —
+// log shipping, cache push, and remote serve all exercised across real
+// process boundaries. It then checks the master's HTTP surface, and
+// restarts node up1 empty on its old address: the restarted node must stay
+// out of the distribution list, so every page served through the master
+// still shows the commit. Exits 0 on success.
 func runSmoke(f flags) {
 	if f.days == 0 {
 		f.days = 2 // keep the smoke site small
@@ -768,26 +538,31 @@ func runSmoke(f flags) {
 		log.Fatal(err)
 	}
 
-	var peers []string
+	// The children die with the smoke, on failure too: fail stops them
+	// before exiting.
 	var children []*exec.Cmd
-	defer func() {
+	stop := func() {
 		for _, c := range children {
 			c.Process.Kill()
 			c.Wait()
 		}
-	}()
-	for i := 0; i < f.nodes; i++ {
-		name := fmt.Sprintf("up%d", i)
+	}
+	defer stop()
+	fail := func(format string, args ...any) {
+		stop()
+		log.Fatalf(format, args...)
+	}
+	startNode := func(name, wireAddr string) string {
 		cmd := exec.Command(exe, "-role", "node", "-name", name,
-			"-wire-addr", "127.0.0.1:0", "-addr", "",
+			"-wire-addr", wireAddr, "-addr", "",
 			"-days", strconv.Itoa(f.days), fmt.Sprintf("-paper=%t", f.paper))
 		cmd.Stderr = os.Stderr
 		out, err := cmd.StdoutPipe()
 		if err != nil {
-			log.Fatal(err)
+			fail("%v", err)
 		}
 		if err := cmd.Start(); err != nil {
-			log.Fatal(err)
+			fail("%v", err)
 		}
 		children = append(children, cmd)
 		sc := bufio.NewScanner(out)
@@ -799,66 +574,94 @@ func runSmoke(f flags) {
 			}
 		}
 		if addr == "" {
-			log.Fatalf("node %s never reported its wire address", name)
+			fail("node %s never reported its wire address", name)
 		}
 		go io.Copy(io.Discard, out) // keep the pipe drained
-		peers = append(peers, addr)
 		log.Printf("node %s up at %s", name, addr)
+		return addr
+	}
+	var peers []string
+	for i := 0; i < f.nodes; i++ {
+		peers = append(peers, startNode(fmt.Sprintf("up%d", i), "127.0.0.1:0"))
 	}
 
-	p := startMasterPlane(f, peers)
-	defer p.group.Close()
-	defer p.mon.Shutdown(context.Background())
-	defer p.nd.Shutdown(context.Background())
-	for _, r := range p.replicators {
-		defer r.Stop()
+	p := newPlant(f, deploy.ComplexSpec{Name: "master", Peers: peers})
+	defer p.d.Shutdown(context.Background())
+	p.prime()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fail("%v", err)
 	}
-
-	// Every node must already hold every prerendered page: spot-check by
-	// serving each page once through the dispatcher, then prove a fresh
-	// commit reaches every node's cache over the wire.
-	probePage := p.st.Pages()[0]
-	serveAll := func() map[string][]byte {
-		out := make(map[string][]byte)
-		for _, rn := range p.remotes {
-			obj, outcome, err := rn.Serve(probePage)
-			if err != nil || outcome == httpserver.OutcomeError {
-				log.Fatalf("%s: serve %s: outcome %v err %v", rn.Name(), probePage, outcome, err)
-			}
-			out[rn.Name()] = obj.Value
-		}
-		return out
-	}
-	serveAll()
-
-	ev := p.st.Events[0]
-	var changedPage string
-	if tx, err := p.st.RecordResult(ev, ev.Participants[0], ev.Participants[1], ev.Participants[2], "240.0"); err != nil {
-		log.Fatal(err)
-	} else {
-		changedPage = fmt.Sprintf("lsn %d", tx.LSN)
-	}
-	p.mon.Flush()
-
-	// The event's result page must now serve the new gold medalist from
-	// every node's cache (a hit, pushed over the wire — not a re-render).
-	resultPage := fmt.Sprintf("/en/sports/%s/%s", ev.Sport, ev.Key)
-	okNodes := 0
-	for _, rn := range p.remotes {
-		obj, outcome, err := rn.Serve(resultPage)
+	go http.Serve(ln, p.mux())
+	get := func(path string) (*http.Response, []byte) {
+		resp, err := http.Get("http://" + ln.Addr().String() + path)
 		if err != nil {
-			log.Fatalf("%s: serve %s: %v", rn.Name(), resultPage, err)
+			fail("%v", err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			fail("%v", err)
+		}
+		return resp, body
+	}
+
+	// The event's result page must now show the new gold medalist from
+	// every node's cache: a hit, pushed over the wire — not a re-render —
+	// fetched over a connection of the smoke's own to each node.
+	st := p.d.MasterSite
+	ev := st.Events[0]
+	tx, err := st.RecordResult(ev, ev.Participants[0], ev.Participants[1], ev.Participants[2], "240.0")
+	if err != nil {
+		fail("%v", err)
+	}
+	if !p.d.WaitFresh(30 * time.Second) {
+		fail("lsn %d never reached every node", tx.LSN)
+	}
+	resultPage := fmt.Sprintf("/en/sports/%s/%s", ev.Sport, ev.Key)
+	gold := []byte(fmt.Sprintf("<td>Gold</td><td><a href=/en/athletes/%s>", ev.Participants[0]))
+	for i, addr := range peers {
+		name := fmt.Sprintf("up%d", i)
+		c := wire.Dial(name, addr)
+		obj, outcome, err := wire.NewRemoteNode(name, c).Serve(resultPage)
+		c.Close()
+		if err != nil {
+			fail("%s: serve %s: %v", name, resultPage, err)
 		}
 		if outcome != httpserver.OutcomeHit {
-			log.Fatalf("%s: %s served as %v, want pushed cache hit", rn.Name(), resultPage, outcome)
+			fail("%s: %s served as %v, want pushed cache hit", name, resultPage, outcome)
 		}
-		if !bytes.Contains(obj.Value, []byte(ev.Participants[0])) {
-			log.Fatalf("%s: %s does not show the new result", rn.Name(), resultPage)
+		if obj.Version < tx.LSN || !bytes.Contains(obj.Value, gold) {
+			fail("%s: %s at version %d does not show the result committed at lsn %d", name, resultPage, obj.Version, tx.LSN)
 		}
-		okNodes++
 	}
-	log.Printf("smoke ok: %s propagated to %d/%d nodes over the wire (%s)",
-		resultPage, okNodes, len(p.remotes), changedPage)
+	log.Printf("smoke: %s propagated to %d nodes over the wire (lsn %d)", resultPage, len(peers), tx.LSN)
+
+	for _, path := range []string{"/stats", "/debug/metrics", "/debug/traces"} {
+		if resp, _ := get(path); resp.StatusCode != http.StatusOK {
+			fail("master GET %s: %s", path, resp.Status)
+		}
+	}
+
+	// Restart up1 empty on its old address. Its replica is back at LSN 0 and
+	// replication stops at the gap, so the master must keep it out of the
+	// distribution list instead of serving its version-0 pages.
+	children[1].Process.Kill()
+	children[1].Wait()
+	startNode("up1", peers[1])
+	time.Sleep(2 * probeInterval)
+	for i := 0; i < 20; i++ {
+		resp, body := get(resultPage)
+		version, _ := strconv.ParseInt(resp.Header.Get("X-Version"), 10, 64)
+		if resp.StatusCode != http.StatusOK || version < tx.LSN || !bytes.Contains(body, gold) {
+			fail("master GET %s after restarting up1: %s, X-Version %q, want the result committed at lsn %d",
+				resultPage, resp.Status, resp.Header.Get("X-Version"), tx.LSN)
+		}
+	}
+	if _, metrics := get("/debug/metrics"); !bytes.Contains(metrics, []byte("\ndispatch_healthy_nodes{complex=\"master\"} 1\n")) {
+		fail("master: dispatch_healthy_nodes is not 1 after restarting up1 empty")
+	}
+	log.Printf("smoke: up1 restarted empty stays out of the distribution list")
 	fmt.Println("SMOKE OK")
 }
 

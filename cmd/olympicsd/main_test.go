@@ -1,17 +1,18 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dupserve/internal/cache"
+	"dupserve/internal/deploy"
 	"dupserve/internal/httpserver"
-	"dupserve/internal/obs"
-	"dupserve/internal/stats"
 )
 
 // do runs one request against h and returns the recorded response.
@@ -23,7 +24,7 @@ func do(h http.Handler, method, path string) *httptest.ResponseRecorder {
 
 func TestGuardRejectsNonGET(t *testing.T) {
 	called := false
-	h := guard(serving, func(w http.ResponseWriter, r *http.Request) { called = true })
+	h := guard(func() bool { return true }, func(w http.ResponseWriter, r *http.Request) { called = true })
 	for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete} {
 		rec := do(h, method, "/debug/x")
 		if rec.Code != http.StatusMethodNotAllowed {
@@ -70,19 +71,38 @@ func TestGuardAnswersJSON503BeforeReady(t *testing.T) {
 	}
 }
 
-// TestRoleDebugSurfacesAreReadOnly drives the node and master roles' real
-// HTTP surfaces: every /debug endpoint refuses POST and serves GET.
+// debugRoutes is every /debug route the all role mounts, each with the
+// query that makes its GET answer 200 quickly.
+var debugRoutes = []string{
+	"/debug/metrics", "/debug/metrics.json", "/debug/traces", "/debug/serve",
+	"/debug/journal", "/debug/flight?capture=1", "/debug/audit",
+	"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/profile?seconds=1",
+	"/debug/pprof/symbol", "/debug/pprof/trace?seconds=0.01",
+}
+
+// TestRoleDebugSurfacesAreReadOnly drives the real HTTP surfaces over an
+// in-process deployment: every /debug route of the serving plant answers a
+// JSON 503 before the caches are primed, 405 to a non-GET, and 200 once
+// ready; the node role's /debug/metrics refuses POST and serves GET.
 func TestRoleDebugSurfacesAreReadOnly(t *testing.T) {
-	reg := stats.NewRegistry()
-	master := &masterPlane{reg: reg, suite: obs.NewSuite()}
+	p := newPlant(flags{nodes: 2, days: 2, slo: time.Minute}, deploy.ComplexSpec{Name: "nagano", NodesPerFrame: 2})
+	t.Cleanup(func() { _ = p.d.Shutdown(context.Background()) })
 	surfaces := []struct {
 		role  string
 		mux   http.Handler
 		paths []string
 	}{
-		{"node", nodeMux(reg), []string{"/debug/metrics"}},
-		{"master", master.mux(), []string{"/debug/metrics", "/debug/journal"}},
+		{"node", nodeMux(p.reg), []string{"/debug/metrics"}},
+		{"all", p.mux(), debugRoutes},
 	}
+	all := surfaces[1]
+	for _, path := range all.paths {
+		rec := do(all.mux, http.MethodGet, path)
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("GET %s before ready: status %d Content-Type %q, want a JSON 503", path, rec.Code, rec.Header().Get("Content-Type"))
+		}
+	}
+	p.prime()
 	for _, s := range surfaces {
 		for _, path := range s.paths {
 			if rec := do(s.mux, http.MethodPost, path); rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") == "" {

@@ -80,12 +80,10 @@ import (
 	"strings"
 	"time"
 
-	"dupserve/internal/cache"
 	"dupserve/internal/chaos"
 	"dupserve/internal/core"
 	"dupserve/internal/db"
 	"dupserve/internal/netsim"
-	"dupserve/internal/odg"
 	"dupserve/internal/routing"
 	"dupserve/internal/sim"
 	"dupserve/internal/site"
@@ -635,15 +633,8 @@ func writeCSVs(dir string, res *sim.Result) error {
 // parameters — the loop from traffic to design insight, closed.
 func printSessions() {
 	fmt.Println("== §3.1 methodology: session traffic through the access-log analyzer ==")
-	d := db.New("sessions")
-	g := odg.New()
-	var st *site.Site
-	gen := func(key cache.Key, version int64) (*cache.Object, error) {
-		return st.Engine.Generate(key, version)
-	}
-	engine := core.NewEngine(g, cache.New("c"), core.WithGenerator(gen))
-	var err error
-	st, err = site.Build(site.DefaultSpec(), d, engine)
+	// Only the page structure matters here: no engine, no caches.
+	st, err := site.Build(site.DefaultSpec(), db.New("sessions"), nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sessions:", err)
 		os.Exit(1)

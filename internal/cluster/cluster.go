@@ -296,8 +296,9 @@ type Config struct {
 	Generator core.Generator
 	// Version stamps generated pages (may be nil).
 	Version httpserver.VersionFunc
-	// ServerOptions are applied to every node's httpserver.
-	ServerOptions []httpserver.Option
+	// ProbeInterval is the dispatcher's advisor period (see
+	// dispatch.Config; zero runs no background advisors).
+	ProbeInterval time.Duration
 	// NodeOptions, when set, returns extra per-node httpserver options
 	// keyed by node name — the hook through which deploy gives each node
 	// its own overload limiter (a limiter is per-node state and must not
@@ -347,9 +348,9 @@ func NewComplex(cfg Config) *Complex {
 			name := fmt.Sprintf("%s-up%d", frame.Name, u)
 			c := cache.New(name, cfg.CacheOptions...)
 			cx.Caches.Add(c)
-			srvOpts := cfg.ServerOptions
+			var srvOpts []httpserver.Option
 			if cfg.NodeOptions != nil {
-				srvOpts = append(append([]httpserver.Option{}, srvOpts...), cfg.NodeOptions(name)...)
+				srvOpts = cfg.NodeOptions(name)
 			}
 			srv := httpserver.New(name, c, cfg.Generator, cfg.Version, srvOpts...)
 			for path, body := range cfg.Statics {
@@ -362,7 +363,7 @@ func NewComplex(cfg Config) *Complex {
 		cx.Frames = append(cx.Frames, frame)
 	}
 	cx.Dispatcher = dispatch.New(
-		dispatch.Config{Name: cfg.Name, Nodes: poolNodes},
+		dispatch.Config{Name: cfg.Name, Nodes: poolNodes, ProbeInterval: cfg.ProbeInterval},
 		cfg.DispatcherOptions...)
 	return cx
 }
@@ -374,12 +375,6 @@ func (c *Complex) Name() string { return c.name }
 // dispatcher, so a Complex plugs directly into the routing layer.
 func (c *Complex) Serve(path string) (*cache.Object, httpserver.Outcome, error) {
 	return c.Dispatcher.Serve(path)
-}
-
-// ServeCtx forwards the request context through the complex's dispatcher so
-// serve spans survive the routing layer's complex indirection.
-func (c *Complex) ServeCtx(ctx context.Context, path string) (*cache.Object, httpserver.Outcome, error) {
-	return c.Dispatcher.ServeCtx(ctx, path)
 }
 
 // Nodes returns every node in the complex.

@@ -11,9 +11,14 @@
 // committed at the master flow through replication delay, land on each
 // replica's change feed, and each complex's trigger monitor independently
 // regenerates and redistributes its own pages. The chaos, audit, recovery
-// and flight scenarios (internal/chaos, run by cmd/simulate) and
-// examples/globalgames run on it; cmd/olympicsd still assembles its own
-// plant.
+// and flight scenarios (internal/chaos, run by cmd/simulate),
+// examples/globalgames and every serving role of cmd/olympicsd run on it.
+//
+// A complex's serving nodes are either in-process (a cluster of caches and
+// servers) or node processes named by wire address (ComplexSpec.Peers):
+// then the engine pushes through a wire.GroupClient, the dispatcher fronts
+// wire.RemoteNodes, and each node's replica is fed over the wire from the
+// complex's replica.
 //
 // A Deployment has a start/drain lifecycle: New constructs the
 // entire topology cold, Start(ctx) brings up replication and the trigger
@@ -51,6 +56,7 @@ import (
 	"dupserve/internal/stats"
 	"dupserve/internal/trace"
 	"dupserve/internal/trigger"
+	"dupserve/internal/wire"
 )
 
 // ComplexSpec describes one geographic serving site.
@@ -65,6 +71,13 @@ type ComplexSpec struct {
 	ChainFrom string
 	// Distance is the backbone cost from each client region.
 	Distance map[routing.Region]int
+	// Peers, when set, makes this a wire complex: its serving nodes are the
+	// node processes at these wire addresses, and Frames and NodesPerFrame
+	// are ignored.
+	Peers []string
+	// Shaper delays every frame a wire complex sends by the returned
+	// duration, modelling its link (nil: unshaped).
+	Shaper func(bytes int) time.Duration
 }
 
 // MSIRP advertisement costs: each address is advertised at primaryCost by
@@ -89,6 +102,10 @@ type Config struct {
 	// The overload scenario spins here so a request flood actually
 	// contends for render slots.
 	RenderCost func()
+	// ProbeInterval, when positive, runs every dispatcher's advisor probes
+	// on that period, readmitting a node once its probe is healthy again.
+	// Zero leaves probing to CheckNow and Advise calls (deterministic mode).
+	ProbeInterval time.Duration
 }
 
 // NaganoConfig returns the paper's four-complex layout with chained US
@@ -123,7 +140,10 @@ type Complex struct {
 	Graph      *odg.Graph
 	Engine     *core.Engine
 	Site       *site.Site
-	Cluster    *cluster.Complex
+	// Cluster holds an in-process complex's nodes and caches (nil on wire).
+	Cluster *cluster.Complex
+	// Dispatcher fronts the complex's serving nodes.
+	Dispatcher *dispatch.Dispatcher
 	// Tracer records end-to-end propagation traces for this complex when
 	// the deployment was built WithTracing; nil otherwise. It survives
 	// monitor restarts, so freshness history spans crashes.
@@ -144,6 +164,13 @@ type Complex struct {
 	spec ComplexSpec
 	feed *db.DB
 
+	// A wire complex's push group, transport counters, node processes, and
+	// the replicators Start runs to their replicas.
+	push      *wire.GroupClient
+	wm        *wire.Metrics
+	nodes     []nodeProcess
+	nodeRepls []*db.Replicator
+
 	mu         sync.Mutex
 	mon        *trigger.Monitor
 	generation int
@@ -163,43 +190,23 @@ func (cx *Complex) Monitor() *trigger.Monitor {
 // complex's trigger monitor.
 func (cx *Complex) MonitorRestarts() int64 { return cx.restarts.Value() }
 
-// lateStore defers the cache-group binding so the engine can be built
-// before the cluster that owns the caches.
-type lateStore struct {
-	mu sync.RWMutex
-	g  *cache.Group
+// nodeProcess is one serving-node process of a wire complex, as its
+// dispatcher sees it. It reports ready only while its replica holds every
+// transaction it has acknowledged: a process restarted empty on the same
+// address answers pings, but its replica is back at LSN 0, the complex's
+// replicator stops at the LSN gap, and it would render version-0 pages
+// that its cache then serves as hits. Such a node stays out of the
+// distribution list.
+type nodeProcess struct {
+	*wire.RemoteNode
+	replica *wire.ReplicaClient
 }
 
-func (s *lateStore) set(g *cache.Group) {
-	s.mu.Lock()
-	s.g = g
-	s.mu.Unlock()
-}
-
-func (s *lateStore) group() *cache.Group {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.g
-}
-
-func (s *lateStore) ApplyPut(obj *cache.Object) {
-	if g := s.group(); g != nil {
-		g.ApplyPut(obj)
-	}
-}
-
-func (s *lateStore) ApplyInvalidate(key cache.Key) int {
-	if g := s.group(); g != nil {
-		return g.ApplyInvalidate(key)
-	}
-	return 0
-}
-
-func (s *lateStore) ApplyInvalidatePrefix(prefix string) int {
-	if g := s.group(); g != nil {
-		return g.ApplyInvalidatePrefix(prefix)
-	}
-	return 0
+// Ready implements dispatch.ReadyReporter. Only advisor probes call it, so
+// the replica check costs the serve path nothing.
+func (n nodeProcess) Ready() bool {
+	acked := n.replica.Acked()
+	return n.RemoteNode.Ready() && n.replica.LSN() >= acked
 }
 
 // Deployment is the assembled system. New builds it cold; Start brings up
@@ -328,6 +335,9 @@ func New(cfg Config, opts ...Option) (*Deployment, error) {
 	d.MasterSite = masterSite
 
 	for _, cs := range cfg.Complexes {
+		if len(cs.Peers) > 0 && (d.inj != nil || d.retry != nil || d.overload != nil || d.audit || d.recovery != nil) {
+			return nil, fmt.Errorf("deploy: %s: faults, retry policy, overload, audit and recovery need in-process nodes", cs.Name)
+		}
 		feed := d.Master
 		feedName := "master"
 		if cs.ChainFrom != "" {
@@ -344,7 +354,7 @@ func New(cfg Config, opts ...Option) (*Deployment, error) {
 		}
 		d.complexes[cs.Name] = cx
 		d.order = append(d.order, cs.Name)
-		d.Router.AddComplex(cs.Name, cx.Cluster, cs.Distance)
+		d.Router.AddComplex(cs.Name, cx.Dispatcher, cs.Distance)
 	}
 	if err := d.Router.AdvertiseSpread(d.order, primaryCost, secondaryCost); err != nil {
 		return nil, err
@@ -373,47 +383,16 @@ func New(cfg Config, opts ...Option) (*Deployment, error) {
 func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedName string) (*Complex, error) {
 	replica := db.New(cs.Name)
 	graph := odg.New()
-	store := &lateStore{}
-
-	var csite *site.Site
-	gen := core.Generator(func(key cache.Key, version int64) (*cache.Object, error) {
-		return csite.Engine.Generate(key, version)
-	})
-	if cfg.RenderCost != nil {
-		base := gen
-		gen = func(key cache.Key, version int64) (*cache.Object, error) {
-			cfg.RenderCost()
-			return base(key, version)
-		}
+	cx := &Complex{
+		Name:    cs.Name,
+		Link:    feedName + "->" + cs.Name,
+		Replica: replica,
+		Graph:   graph,
+		spec:    cs,
+		feed:    feed,
 	}
-	if d.inj != nil {
-		gen = d.inj.Generator(cs.Name, gen)
-	}
-	opts := []core.Option{core.WithGenerator(gen)}
-	if cfg.Policy != core.PolicyUpdateInPlace {
-		opts = append(opts, core.WithPolicy(cfg.Policy))
-	}
-	engine := core.NewEngine(graph, store, opts...)
-	var err error
-	csite, err = site.BuildReplica(cfg.Spec, replica, engine)
-	if err != nil {
-		return nil, err
-	}
-	// Incremental propagation: the engine's update-in-place path renders
-	// each changed fragment once per batch and rebuilds containing pages by
-	// splicing the fragment engine's cached bytes. The binding is late
-	// because the site (and its fragment engine) is built around the
-	// engine's registrar.
-	engine.SetAssembler(csite.Engine)
-	var groupOpts []cache.GroupOption
-	if d.inj != nil {
-		groupOpts = append(groupOpts, cache.WithPutHook(d.inj.PushHook(cs.Name)))
-	}
-	if d.retry != nil {
-		groupOpts = append(groupOpts, cache.WithRetryPolicy(*d.retry))
-	}
-	// Tracer, observability suite, and auditor exist before the cluster so
-	// node options can close over them.
+	// Tracer and observability suite exist first so the store, the nodes
+	// and the auditor can close over them.
 	var tracer *trace.Tracer
 	if d.tracing {
 		var topts []trace.Option
@@ -438,6 +417,156 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 					"lsn", strconv.FormatInt(tr.LSN, 10))
 			})
 		}
+	}
+	cx.Tracer, cx.Obs = tracer, suite
+
+	var csite *site.Site
+	gen := core.Generator(func(key cache.Key, version int64) (*cache.Object, error) {
+		return csite.Engine.Generate(key, version)
+	})
+	if cfg.RenderCost != nil {
+		base := gen
+		gen = func(key cache.Key, version int64) (*cache.Object, error) {
+			cfg.RenderCost()
+			return base(key, version)
+		}
+	}
+	if d.inj != nil {
+		gen = d.inj.Generator(cs.Name, gen)
+	}
+	var dopts []dispatch.Option
+	if suite != nil {
+		// The dispatcher mints a serve span per request.
+		dopts = append(dopts, dispatch.WithObserver(suite.Collector))
+	}
+	// The engine's store exists before the engine: a wire complex pushes
+	// through its group client (whose ApplyBatch ships a page wave as one
+	// frame per node), an in-process one through its cluster's cache group.
+	var store core.Store
+	if len(cs.Peers) > 0 {
+		cx.Dispatcher = dispatch.New(dispatch.Config{Name: cs.Name, Nodes: cx.dialNodes(suite), ProbeInterval: cfg.ProbeInterval}, dopts...)
+		store = cx.push
+	} else {
+		d.buildCluster(cx, cfg, gen, dopts, func(ch db.Change) []odg.NodeID { return csite.Indexer(ch) })
+		store = cx.Cluster.Caches
+	}
+	opts := []core.Option{core.WithGenerator(gen)}
+	if cfg.Policy != core.PolicyUpdateInPlace {
+		opts = append(opts, core.WithPolicy(cfg.Policy))
+	}
+	engine := core.NewEngine(graph, store, opts...)
+	var err error
+	csite, err = site.BuildReplica(cfg.Spec, replica, engine)
+	if err != nil {
+		return nil, err
+	}
+	// Incremental propagation: the engine's update-in-place path renders
+	// each changed fragment once per batch and rebuilds containing pages by
+	// splicing the fragment engine's cached bytes. The binding is late
+	// because the site (and its fragment engine) is built around the
+	// engine's registrar.
+	engine.SetAssembler(csite.Engine)
+	cx.Engine, cx.Site = engine, csite
+
+	if d.recovery != nil {
+		p := *d.recovery
+		group := cx.Cluster.Caches
+		// affectedPages maps a replayed transaction to the pages it
+		// obsoletes: index each change into the ODG and keep the affected
+		// node IDs that are pages.
+		pageSet := make(map[string]bool)
+		for _, pg := range csite.Pages() {
+			pageSet[pg] = true
+		}
+		affectedPages := func(tx db.Transaction) []string {
+			var ids []odg.NodeID
+			for _, ch := range tx.Changes {
+				ids = append(ids, csite.Indexer(ch)...)
+			}
+			var out []string
+			for _, id := range graph.Affected(ids...) {
+				if pageSet[string(id)] {
+					out = append(out, string(id))
+				}
+			}
+			return out
+		}
+		for _, node := range cx.Cluster.Nodes() {
+			node := node
+			c, ok := group.Get(node.Name())
+			if !ok {
+				continue
+			}
+			warmer := recovery.New(recovery.Config{
+				Node:  node.Name(),
+				Cache: c,
+				Cold:  !p.Warm,
+				Peers: func() []*cache.Cache {
+					var out []*cache.Cache
+					for _, pc := range group.Members() {
+						if pc != c {
+							out = append(out, pc)
+						}
+					}
+					return out
+				},
+				Pages: csite.Pages,
+				Render: func(path string, version int64) (*cache.Object, error) {
+					return csite.Engine.Generate(cache.Key(path), version)
+				},
+				CurrentLSN:    replica.LSN,
+				LogSince:      replica.LogSince,
+				AffectedPages: affectedPages,
+				Attach:        func() { group.Add(c) },
+				Metrics:       cx.Recovery,
+			})
+			node.SetWarmup(func() error {
+				rep, err := warmer.Warm()
+				if err != nil {
+					if suite != nil {
+						suite.Journal.Event(obs.LevelError, "node", "warmup_failed",
+							err.Error(), "node", node.Name())
+					}
+					return err
+				}
+				if suite != nil {
+					suite.Journal.Event(obs.LevelInfo, "node", "warmup",
+						"cache rebuilt to the pinned LSN floor before readmission",
+						"node", rep.Node,
+						"pages", strconv.Itoa(rep.Pages),
+						"from_peer", strconv.Itoa(rep.FromPeer),
+						"rendered", strconv.Itoa(rep.Rendered),
+						"floor_lsn", strconv.FormatInt(rep.FloorLSN, 10))
+				}
+				return nil
+			})
+			// A dead machine receives no pushes: detach the cache from the
+			// broadcast group on failure. The warmup's Attach reverses it.
+			node.SetStateHook(func(name string, from, to cluster.NodeState) {
+				if to == cluster.NodeDown {
+					group.Remove(name)
+				}
+			})
+		}
+	}
+
+	return cx, nil
+}
+
+// buildCluster builds an in-process complex's nodes, cache group and
+// dispatcher with the deployment's fault, retry, observability, overload,
+// audit and recovery wiring; indexer feeds the auditor.
+func (d *Deployment) buildCluster(cx *Complex, cfg Config, gen core.Generator, dopts []dispatch.Option, indexer func(db.Change) []odg.NodeID) {
+	cs, suite := cx.spec, cx.Obs
+	var groupOpts []cache.GroupOption
+	if d.inj != nil {
+		groupOpts = append(groupOpts, cache.WithPutHook(d.inj.PushHook(cs.Name)))
+	}
+	if d.retry != nil {
+		groupOpts = append(groupOpts, cache.WithRetryPolicy(*d.retry))
+	}
+	if suite != nil {
+		journal := suite.Journal
 		// Push downgrades: a broadcast that exhausted its retries against a
 		// node and fell back to invalidation.
 		groupOpts = append(groupOpts, cache.WithDowngradeHook(func(node string, key cache.Key) {
@@ -451,7 +580,7 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 		spec := cfg.Spec
 		acfg := audit.Config{
 			Name:    cs.Name,
-			Replica: replica,
+			Replica: cx.Replica,
 			Build: func(sdb *db.DB, reg fragment.Registrar) (*fragment.Engine, []string, error) {
 				s, err := site.BuildReplica(spec, sdb, reg)
 				if err != nil {
@@ -459,8 +588,8 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 				}
 				return s.Engine, s.Pages(), nil
 			},
-			Indexer:     csite.Indexer,
-			Tracer:      tracer,
+			Indexer:     indexer,
+			Tracer:      cx.Tracer,
 			StaleBudget: d.staleBudget,
 			SLO:         d.tracingSLO,
 		}
@@ -476,22 +605,22 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 	}
 
 	clCfg := cluster.Config{
-		Name:          cs.Name,
-		Frames:        cs.Frames,
-		NodesPerFrame: cs.NodesPerFrame,
-		Generator:     gen,
-		Version:       replica.LSN,
-		Statics:       csite.Statics(),
-		GroupOptions:  groupOpts,
+		Name:              cs.Name,
+		Frames:            cs.Frames,
+		NodesPerFrame:     cs.NodesPerFrame,
+		Generator:         gen,
+		Version:           cx.Replica.LSN,
+		Statics:           d.MasterSite.Statics(),
+		GroupOptions:      groupOpts,
+		DispatcherOptions: dopts,
+		ProbeInterval:     cfg.ProbeInterval,
 	}
 	var nodeOptFns []func(string) []httpserver.Option
 	if suite != nil {
-		// The dispatcher mints a serve span per request; the nodes count
-		// their render-time database reads through a probe on the replica.
-		clCfg.DispatcherOptions = append(clCfg.DispatcherOptions,
-			dispatch.WithObserver(suite.Collector))
+		// The nodes count their render-time database reads through a probe
+		// on the replica.
 		probe := obs.NewReadProbe()
-		replica.SetReadHook(probe.Hook)
+		cx.Replica.SetReadHook(probe.Hook)
 		nodeOptFns = append(nodeOptFns, func(string) []httpserver.Option {
 			return []httpserver.Option{httpserver.WithReadProbe(probe)}
 		})
@@ -527,9 +656,8 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 			return []httpserver.Option{httpserver.WithResponseTap(auditor.Observe)}
 		})
 	}
-	var recMetrics *recovery.Metrics
 	if d.recovery != nil {
-		recMetrics = &recovery.Metrics{}
+		cx.Recovery = &recovery.Metrics{}
 		p := *d.recovery
 		clCfg.DispatcherOptions = append(clCfg.DispatcherOptions,
 			dispatch.WithHealthPolicy(dispatch.HealthPolicy{
@@ -578,114 +706,57 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 			return opts
 		}
 	}
-	cl := cluster.NewComplex(clCfg)
-	store.set(cl.Caches)
+	cx.Cluster = cluster.NewComplex(clCfg)
+	cx.Dispatcher, cx.Auditor = cx.Cluster.Dispatcher, auditor
+}
 
-	if d.recovery != nil {
-		p := *d.recovery
-		group := cl.Caches
-		// affectedPages maps a replayed transaction to the pages it
-		// obsoletes: index each change into the ODG and keep the affected
-		// node IDs that are pages.
-		pageSet := make(map[string]bool)
-		for _, pg := range csite.Pages() {
-			pageSet[pg] = true
-		}
-		affectedPages := func(tx db.Transaction) []string {
-			var ids []odg.NodeID
-			for _, ch := range tx.Changes {
-				ids = append(ids, csite.Indexer(ch)...)
-			}
-			var out []string
-			for _, id := range graph.Affected(ids...) {
-				if pageSet[string(id)] {
-					out = append(out, string(id))
-				}
-			}
-			return out
-		}
-		for _, node := range cl.Nodes() {
-			node := node
-			c, ok := group.Get(node.Name())
-			if !ok {
-				continue
-			}
-			warmer := recovery.New(recovery.Config{
-				Node:  node.Name(),
-				Cache: c,
-				Cold:  !p.Warm,
-				Peers: func() []*cache.Cache {
-					var out []*cache.Cache
-					for _, pc := range group.Members() {
-						if pc != c {
-							out = append(out, pc)
-						}
-					}
-					return out
-				},
-				Pages: csite.Pages,
-				Render: func(path string, version int64) (*cache.Object, error) {
-					return csite.Engine.Generate(cache.Key(path), version)
-				},
-				CurrentLSN:    replica.LSN,
-				LogSince:      replica.LogSince,
-				AffectedPages: affectedPages,
-				Attach:        func() { group.Add(c) },
-				Metrics:       recMetrics,
-			})
-			node.SetWarmup(func() error {
-				rep, err := warmer.Warm()
-				if err != nil {
-					if suite != nil {
-						suite.Journal.Event(obs.LevelError, "node", "warmup_failed",
-							err.Error(), "node", node.Name())
-					}
-					return err
-				}
-				if suite != nil {
-					suite.Journal.Event(obs.LevelInfo, "node", "warmup",
-						"cache rebuilt to the pinned LSN floor before readmission",
-						"node", rep.Node,
-						"pages", strconv.Itoa(rep.Pages),
-						"from_peer", strconv.Itoa(rep.FromPeer),
-						"rendered", strconv.Itoa(rep.Rendered),
-						"floor_lsn", strconv.FormatInt(rep.FloorLSN, 10))
-				}
-				return nil
-			})
-			// A dead machine receives no pushes: detach the cache from the
-			// broadcast group on failure. The warmup's Attach reverses it.
-			node.SetStateHook(func(name string, from, to cluster.NodeState) {
-				if to == cluster.NodeDown {
-					group.Remove(name)
-				}
-			})
-		}
+// dialNodes connects a wire complex to its node processes, one pooled
+// client per node for log shipping, pushes, serves and probes, and returns
+// them as the dispatcher's pool. Connection state changes and push
+// downgrades land in the journal when the complex has one.
+func (cx *Complex) dialNodes(suite *obs.Suite) []dispatch.Node {
+	cx.wm = wire.NewMetrics()
+	copts := []wire.ClientOption{wire.WithClientMetrics(cx.wm)}
+	var gopts []wire.GroupClientOption
+	if cx.spec.Shaper != nil {
+		copts = append(copts, wire.WithShaper(cx.spec.Shaper))
 	}
-
-	cx := &Complex{
-		Name:     cs.Name,
-		Link:     feedName + "->" + cs.Name,
-		Replica:  replica,
-		Graph:    graph,
-		Engine:   engine,
-		Site:     csite,
-		Cluster:  cl,
-		Tracer:   tracer,
-		Auditor:  auditor,
-		Obs:      suite,
-		Recovery: recMetrics,
-		spec:     cs,
-		feed:     feed,
+	if suite != nil {
+		journal := suite.Journal
+		copts = append(copts, wire.WithClientStateHook(func(name, event, detail string) {
+			level := obs.LevelInfo
+			if event == "disconnect" || event == "read_error" || event == "partition_drop" {
+				level = obs.LevelWarn
+			}
+			journal.Event(level, "wire", event,
+				"wire connection state change", "peer", name, "detail", detail)
+		}))
+		gopts = append(gopts, wire.WithGroupDowngradeHook(func(node string, key cache.Key) {
+			journal.Event(obs.LevelWarn, "wire", "push_downgrade",
+				"wire push exhausted retries; node entry invalidated",
+				"node", node, "key", string(key))
+		}))
 	}
-	return cx, nil
+	var stores []*wire.StoreClient
+	var pool []dispatch.Node
+	for i, addr := range cx.spec.Peers {
+		name := fmt.Sprintf("up%d", i)
+		c := wire.Dial(name, addr, copts...)
+		stores = append(stores, wire.NewStoreClient(name, c))
+		n := nodeProcess{wire.NewRemoteNode(name, c), wire.NewReplicaClient(c)}
+		cx.nodes, pool = append(cx.nodes, n), append(pool, n)
+	}
+	cx.push = wire.NewGroupClient(stores, gopts...)
+	return pool
 }
 
 // Start brings the deployment up: replication begins shipping (with
-// fault-injection partition checks when configured), and every complex's
+// fault-injection partition checks when configured; a wire complex's
+// replica also ships to each node process's replica), every complex's
 // trigger monitor starts and is supervised — a crashed monitor is
-// restarted from its LastLSN checkpoint. Cancelling ctx initiates the same
-// orderly drain as Shutdown.
+// restarted from its LastLSN checkpoint — and each dispatcher's advisors
+// start when Config.ProbeInterval is set. Cancelling ctx initiates the
+// same orderly drain as Shutdown.
 func (d *Deployment) Start(ctx context.Context) error {
 	d.lifeMu.Lock()
 	if d.started {
@@ -706,6 +777,10 @@ func (d *Deployment) Start(ctx context.Context) error {
 			replOpts = append(replOpts, db.WithPartitionCheck(d.inj.PartitionCheck(cx.Link)))
 		}
 		cx.Replicator = db.StartReplication(cx.feed, cx.Replica, replOpts...)
+		for _, n := range cx.nodes {
+			cx.nodeRepls = append(cx.nodeRepls, db.StartReplicationTo(cx.Replica, n.replica))
+		}
+		_ = cx.Dispatcher.Start(ctx) // fails only when started twice
 		if err := d.startMonitor(cx, 0); err != nil {
 			_ = d.Shutdown(context.Background())
 			return err
@@ -796,8 +871,9 @@ func (d *Deployment) superviseRestart(cx *Complex) {
 }
 
 // Shutdown drains the deployment: every trigger monitor finishes its final
-// propagation (bounded by ctx), supervision stands down, and replication
-// stops. Safe to call more than once and on never-started deployments.
+// propagation (bounded by ctx), supervision stands down, advisors and
+// replication stop, and a wire complex closes its node connections. Safe
+// to call more than once and on never-started deployments.
 func (d *Deployment) Shutdown(ctx context.Context) error {
 	d.lifeMu.Lock()
 	d.stopping = true
@@ -812,6 +888,13 @@ func (d *Deployment) Shutdown(ctx context.Context) error {
 		if cx.Replicator != nil {
 			cx.Replicator.Stop()
 		}
+		_ = cx.Dispatcher.Shutdown(ctx)
+		for _, r := range cx.nodeRepls {
+			r.Stop()
+		}
+		if cx.push != nil {
+			cx.push.Close()
+		}
 	}
 	return first
 }
@@ -819,6 +902,43 @@ func (d *Deployment) Shutdown(ctx context.Context) error {
 // MonitorRestarts returns how many monitor restarts supervision has
 // performed across all complexes.
 func (d *Deployment) MonitorRestarts() int64 { return d.restarts.Value() }
+
+// RegisterMetrics publishes the master database and every part of every
+// complex into reg, each complex's series labelled with its name. Call it
+// after Start: the trigger families are the monitor generation running
+// then (supervision replaces a monitor only under WithFaults).
+func (d *Deployment) RegisterMetrics(reg *stats.Registry) {
+	d.Master.RegisterMetrics(reg, stats.Labels{"db": "master"})
+	for _, cx := range d.Complexes() {
+		l := stats.Labels{"complex": cx.Name}
+		cx.Replica.RegisterMetrics(reg, stats.Labels{"db": "replica", "complex": cx.Name})
+		cx.Engine.RegisterMetrics(reg, l)
+		cx.Monitor().RegisterMetrics(reg, l)
+		cx.Dispatcher.RegisterMetrics(reg, l)
+		reg.RegisterCounter("monitor_restarts_total",
+			"trigger monitors restarted from checkpoint by supervision", l, &cx.restarts)
+		if cx.Tracer != nil {
+			cx.Tracer.RegisterMetrics(reg, l)
+		}
+		if cx.Obs != nil {
+			cx.Obs.RegisterMetrics(reg, l)
+		}
+		if cx.Auditor != nil {
+			cx.Auditor.RegisterMetrics(reg, l)
+		}
+		if cx.Cluster == nil {
+			cx.push.RegisterMetrics(reg, l)
+			cx.wm.RegisterMetrics(reg, l)
+			continue
+		}
+		cx.Cluster.Caches.RegisterMetrics(reg, l)
+		for _, n := range cx.Cluster.Nodes() {
+			if srv, ok := n.Server().(*httpserver.Server); ok {
+				srv.RegisterMetrics(reg, l)
+			}
+		}
+	}
+}
 
 // Complex returns a deployed complex by name.
 func (d *Deployment) Complex(name string) (*Complex, bool) {
@@ -837,31 +957,37 @@ func (d *Deployment) Complexes() []*Complex {
 
 // Prime waits for every replica to catch up with the master's seed data,
 // then pre-renders the full page set into every complex's caches — the
-// site-opening warm-up. It must be called before traffic for the paper's
-// no-miss behaviour.
+// site-opening warm-up; a wire complex ships it as one page wave. It must
+// be called before traffic for the paper's no-miss behaviour.
 func (d *Deployment) Prime(timeout time.Duration) error {
 	if !d.WaitFresh(timeout) {
 		return errors.New("deploy: replicas did not catch up in time")
 	}
 	for _, cx := range d.Complexes() {
-		group := cx.Cluster.Caches
-		if err := cx.Site.PrerenderAll(cx.Replica.LSN(), func(o *cache.Object) {
-			group.BroadcastPut(o)
-		}); err != nil {
+		var wave []*cache.Object
+		put := func(o *cache.Object) { wave = append(wave, o) }
+		if cx.Cluster != nil {
+			put = func(o *cache.Object) { cx.Cluster.Caches.BroadcastPut(o) }
+		}
+		if err := cx.Site.PrerenderAll(cx.Replica.LSN(), put); err != nil {
 			return fmt.Errorf("deploy: prime %s: %w", cx.Name, err)
 		}
-		for _, c := range group.Members() {
+		if cx.Cluster == nil {
+			cx.push.ApplyBatch(wave)
+			continue
+		}
+		for _, c := range cx.Cluster.Caches.Members() {
 			c.ResetCounters()
 		}
 	}
 	return nil
 }
 
-// WaitFresh blocks until every complex has replicated AND propagated every
-// transaction the master had committed at call time, or the timeout
-// elapses. It reports whether full freshness was reached — the paper's
-// "updated pages ... available to the rest of the world within seconds",
-// made observable. Freshness converges even across monitor crashes: the
+// WaitFresh blocks until every complex (and every node process's replica
+// of a wire complex) has replicated AND propagated every transaction the
+// master had committed at call time, or the timeout elapses. It reports
+// whether full freshness was reached — the paper's "updated pages ...
+// available to the rest of the world within seconds", made observable. Freshness converges even across monitor crashes: the
 // supervised replacement replays from checkpoint and catches up.
 func (d *Deployment) WaitFresh(timeout time.Duration) bool {
 	target := d.Master.LSN()
@@ -872,6 +998,11 @@ func (d *Deployment) WaitFresh(timeout time.Duration) bool {
 			if cx.Replica.LSN() < target {
 				fresh = false
 				break
+			}
+			for _, n := range cx.nodes {
+				if n.replica.LSN() < target {
+					fresh = false
+				}
 			}
 			mon := cx.Monitor()
 			if mon == nil {
@@ -909,7 +1040,7 @@ func (d *Deployment) Serve(region routing.Region, path string) (*cache.Object, h
 func (d *Deployment) AdviseLoad() map[string]float64 {
 	loads := make(map[string]float64, len(d.order))
 	for _, name := range d.order {
-		load := d.complexes[name].Cluster.Dispatcher.LoadSignal()
+		load := d.complexes[name].Dispatcher.LoadSignal()
 		loads[name] = load
 		_ = d.Router.SetComplexLoad(name, load)
 	}

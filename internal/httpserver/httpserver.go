@@ -97,7 +97,6 @@ type Server struct {
 	gen      core.Generator
 	version  VersionFunc
 	overhead func() // simulated per-request invocation overhead (CGI fork)
-	noCache  bool   // disable caching entirely (uncached-dynamic baseline)
 
 	// Overload control: limiter gates renders on miss; staleBudget bounds
 	// how old a degraded stale response may be. Both nil/zero without
@@ -163,13 +162,6 @@ func WithOverhead(f func()) Option {
 	return func(s *Server) { s.overhead = f }
 }
 
-// WithoutCache disables the page cache: every dynamic request regenerates.
-// This is the uncached-dynamic baseline of the E2 experiment, its only
-// caller.
-func WithoutCache() Option {
-	return func(s *Server) { s.noCache = true }
-}
-
 // WithOverload installs admission control on the render path. Cache hits
 // are always admitted — a hit costs no render capacity, which is exactly
 // why the paper's caches made peak load survivable. On a miss the render
@@ -210,8 +202,10 @@ func SpinOverhead(n int) func() {
 }
 
 // New returns a serving node. c is the node-local page cache (typically a
-// member of the complex's cache.Group); gen regenerates dynamic pages on
-// miss (nil means dynamic misses 404); version stamps generated pages.
+// member of the complex's cache.Group; nil serves every dynamic request by
+// regenerating it, the E2 experiment's uncached baseline); gen regenerates
+// dynamic pages on miss (nil means dynamic misses 404); version stamps
+// generated pages.
 func New(name string, c *cache.Cache, gen core.Generator, version VersionFunc, opts ...Option) *Server {
 	if version == nil {
 		version = func() int64 { return 0 }
@@ -296,7 +290,7 @@ func (s *Server) ServeCtx(ctx context.Context, path string) (*cache.Object, Outc
 		s.overhead()
 	}
 
-	if !s.noCache && s.cache != nil {
+	if s.cache != nil {
 		obj, ok := s.cache.Get(cache.Key(path))
 		sp.Stamp(obs.SpanLookup)
 		if ok {
@@ -342,7 +336,7 @@ func (s *Server) ServeCtx(ctx context.Context, path string) (*cache.Object, Outc
 		s.errs.Inc()
 		return nil, OutcomeError, err
 	}
-	if !s.noCache && s.cache != nil {
+	if s.cache != nil {
 		s.cache.Put(obj)
 	}
 	s.misses.Inc()

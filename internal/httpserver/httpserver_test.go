@@ -74,7 +74,7 @@ func TestWithoutCacheAlwaysGenerates(t *testing.T) {
 		calls++
 		return &cache.Object{Key: key, Value: []byte("x")}, nil
 	}
-	s := New("n1", cache.New("c"), gen, nil, WithoutCache())
+	s := New("n1", nil, gen, nil)
 	for i := 0; i < 5; i++ {
 		if _, out, err := s.Serve("/p"); err != nil || out != OutcomeMiss {
 			t.Fatalf("Serve = %v %v", out, err)
@@ -201,7 +201,7 @@ func BenchmarkServeUncachedDynamic(b *testing.B) {
 		}
 		return &cache.Object{Key: key, Value: v}, nil
 	}
-	s := New("n", cache.New("c"), gen, nil, WithoutCache())
+	s := New("n", nil, gen, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := s.Serve("/hot"); err != nil {
@@ -216,7 +216,7 @@ func BenchmarkServeUncachedCGI(b *testing.B) {
 		return &cache.Object{Key: key, Value: v}, nil
 	}
 	// SpinOverhead approximates fork+exec+interpreter-startup CPU burn.
-	s := New("n", cache.New("c"), gen, nil, WithoutCache(), WithOverhead(SpinOverhead(200000)))
+	s := New("n", nil, gen, nil, WithOverhead(SpinOverhead(200000)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := s.Serve("/hot"); err != nil {

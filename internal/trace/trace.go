@@ -170,15 +170,6 @@ type Tracer struct {
 // Option configures a Tracer.
 type Option func(*Tracer)
 
-// WithRingSize bounds the recent-trace ring to n entries (default 256).
-func WithRingSize(n int) Option {
-	return func(t *Tracer) {
-		if n > 0 {
-			t.ring = stats.NewRing[Trace](n)
-		}
-	}
-}
-
 // WithSLO sets the freshness objective (default 60s, the paper's
 // guarantee). Zero disables violation counting.
 func WithSLO(d time.Duration) Option {
@@ -297,30 +288,34 @@ func (t *Tracer) WorstInFlight() time.Duration {
 // RegisterMetrics publishes the tracer into a registry: per-stage latency
 // histograms (labeled by stage), the end-to-end latency histogram, the SLO
 // violation counter, and live gauges for in-flight count and worst
-// staleness.
-func (t *Tracer) RegisterMetrics(reg *stats.Registry) {
+// staleness. labels (may be nil) are attached to every series.
+func (t *Tracer) RegisterMetrics(reg *stats.Registry, labels stats.Labels) {
 	for s := StageCDC; s < NumStages; s++ {
+		stage := stats.Labels{"stage": s.String()}
+		for k, v := range labels {
+			stage[k] = v
+		}
 		reg.RegisterHistogram("dup_propagation_stage_seconds",
 			"per-stage propagation latency (gap from previous stage boundary)",
-			stats.Labels{"stage": s.String()}, t.stageHist[s])
+			stage, t.stageHist[s])
 	}
 	reg.RegisterHistogram("dup_propagation_seconds",
-		"end-to-end commit-to-push propagation latency", nil, t.totalHist)
+		"end-to-end commit-to-push propagation latency", labels, t.totalHist)
 	reg.RegisterCounter("dup_traces_recorded_total",
-		"propagation traces recorded", nil, &t.recorded)
+		"propagation traces recorded", labels, &t.recorded)
 	reg.RegisterCounter("dup_freshness_slo_violations_total",
 		fmt.Sprintf("traces whose commit-to-push latency exceeded the %s SLO", t.slo),
-		nil, &t.violations)
+		labels, &t.violations)
 	reg.RegisterGauge("dup_last_propagation_micros",
-		"commit-to-push latency of the most recently completed trace, microseconds", nil, &t.lastMicro)
+		"commit-to-push latency of the most recently completed trace, microseconds", labels, &t.lastMicro)
 	reg.RegisterFunc("dup_worst_propagation_seconds",
-		"worst commit-to-push latency ever completed", nil,
+		"worst commit-to-push latency ever completed", labels,
 		func() float64 { return float64(t.lastMicro.Max()) / 1e6 })
 	reg.RegisterFunc("dup_inflight_transactions",
-		"transactions committed but not yet propagated", nil,
+		"transactions committed but not yet propagated", labels,
 		func() float64 { return float64(t.InFlight()) })
 	reg.RegisterFunc("dup_worst_inflight_staleness_seconds",
-		"age of the oldest unpropagated transaction", nil,
+		"age of the oldest unpropagated transaction", labels,
 		func() float64 { return t.WorstInFlight().Seconds() })
 }
 

@@ -52,7 +52,7 @@ func TestTraceStageDurations(t *testing.T) {
 }
 
 func TestRecordNormalizesInvertedTimestamps(t *testing.T) {
-	tr := New(WithRingSize(4))
+	tr := New()
 	base := time.Unix(1000, 0)
 	// render stamped before dup (cross-goroutine clock skew).
 	in := mk(1, 1, base, [NumStages]time.Duration{
@@ -73,7 +73,7 @@ func TestRecordNormalizesInvertedTimestamps(t *testing.T) {
 
 func TestRingBoundsMemoryUnder10kTransactions(t *testing.T) {
 	const ringSize, txCount = 256, 10_000
-	tr := New(WithRingSize(ringSize))
+	tr := New()
 	base := time.Unix(1000, 0)
 	for i := 0; i < txCount; i++ {
 		tr.Record(mk(int64(i), int64(i), base.Add(time.Duration(i)*time.Millisecond),

@@ -76,6 +76,12 @@ func (r *ReplicaClient) LSN() int64 {
 			return int64(lsn)
 		}
 	}
+	return r.Acked()
+}
+
+// Acked returns the highest LSN the remote replica has acknowledged or
+// reported, without a round trip.
+func (r *ReplicaClient) Acked() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.lastLSN
