@@ -53,6 +53,9 @@ recovery:
 # up1 empty on its old wire address, waits two probe intervals, and asserts
 # that 20 page GETs through the master all show the commit and that
 # dispatch_healthy_nodes reads 1: the restarted node is not readmitted.
+# Last, the master's /logreport must count exactly those 20 GETs: 20
+# entries, 0 errors, and the result page first in the top pages with 20
+# hits.
 smoke:
 	$(GO) run ./cmd/olympicsd -role smoke -nodes 2
 

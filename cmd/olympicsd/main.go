@@ -27,6 +27,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,10 +38,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/exec"
+	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"dupserve/internal/cache"
@@ -57,30 +59,26 @@ import (
 	"dupserve/internal/wire"
 )
 
-// syncBuffer is a mutex-guarded byte buffer the access log writes to and
-// /logreport reads from.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) reader() io.Reader {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return bytes.NewReader(append([]byte(nil), b.buf.Bytes()...))
-}
-
 // probeInterval is how often each role's dispatcher sweeps its pool with
 // advisor probes. One failed serve evicts a node at once; the sweep is what
 // readmits it once its probe is healthy again, so a node restarting under
 // load rejoins within one interval.
 const probeInterval = 500 * time.Millisecond
+
+// The front end's bounds: a client gets readHeaderTimeout to send its
+// request headers and may hold an idle keep-alive connection for
+// idleTimeout, so a slow or silent client cannot pin a goroutine forever.
+// On SIGINT or SIGTERM the serving roles get drainTimeout to finish
+// in-flight requests and propagation before the process exits.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	drainTimeout      = 30 * time.Second
+)
+
+// logFlushInterval is how often the plant flushes the -accesslog file, so
+// the file trails the traffic by at most this much.
+const logFlushInterval = time.Second
 
 // writeJSON is the one place debug responses pick up their Content-Type and
 // encoder settings.
@@ -205,14 +203,39 @@ func main() {
 		log.Fatalf("unknown -role %q (want all, node, master, or smoke)", *role)
 	}
 	// The listener comes up at once; once the caches are primed the games
-	// feed begins.
+	// feed begins. SIGINT or SIGTERM stops the feed and drains the plant.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	p := newPlant(f, cs)
 	go func() {
 		p.prime()
-		runGames(p.d.MasterSite, f.tick, f.seed)
+		runGames(ctx, p.d.MasterSite, f.tick, f.seed)
 	}()
+	srv := newServer(f.addr, p.mux())
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
 	log.Printf("olympicsd listening on %s (%d pages, complex %s)", f.addr, len(p.cx.Site.Pages()), cs.Name)
-	log.Fatal(http.ListenAndServe(f.addr, p.mux()))
+	select {
+	case err := <-served:
+		log.Fatal(err)
+	case <-ctx.Done():
+	}
+	stop() // a second signal ends the process at once
+	log.Printf("draining")
+	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(drain); err != nil {
+		log.Printf("http shutdown: %v", err)
+	}
+	if err := p.shutdown(drain); err != nil {
+		log.Printf("plant shutdown: %v", err)
+	}
+	log.Printf("drained")
+}
+
+// newServer is the bounded HTTP front end every role listens through.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // multiSpec is the site specification shared by every process of one
@@ -240,8 +263,10 @@ type plant struct {
 	cx     *deploy.Complex
 	reg    *stats.Registry
 	ready  atomic.Bool
-	logBuf syncBuffer
 	access *weblog.Writer
+	// closeLog stops flushing the -accesslog file, then flushes and closes
+	// it (nil without one).
+	closeLog func() error
 }
 
 // newPlant builds and starts the deployment of cs and registers its
@@ -266,18 +291,50 @@ func newPlant(f flags, cs deploy.ComplexSpec) *plant {
 	d.RegisterMetrics(p.reg)
 	p.d, p.cx = d, d.Complexes()[0]
 
-	// Access log: in-memory for the /logreport endpoint, optionally teed
-	// to a file — the log-driven methodology behind the 1998 redesign.
-	var sink io.Writer = &p.logBuf
-	if f.accessLog != "" {
-		file, err := os.Create(f.accessLog)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sink = io.MultiWriter(&p.logBuf, file)
+	// Access log: aggregated as it is written, for /logreport, and
+	// formatted to a file only with -accesslog — the log-driven
+	// methodology behind the 1998 redesign.
+	if f.accessLog == "" {
+		p.access = weblog.NewWriter(nil)
+		return p
 	}
-	p.access = weblog.NewWriter(sink)
+	file, err := os.Create(f.accessLog)
+	if err != nil {
+		log.Fatal(err)
+	}
+	p.access = weblog.NewWriter(file)
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		t := time.NewTicker(logFlushInterval)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				if err := p.access.Flush(); err != nil {
+					log.Printf("access log: %v", err)
+				}
+			}
+		}
+	}()
+	p.closeLog = func() error {
+		close(stop)
+		<-stopped
+		return errors.Join(p.access.Flush(), file.Close())
+	}
 	return p
+}
+
+// shutdown drains the deployment (the trigger monitor propagates what is
+// committed), then flushes and closes the access-log file.
+func (p *plant) shutdown(ctx context.Context) error {
+	err := p.d.Shutdown(ctx)
+	if p.closeLog != nil {
+		err = errors.Join(err, p.closeLog())
+	}
+	return err
 }
 
 // prime prerenders the site into every node cache and marks the plant
@@ -320,13 +377,7 @@ func (p *plant) mux() *http.ServeMux {
 		p.access.Log(client, r.URL.Path, status, n)
 	})
 	mux.HandleFunc("/logreport", func(w http.ResponseWriter, r *http.Request) {
-		p.access.Flush()
-		rep, err := weblog.Analyze(p.logBuf.reader(), 10)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, http.StatusOK, rep)
+		writeJSON(w, http.StatusOK, p.access.Report(10))
 	})
 	mux.HandleFunc("/sitemap", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -451,13 +502,33 @@ func wireShaper(wan string) func(int) time.Duration {
 	}
 }
 
-// runNode is one serving-node process: a database replica fed over the
-// wire by the master's log shipping, a cache the master pushes rendered
-// pages into, and an HTTP serving layer the master's dispatcher forwards
-// requests to — all three registered on one wire listener. The bound
-// address is printed as "wire listening on <addr>" for the smoke role's
-// parent to parse.
+// runNode is one serving-node process: newNode's wire server listening on
+// -wire-addr, and the node's HTTP surface on -addr. The bound wire address
+// is printed as "wire listening on <addr>" for the smoke role's parent to
+// parse.
 func runNode(f flags) {
+	ws, reg := newNode(f)
+	bound, err := ws.Listen(f.wireAddr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The parent smoke process (and humans wiring -peers by hand) read the
+	// address off stdout; everything else logs to stderr.
+	fmt.Printf("wire listening on %s\n", bound)
+
+	if f.addr == "" {
+		select {}
+	}
+	log.Printf("node %s HTTP on %s", f.name, f.addr)
+	log.Fatal(newServer(f.addr, nodeMux(reg)).ListenAndServe())
+}
+
+// newNode builds one serving node: a database replica fed over the wire by
+// the master's log shipping, a cache the master pushes rendered pages into,
+// and an HTTP serving layer the master's dispatcher forwards requests to —
+// all three registered on one wire server, not yet listening — and the
+// registry its metrics publish into.
+func newNode(f flags) (*wire.Server, *stats.Registry) {
 	reg := stats.NewRegistry()
 	replica := db.New(f.name + "-replica")
 	replica.RegisterMetrics(reg, stats.Labels{"db": f.name + "-replica"})
@@ -491,19 +562,7 @@ func runNode(f flags) {
 	wire.RegisterReplica(ws, replica)
 	wire.RegisterStore(ws, nodeCache)
 	wire.RegisterNode(ws, srv)
-	bound, err := ws.Listen(f.wireAddr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The parent smoke process (and humans wiring -peers by hand) read the
-	// address off stdout; everything else logs to stderr.
-	fmt.Printf("wire listening on %s\n", bound)
-
-	if f.addr == "" {
-		select {}
-	}
-	log.Printf("node %s HTTP on %s", f.name, f.addr)
-	log.Fatal(http.ListenAndServe(f.addr, nodeMux(reg)))
+	return ws, reg
 }
 
 // nodeMux is the node role's HTTP surface: a health check and the node's
@@ -586,13 +645,15 @@ func runSmoke(f flags) {
 	}
 
 	p := newPlant(f, deploy.ComplexSpec{Name: "master", Peers: peers})
-	defer p.d.Shutdown(context.Background())
+	defer p.shutdown(context.Background())
 	p.prime()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fail("%v", err)
 	}
-	go http.Serve(ln, p.mux())
+	srv := newServer("", p.mux())
+	defer srv.Close()
+	go srv.Serve(ln)
 	get := func(path string) (*http.Response, []byte) {
 		resp, err := http.Get("http://" + ln.Addr().String() + path)
 		if err != nil {
@@ -662,13 +723,21 @@ func runSmoke(f flags) {
 		fail("master: dispatch_healthy_nodes is not 1 after restarting up1 empty")
 	}
 	log.Printf("smoke: up1 restarted empty stays out of the distribution list")
+
+	// Those 20 GETs are the only pages requested through the master, so the
+	// access log's live report counts exactly them.
+	var rep weblog.Report
+	if _, body := get("/logreport"); json.Unmarshal(body, &rep) != nil || rep.Entries != 20 || rep.Errors != 0 ||
+		len(rep.TopPages) == 0 || rep.TopPages[0] != (weblog.PageCount{Path: resultPage, Hits: 20}) {
+		fail("master /logreport = %s, want 20 entries, 0 errors, and %s first with 20 hits", body, resultPage)
+	}
 	fmt.Println("SMOKE OK")
 }
 
-// runGames replays the competition on an accelerated clock: every tick a
-// partial or final result arrives; every few ticks a story publishes; days
-// roll over as events run out.
-func runGames(st *site.Site, tick time.Duration, seed int64) {
+// runGames replays the competition on an accelerated clock until ctx ends:
+// every tick a partial or final result arrives; every few ticks a story
+// publishes; days roll over as events run out.
+func runGames(ctx context.Context, st *site.Site, tick time.Duration, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	day := 1
 	storyNum := 0
@@ -677,7 +746,14 @@ func runGames(st *site.Site, tick time.Duration, seed int64) {
 	for _, ev := range pending {
 		partialsLeft[ev.Key] = 3
 	}
-	for range time.Tick(tick) {
+	t := time.NewTicker(tick)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+		}
 		if len(pending) == 0 {
 			log.Printf("games complete; feed idle")
 			return

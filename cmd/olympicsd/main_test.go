@@ -4,15 +4,22 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"dupserve/internal/cache"
 	"dupserve/internal/deploy"
 	"dupserve/internal/httpserver"
+	"dupserve/internal/weblog"
+	"dupserve/internal/wire"
 )
 
 // do runs one request against h and returns the recorded response.
@@ -86,7 +93,7 @@ var debugRoutes = []string{
 // ready; the node role's /debug/metrics refuses POST and serves GET.
 func TestRoleDebugSurfacesAreReadOnly(t *testing.T) {
 	p := newPlant(flags{nodes: 2, days: 2, slo: time.Minute}, deploy.ComplexSpec{Name: "nagano", NodesPerFrame: 2})
-	t.Cleanup(func() { _ = p.d.Shutdown(context.Background()) })
+	t.Cleanup(func() { _ = p.shutdown(context.Background()) })
 	surfaces := []struct {
 		role  string
 		mux   http.Handler
@@ -169,4 +176,188 @@ func TestWritePage(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAccessLogFileFlushes: the -accesslog file shows every request within
+// two flush intervals without anyone reading /logreport, and every request
+// once the plant has shut down.
+func TestAccessLogFileFlushes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "access.log")
+	p := newPlant(flags{nodes: 2, days: 2, slo: time.Minute, accessLog: path},
+		deploy.ComplexSpec{Name: "nagano", NodesPerFrame: 2})
+	p.prime()
+	h := p.mux()
+	pages := p.cx.Site.Pages()[:5]
+	var want []string
+	get := func(paths []string) {
+		for _, path := range paths {
+			if rec := do(h, http.MethodGet, path); rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: status %d", path, rec.Code)
+			}
+			want = append(want, path)
+		}
+	}
+	logged := func() []string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paths []string
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			if line == "" {
+				continue
+			}
+			e, err := weblog.ParseEntry(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, e.Path)
+		}
+		return paths
+	}
+
+	get(pages)
+	for deadline := time.Now().Add(2 * logFlushInterval); len(logged()) < len(want); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %v the file holds %d of %d lines", 2*logFlushInterval, len(logged()), len(want))
+		}
+	}
+	get(pages[:3])
+	if err := p.shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := logged(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("after shutdown the file holds %v, want %v", got, want)
+	}
+}
+
+// discard is a ResponseWriter that keeps only the status, so the soak
+// measures the plant and not a recorder's buffered bodies.
+type discard struct {
+	h    http.Header
+	code int
+}
+
+func (w *discard) Header() http.Header         { return w.h }
+func (w *discard) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discard) WriteHeader(code int)        { w.code = code }
+
+// soakGETs is how many page GETs the soak drives through a plant, from
+// soakClients goroutines at once.
+const (
+	soakGETs    = 100_000
+	soakClients = 4
+)
+
+// soak drives soakGETs page GETs, cycling the site's pages, through the
+// primed plant's mux in-process. Post-GC heap may grow by under 2 MB from
+// the 10% mark to the end: nothing the plant keeps may grow with the
+// request count.
+func soak(t *testing.T, p *plant) {
+	t.Helper()
+	h := p.mux()
+	pages := p.cx.Site.Pages()
+	// Each client reuses one request per page: the mux records its match
+	// in the request, so clients do not share them.
+	reqs := make([][]*http.Request, soakClients)
+	for c := range reqs {
+		for _, path := range pages {
+			reqs[c] = append(reqs[c], httptest.NewRequest(http.MethodGet, path, nil))
+		}
+	}
+	drive := func(n int) {
+		var wg sync.WaitGroup
+		for c := 0; c < soakClients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				w := &discard{h: http.Header{}}
+				for i := c; i < n; i += soakClients {
+					r := reqs[c][i%len(pages)]
+					w.code = http.StatusOK
+					h.ServeHTTP(w, r)
+					if w.code != http.StatusOK {
+						t.Errorf("GET %s: status %d", r.URL.Path, w.code)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	drive(soakGETs / 10)
+	mark := heap()
+	drive(soakGETs - soakGETs/10)
+	end := heap()
+	t.Logf("%d GETs over %d pages: post-GC heap %.1f MB at the 10%% mark, %.1f MB at the end",
+		soakGETs, len(pages), float64(mark)/1e6, float64(end)/1e6)
+	if end > mark+2<<20 {
+		t.Fatalf("post-GC heap grew %.1f MB over %d GETs, want under 2 MB",
+			float64(end-mark)/1e6, soakGETs-soakGETs/10)
+	}
+	if rep := p.access.Report(1); rep.Entries != soakGETs || rep.Errors != 0 {
+		t.Fatalf("/logreport entries=%d errors=%d, want %d and 0", rep.Entries, rep.Errors, soakGETs)
+	}
+}
+
+// waitGoroutines waits for the goroutine count to come back to base.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after shutdown, %d before the plant:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestSoakAllRole soaks the all role's in-process plant, then shuts it
+// down: every goroutine it started must end.
+func TestSoakAllRole(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := newPlant(flags{nodes: 2, days: 2, slo: time.Minute}, deploy.ComplexSpec{Name: "nagano", NodesPerFrame: 2})
+	p.prime()
+	soak(t, p)
+	if err := p.shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestSoakMasterRole soaks the master role's plant over two node servers
+// built as the node role builds them, listening on loopback; after the
+// plant and the nodes shut down every goroutine they started must end.
+func TestSoakMasterRole(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var nodes []*wire.Server
+	var peers []string
+	for i := 0; i < 2; i++ {
+		ws, _ := newNode(flags{name: fmt.Sprintf("soak%d", i), days: 2})
+		t.Cleanup(ws.Close)
+		addr, err := ws.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, peers = append(nodes, ws), append(peers, addr.String())
+	}
+	p := newPlant(flags{days: 2, slo: time.Minute}, deploy.ComplexSpec{Name: "master", Peers: peers})
+	p.prime()
+	soak(t, p)
+	if err := p.shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, ws := range nodes {
+		ws.Close()
+	}
+	waitGoroutines(t, base)
 }

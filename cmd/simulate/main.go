@@ -71,7 +71,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -627,9 +626,9 @@ func writeCSVs(dir string, res *sim.Result) error {
 }
 
 // printSessions replays the paper's methodology end to end: generate
-// correlated user sessions against the 1998 structure, write them through
-// the Common Log Format pipeline, and run the same analyzer the team used
-// on the 1996 logs. The reconstruction must recover the session model's
+// correlated user sessions against the 1998 structure, log them through
+// the access-log writer, and read back the same analysis the team ran on
+// the 1996 logs. The reconstruction must recover the session model's
 // parameters — the loop from traffic to design insight, closed.
 func printSessions() {
 	fmt.Println("== §3.1 methodology: session traffic through the access-log analyzer ==")
@@ -641,8 +640,7 @@ func printSessions() {
 	}
 	model := workload.New(workload.Config{Seed: 13, TotalHits: 1}, st)
 
-	var buf bytes.Buffer
-	w := weblog.NewWriter(&buf)
+	w := weblog.NewWriter(nil)
 	base := time.Date(1998, 2, 8, 0, 0, 0, 0, time.UTC)
 	tick := 0
 	w.SetClock(func() time.Time { tick++; return base.Add(time.Duration(tick) * 2 * time.Second) })
@@ -656,12 +654,7 @@ func printSessions() {
 			w.Log(client, p, 200, 1800)
 		}
 	}
-	w.Flush()
-	rep, err := weblog.Analyze(&buf, 5)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sessions:", err)
-		os.Exit(1)
-	}
+	rep := w.Report(5)
 	fmt.Printf("  sessions generated: %d (%d page fetches)\n", visits, rep.Entries)
 	fmt.Printf("  analyzer reconstruction: %.2f hits/visit, %.0f%% satisfied at the entry page (paper: over 25%%)\n",
 		rep.HitsPerVisit, 100*rep.EntrySatisfied)

@@ -51,8 +51,7 @@ func TestIntegrationDayInTheLife(t *testing.T) {
 
 	model := workload.New(workload.Config{Seed: 42, TotalHits: 5000}, d.MasterSite)
 	rng := rand.New(rand.NewSource(42))
-	var logBuf bytes.Buffer
-	access := weblog.NewWriter(&logBuf)
+	access := weblog.NewWriter(nil)
 	base := time.Date(1998, 2, 8, 0, 0, 0, 0, time.UTC)
 	reqN := 0
 	access.SetClock(func() time.Time { reqN++; return base.Add(time.Duration(reqN) * time.Second) })
@@ -135,13 +134,7 @@ func TestIntegrationDayInTheLife(t *testing.T) {
 	}
 
 	// Log analysis closes the loop: entries recorded for every request.
-	if err := access.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := weblog.Analyze(&logBuf, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := access.Report(5)
 	if rep.Entries != served {
 		t.Fatalf("log entries = %d, served = %d", rep.Entries, served)
 	}

@@ -323,8 +323,8 @@ func WithObserver(col *obs.Collector) Option {
 	return func(d *Dispatcher) { d.observer = col }
 }
 
-// WithHealthPolicy replaces the default (legacy instant-eviction,
-// instant-readmission) probation policy.
+// WithHealthPolicy replaces the default probation policy, the paper's
+// advisor: one bad probe evicts a node and one good probe readmits it.
 func WithHealthPolicy(p HealthPolicy) Option {
 	return func(d *Dispatcher) { d.policy = p.normalized() }
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -48,16 +50,21 @@ func TestParseEntryMalformed(t *testing.T) {
 	}
 }
 
+// TestWriterConcurrent logs from 8 goroutines against a counting clock:
+// every line must parse, and the timestamps in the file must never
+// decrease, because each one is taken under the lock that orders the lines.
 func TestWriterConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.SetClock(func() time.Time { return time.Date(1998, 2, 13, 0, 0, 0, 0, time.UTC) })
+	base := time.Date(1998, 2, 13, 0, 0, 0, 0, time.UTC)
+	var tick atomic.Int64
+	w.SetClock(func() time.Time { return base.Add(time.Duration(tick.Add(1)) * time.Second) })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
+			for i := 0; i < 500; i++ {
 				if err := w.Log(fmt.Sprintf("c%d", g), "/p", 200, 10); err != nil {
 					t.Error(err)
 					return
@@ -70,20 +77,29 @@ func TestWriterConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 400 {
-		t.Fatalf("lines = %d, want 400", len(lines))
+	if len(lines) != 4000 {
+		t.Fatalf("lines = %d, want 4000", len(lines))
 	}
-	for _, l := range lines {
-		if _, err := ParseEntry(l); err != nil {
+	var last time.Time
+	for i, l := range lines {
+		e, err := ParseEntry(l)
+		if err != nil {
 			t.Fatalf("unparseable interleaved line %q: %v", l, err)
 		}
+		if e.Time.Before(last) {
+			t.Fatalf("line %d at %v precedes the line before it (%v)", i, e.Time, last)
+		}
+		last = e.Time
+	}
+	if rep := w.Report(0); rep.Entries != 4000 || rep.Clients != 8 {
+		t.Fatalf("report entries=%d clients=%d, want 4000 and 8", rep.Entries, rep.Clients)
 	}
 }
 
-// buildLog writes a synthetic log: client A browses deep (4 hits), client B
-// is satisfied at the entry page, client C makes two visits separated by
-// more than the gap.
-func buildLog(t *testing.T) *bytes.Buffer {
+// buildLog logs a synthetic sequence into a Writer over a buffer: client A
+// browses deep (4 hits), client B is satisfied at the entry page, client C
+// makes two visits separated by more than the gap, the second a 404.
+func buildLog(t *testing.T) (*Writer, *bytes.Buffer) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -112,36 +128,120 @@ func buildLog(t *testing.T) *bytes.Buffer {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return &buf
+	return w, &buf
 }
 
+// TestAnalyzeReport checks the report of buildLog's sequence both as the
+// Writer aggregated it and as Analyze reads it back from the log.
 func TestAnalyzeReport(t *testing.T) {
-	rep, err := Analyze(buildLog(t), 3)
+	w, buf := buildLog(t)
+	parsed, err := Analyze(buf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Entries != 7 || rep.Clients != 3 {
-		t.Fatalf("entries=%d clients=%d", rep.Entries, rep.Clients)
+	for name, rep := range map[string]Report{"Writer.Report": w.Report(3), "Analyze": parsed} {
+		if rep.Entries != 7 || rep.Clients != 3 {
+			t.Fatalf("%s: entries=%d clients=%d", name, rep.Entries, rep.Clients)
+		}
+		if rep.Errors != 1 {
+			t.Fatalf("%s: errors = %d (the 404)", name, rep.Errors)
+		}
+		if rep.Visits != 4 {
+			t.Fatalf("%s: visits = %d, want 4 (A:1, B:1, C:2)", name, rep.Visits)
+		}
+		// Hits/visit = 7/4.
+		if rep.HitsPerVisit < 1.74 || rep.HitsPerVisit > 1.76 {
+			t.Fatalf("%s: hits/visit = %v", name, rep.HitsPerVisit)
+		}
+		// Satisfied at entry: B's visit and both C visits = 3 of 4.
+		if rep.EntrySatisfied != 0.75 {
+			t.Fatalf("%s: entry satisfied = %v", name, rep.EntrySatisfied)
+		}
+		if rep.BySection["/en/home"] != 2 || rep.BySection["/en/sports"] != 3 {
+			t.Fatalf("%s: sections = %v", name, rep.BySection)
+		}
+		// The 404 counts under the one not-found bucket, not its path.
+		if rep.BySection["/en/news"] != 1 || rep.BySection[notFound] != 1 {
+			t.Fatalf("%s: sections = %v, want the 404 under %q", name, rep.BySection, notFound)
+		}
+		if len(rep.TopPages) != 3 || rep.TopPages[0].Hits < rep.TopPages[1].Hits {
+			t.Fatalf("%s: top pages = %v", name, rep.TopPages)
+		}
 	}
-	if rep.Errors != 1 {
-		t.Fatalf("errors = %d (the 404)", rep.Errors)
+	if !reflect.DeepEqual(w.Report(3), parsed) {
+		t.Fatalf("Writer.Report = %+v\nAnalyze = %+v", w.Report(3), parsed)
 	}
-	if rep.Visits != 4 {
-		t.Fatalf("visits = %d, want 4 (A:1, B:1, C:2)", rep.Visits)
+}
+
+// TestWriterReportMatchesAnalyze logs a random mix of clients, paths,
+// statuses and sub-second times, some gaps longer than VisitGap: the live
+// report must equal the report Analyze reads back from the Writer's own
+// output.
+func TestWriterReportMatchesAnalyze(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	now := time.Date(1998, 2, 7, 0, 0, 0, 0, time.UTC)
+	w.SetClock(func() time.Time {
+		now = now.Add(time.Duration(rng.Int63n(int64(VisitGap / 4))))
+		return now
+	})
+	statuses := []int{200, 200, 200, 404, 503}
+	for i := 0; i < 5000; i++ {
+		client := fmt.Sprintf("10.0.0.%d", rng.Intn(40))
+		path := fmt.Sprintf("/en/s%d/p%d", rng.Intn(5), rng.Intn(60))
+		if err := w.Log(client, path, statuses[rng.Intn(len(statuses))], rng.Intn(4000)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Hits/visit = 7/4.
-	if rep.HitsPerVisit < 1.74 || rep.HitsPerVisit > 1.76 {
-		t.Fatalf("hits/visit = %v", rep.HitsPerVisit)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	// Satisfied at entry: B's visit and both C visits = 3 of 4.
-	if rep.EntrySatisfied != 0.75 {
-		t.Fatalf("entry satisfied = %v", rep.EntrySatisfied)
+	parsed, err := Analyze(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.BySection["/en/home"] != 2 || rep.BySection["/en/sports"] != 3 {
-		t.Fatalf("sections = %v", rep.BySection)
+	if live := w.Report(0); !reflect.DeepEqual(live, parsed) {
+		t.Fatalf("Writer.Report = %+v\nAnalyze = %+v", live, parsed)
 	}
-	if len(rep.TopPages) != 3 || rep.TopPages[0].Hits < rep.TopPages[1].Hits {
-		t.Fatalf("top pages = %v", rep.TopPages)
+}
+
+// TestNotFoundBucketBoundsTheAggregate asks for thousands of distinct
+// missing paths: they all land in one page and one section.
+func TestNotFoundBucketBoundsTheAggregate(t *testing.T) {
+	w := NewWriter(nil)
+	for i := 0; i < 3000; i++ {
+		if err := w.Log("scanner", fmt.Sprintf("/probe/%d/admin.php", i), 404, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Log("scanner", "/en/home/day01", 200, 100)
+	rep := w.Report(0)
+	want := []PageCount{{Path: notFound, Hits: 3000}, {Path: "/en/home/day01", Hits: 1}}
+	if !reflect.DeepEqual(rep.TopPages, want) {
+		t.Fatalf("top pages = %v, want %v", rep.TopPages, want)
+	}
+	if len(rep.BySection) != 2 || rep.BySection[notFound] != 3000 || rep.Errors != 3000 {
+		t.Fatalf("sections = %v errors = %d", rep.BySection, rep.Errors)
+	}
+}
+
+// TestLogWithoutSinkDoesNotAllocate: a Writer with no sink formats
+// nothing, so logging a client and path it has already seen allocates
+// nothing.
+func TestLogWithoutSinkDoesNotAllocate(t *testing.T) {
+	w := NewWriter(nil)
+	w.Log("10.0.0.1", "/en/home/day01", 200, 100)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		w.Log("10.0.0.1", "/en/home/day01", 200, 100)
+	}); allocs != 0 {
+		t.Fatalf("Log allocates %.1f times per call, want 0", allocs)
+	}
+	if rep := w.Report(1); rep.Entries != 1002 || rep.TopPages[0].Hits != 1002 {
+		t.Fatalf("report = %+v", rep)
 	}
 }
 
