@@ -49,10 +49,12 @@ recovery:
 # parent runs the master role's plant against them over TCP (log shipping,
 # page pushes, remote serves), commits a result, and asserts the updated
 # page is a cache hit with fresh bytes on every node. It then expects 200
-# from the master's /stats, /debug/metrics and /debug/traces, restarts node
-# up1 empty on its old wire address, waits two probe intervals, and asserts
-# that 20 page GETs through the master all show the commit and that
-# dispatch_healthy_nodes reads 1: the restarted node is not readmitted.
+# from the master's /stats, /debug/metrics, /debug/traces, /debug/serve and
+# /debug/journal, and a non-empty /debug/traces summary that recorded the
+# commit's propagation. It restarts node up1 empty on its old wire address,
+# waits two probe intervals, and asserts that 20 page GETs through the
+# master all show the commit and that dispatch_healthy_nodes reads 1: the
+# restarted node is not readmitted.
 # Last, the master's /logreport must count exactly those 20 GETs: 20
 # entries, 0 errors, and the result page first in the top pages with 20
 # hits.

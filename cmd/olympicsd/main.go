@@ -49,9 +49,9 @@ import (
 	"dupserve/internal/core"
 	"dupserve/internal/db"
 	"dupserve/internal/deploy"
+	"dupserve/internal/dispatch"
 	"dupserve/internal/httpserver"
 	"dupserve/internal/netsim"
-	"dupserve/internal/obs"
 	"dupserve/internal/odg"
 	"dupserve/internal/site"
 	"dupserve/internal/stats"
@@ -93,21 +93,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writePage answers one page request with what the dispatcher served:
-// 404 for no route, 503 with Retry-After when every node shed it, 500 with
+// 404 for no route, 503 with Retry-After when every node shed it or no node
+// is in the distribution list (both transient, not server faults), 500 with
 // the error text on a failed render, and otherwise 200 with the page
 // bytes, their content type, how they were served (X-Cache) and the
 // version they reflect (X-Version). It returns the status and body length
 // for the access log.
 func writePage(w http.ResponseWriter, r *http.Request, obj *cache.Object, outcome httpserver.Outcome, err error) (status, bytes int) {
-	switch outcome {
-	case httpserver.OutcomeNotFound:
+	switch {
+	case outcome == httpserver.OutcomeNotFound:
 		http.NotFound(w, r)
 		return http.StatusNotFound, 0
-	case httpserver.OutcomeShed:
+	case outcome == httpserver.OutcomeShed, errors.Is(err, dispatch.ErrNoBackends):
+		msg := "overloaded"
+		if outcome != httpserver.OutcomeShed {
+			msg = err.Error()
+		}
 		w.Header().Set("Retry-After", "1")
-		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+		http.Error(w, msg, http.StatusServiceUnavailable)
 		return http.StatusServiceUnavailable, 0
-	case httpserver.OutcomeError:
+	case outcome == httpserver.OutcomeError:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return http.StatusInternalServerError, 0
 	}
@@ -274,13 +279,13 @@ type plant struct {
 // until prime has warmed every node cache.
 func newPlant(f flags, cs deploy.ComplexSpec) *plant {
 	p := &plant{reg: stats.NewRegistry()}
-	opts := []deploy.Option{deploy.WithTracing(f.slo), deploy.WithObservability(obs.WithMetrics(p.reg))}
+	var opts []deploy.Option
 	if len(cs.Peers) == 0 {
 		// Consistency auditor: taps every served response; /debug/audit
 		// shadow-renders the site against a snapshot of the replica.
 		opts = append(opts, deploy.WithAudit())
 	}
-	cfg := deploy.Config{Spec: multiSpec(f), Complexes: []deploy.ComplexSpec{cs}, ProbeInterval: probeInterval}
+	cfg := deploy.Config{Spec: multiSpec(f), Complexes: []deploy.ComplexSpec{cs}, ProbeInterval: probeInterval, SLO: f.slo}
 	d, err := deploy.New(cfg, opts...)
 	if err != nil {
 		log.Fatal(err)
@@ -389,7 +394,7 @@ func (p *plant) mux() *http.ServeMux {
 			"trigger":    cx.Monitor().Stats(),
 			"dispatcher": cx.Dispatcher.Stats(),
 			"serve":      cx.Obs.Collector.Snapshot(),
-			"freshness":  cx.Tracer.Snapshot(),
+			"freshness":  cx.Obs.Tracer.Snapshot(),
 			"dbLSN":      p.d.Master.LSN(),
 			"pages":      len(cx.Site.Pages()),
 			"currentDay": p.d.MasterSite.CurrentDay(),
@@ -413,13 +418,13 @@ func (p *plant) mux() *http.ServeMux {
 	mux.HandleFunc("/debug/metrics.json", debug(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"metrics":     p.reg.Snapshot(),
-			"propagation": cx.Tracer.Snapshot(),
+			"propagation": cx.Obs.Tracer.Snapshot(),
 		})
 	}))
 	mux.HandleFunc("/debug/traces", debug(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
-			"summary": cx.Tracer.Snapshot(),
-			"traces":  cx.Tracer.Recent(queryN(r, 50)),
+			"summary": cx.Obs.Tracer.Snapshot(),
+			"traces":  cx.Obs.Tracer.Recent(queryN(r, 50)),
 		})
 	}))
 	mux.HandleFunc("/debug/serve", debug(func(w http.ResponseWriter, r *http.Request) {
@@ -698,10 +703,16 @@ func runSmoke(f flags) {
 	}
 	log.Printf("smoke: %s propagated to %d nodes over the wire (lsn %d)", resultPage, len(peers), tx.LSN)
 
-	for _, path := range []string{"/stats", "/debug/metrics", "/debug/traces"} {
+	for _, path := range []string{"/stats", "/debug/metrics", "/debug/traces", "/debug/serve", "/debug/journal"} {
 		if resp, _ := get(path); resp.StatusCode != http.StatusOK {
 			fail("master GET %s: %s", path, resp.Status)
 		}
+	}
+	// The master's tracer recorded the commit's propagation.
+	var traces struct{ Summary map[string]any }
+	if _, body := get("/debug/traces"); json.Unmarshal(body, &traces) != nil || len(traces.Summary) == 0 ||
+		traces.Summary["recorded"] == float64(0) {
+		fail("master /debug/traces = %s, want a summary with the commit recorded", body)
 	}
 
 	// Restart up1 empty on its old address. Its replica is back at LSN 0 and

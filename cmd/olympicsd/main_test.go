@@ -17,6 +17,7 @@ import (
 
 	"dupserve/internal/cache"
 	"dupserve/internal/deploy"
+	"dupserve/internal/dispatch"
 	"dupserve/internal/httpserver"
 	"dupserve/internal/weblog"
 	"dupserve/internal/wire"
@@ -137,6 +138,8 @@ func TestWritePage(t *testing.T) {
 	}{
 		{"notfound", nil, httpserver.OutcomeNotFound, httpserver.ErrNoRoute, http.StatusNotFound, "404 page not found\n"},
 		{"shed", nil, httpserver.OutcomeShed, httpserver.ErrOverloaded, http.StatusServiceUnavailable, "overloaded\n"},
+		{"nobackends", nil, httpserver.OutcomeError, fmt.Errorf("%w (nagano)", dispatch.ErrNoBackends),
+			http.StatusServiceUnavailable, "dispatch: no healthy backends (nagano)\n"},
 		{"error", nil, httpserver.OutcomeError, errors.New("render exploded"), http.StatusInternalServerError, "render exploded\n"},
 		{"hit", page, httpserver.OutcomeHit, nil, http.StatusOK, "<html>medals</html>"},
 		{"miss", page, httpserver.OutcomeMiss, nil, http.StatusOK, "<html>medals</html>"},
@@ -157,7 +160,7 @@ func TestWritePage(t *testing.T) {
 				if n != 0 {
 					t.Fatalf("bytes = %d for an error answer, want 0", n)
 				}
-				if got := h.Get("Retry-After"); (tc.outcome == httpserver.OutcomeShed) != (got != "") {
+				if got := h.Get("Retry-After"); (tc.status == http.StatusServiceUnavailable) != (got != "") {
 					t.Fatalf("Retry-After = %q on a %s answer", got, tc.name)
 				}
 				return
@@ -175,6 +178,30 @@ func TestWritePage(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEvictedPlantAnswers503: with every node out of the distribution list
+// a page GET has no node to try, a transient state: the plant answers 503
+// with Retry-After, never 500.
+func TestEvictedPlantAnswers503(t *testing.T) {
+	p := newPlant(flags{nodes: 2, days: 2, slo: time.Minute}, deploy.ComplexSpec{Name: "nagano", NodesPerFrame: 2})
+	t.Cleanup(func() { _ = p.shutdown(context.Background()) })
+	p.prime()
+	// Failed nodes fail their probes too, so no advisor sweep readmits them.
+	for _, n := range p.cx.Cluster.Nodes() {
+		n.Fail()
+	}
+	mux, page := p.mux(), p.cx.Site.Pages()[0]
+	for i := 0; i < 3; i++ {
+		rec := do(mux, http.MethodGet, page)
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("GET %s %d: status %d Retry-After %q, want 503 with Retry-After: %s",
+				page, i, rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+		}
+	}
+	if n := p.cx.Dispatcher.HealthyCount(); n != 0 {
+		t.Fatalf("%d nodes still in the distribution list, want none", n)
 	}
 }
 

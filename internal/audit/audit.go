@@ -48,9 +48,9 @@ import (
 	"dupserve/internal/db"
 	"dupserve/internal/fragment"
 	"dupserve/internal/httpserver"
+	"dupserve/internal/obs"
 	"dupserve/internal/odg"
 	"dupserve/internal/stats"
-	"dupserve/internal/trace"
 )
 
 // SiteBuilder constructs the page set under audit against the given
@@ -75,15 +75,13 @@ type Config struct {
 	// which misses membership indices — wire the real one when available.
 	Indexer func(db.Change) []odg.NodeID
 	// Tracer, when set, supplies in-flight propagation state at sample
-	// time, used to distinguish bounded from SLO-violating staleness.
-	Tracer *trace.Tracer
+	// time and the freshness SLO: explained divergence whose oldest
+	// in-flight propagation exceeded the SLO at serve time is SLO-violating.
+	// Without one, no divergence is classified SLO-violating.
+	Tracer *obs.Tracer
 	// StaleBudget is the bound a degraded (OutcomeStale) response must
 	// respect; within it the response is bounded-stale by contract.
 	StaleBudget time.Duration
-	// SLO is the freshness objective: explained divergence whose oldest
-	// in-flight propagation exceeded it at serve time is SLO-violating.
-	// Zero disables the violating classification.
-	SLO time.Duration
 	// MaxSamples bounds the sample buffer between sweeps (default 4096);
 	// excess samples are dropped and counted.
 	MaxSamples int
@@ -361,7 +359,7 @@ func (a *Auditor) classify(s sample, rendered map[string][]byte, g *odg.Graph, s
 	if s.outcome == httpserver.OutcomeStale && a.cfg.StaleBudget > 0 && s.staleAge <= a.cfg.StaleBudget {
 		return verdictBounded
 	}
-	if a.cfg.SLO > 0 && s.worst > a.cfg.SLO {
+	if t := a.cfg.Tracer; t != nil && t.SLO() > 0 && s.worst > t.SLO() {
 		return verdictViolating
 	}
 	return verdictBounded

@@ -10,8 +10,8 @@ import (
 	"dupserve/internal/db"
 	"dupserve/internal/fragment"
 	"dupserve/internal/httpserver"
+	"dupserve/internal/obs"
 	"dupserve/internal/site"
-	"dupserve/internal/trace"
 )
 
 // tinySite defines a single page reading one row through the context —
@@ -47,14 +47,13 @@ func page(body string, version int64) *cache.Object {
 // classifier can return and checks the report's exact counts.
 func TestClassification(t *testing.T) {
 	master := seedTiny(t)
-	tracer := trace.New(trace.WithSLO(time.Second))
+	tracer := obs.NewSuite(obs.WithSLO(time.Second)).Tracer
 	aud := audit.New(audit.Config{
 		Name:        "tiny",
 		Replica:     master,
 		Build:       tinySite,
 		Tracer:      tracer,
 		StaleBudget: time.Minute,
-		SLO:         time.Second,
 	})
 
 	// Second commit: the shadow snapshot will sit at LSN 2 with body v=2.

@@ -31,7 +31,8 @@ func TestCoalescedBurstLeavesNoIncoherentPages(t *testing.T) {
 				routing.RegionJapan: 1, routing.RegionUS: 2, routing.RegionEurope: 3,
 			},
 		}},
-	}, deploy.WithTracing(time.Minute), deploy.WithAudit())
+		SLO: time.Minute,
+	}, deploy.WithAudit())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,10 +153,8 @@ func RunAudit(cfg AuditConfig) (*AuditResult, error) {
 	d, err := deploy.New(deploy.Config{
 		Spec:      spec(),
 		Complexes: topology(),
-	},
-		deploy.WithTracing(cfg.SLO),
-		deploy.WithAudit(),
-	)
+		SLO:       cfg.SLO,
+	}, deploy.WithAudit())
 	if err != nil {
 		return nil, err
 	}

@@ -156,6 +156,7 @@ func Run(cfg Config) (*Result, error) {
 	d, err := deploy.New(deploy.Config{
 		Spec:      spec(),
 		Complexes: topology(),
+		SLO:       cfg.SLO,
 	},
 		deploy.WithFaults(inj),
 		// Tight, sleepless retries: the burst decision is deterministic per
@@ -166,9 +167,7 @@ func Run(cfg Config) (*Result, error) {
 			MaxBackoff:  time.Millisecond,
 			Sleep:       func(time.Duration) {},
 		}),
-		deploy.WithTracing(cfg.SLO),
 		deploy.WithAudit(),
-		deploy.WithObservability(),
 	)
 	if err != nil {
 		return nil, err
@@ -371,9 +370,7 @@ func stalePages(d *deploy.Deployment, events []*site.Event, lastLSN map[string]i
 func violations(d *deploy.Deployment) int64 {
 	var v int64
 	for _, cx := range d.Complexes() {
-		if cx.Tracer != nil {
-			v += cx.Tracer.Violations()
-		}
+		v += cx.Obs.Tracer.Violations()
 	}
 	return v
 }

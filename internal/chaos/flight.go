@@ -81,6 +81,9 @@ func RunFlight(cfg FlightConfig) (*FlightResult, error) {
 					routing.RegionEurope: 10, routing.RegionOther: 10,
 				}},
 		},
+		// A 1ns SLO makes every propagation a violation, so the SLO phase
+		// needs exactly one commit to trip the recorder.
+		SLO: time.Nanosecond,
 	},
 		deploy.WithFaults(inj),
 		deploy.WithRetryPolicy(cache.RetryPolicy{
@@ -89,9 +92,6 @@ func RunFlight(cfg FlightConfig) (*FlightResult, error) {
 			MaxBackoff:  time.Millisecond,
 			Sleep:       func(time.Duration) {},
 		}),
-		// A 1ns SLO makes every propagation a violation, so the SLO phase
-		// needs exactly one commit to trip the recorder.
-		deploy.WithTracing(time.Nanosecond),
 		deploy.WithAudit(),
 		// One render slot with a 1ns CoDel target: a single queued waiter
 		// is a standing queue, so the shed phase can flip the controller
@@ -100,7 +100,6 @@ func RunFlight(cfg FlightConfig) (*FlightResult, error) {
 			MaxConcurrent: 1, MaxQueue: 4,
 			Target: time.Nanosecond, Interval: time.Nanosecond,
 		}, 0),
-		deploy.WithObservability(),
 	)
 	if err != nil {
 		return nil, err

@@ -138,6 +138,7 @@ func overloadDeployment(cfg OverloadConfig) (*deploy.Deployment, error) {
 		Complexes:  topology(),
 		Policy:     core.PolicyInvalidate,
 		RenderCost: httpserver.SpinOverhead(renderSpin),
+		SLO:        cfg.SLO,
 	},
 		deploy.WithOverload(overload.Config{
 			MaxConcurrent: nodeSlots,
@@ -146,7 +147,6 @@ func overloadDeployment(cfg OverloadConfig) (*deploy.Deployment, error) {
 			// saturation phase deterministic.
 			MaxQueue: -1,
 		}, cfg.StaleBudget),
-		deploy.WithTracing(cfg.SLO),
 		deploy.WithAudit(),
 	)
 }

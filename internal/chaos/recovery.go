@@ -79,8 +79,7 @@ type RecoveryResult struct {
 // a quarter-weight slow start doubling per sweep, and flap damping from two
 // quarantine sweeps doubling up to eight.
 func recoveryPolicy() recovery.Policy {
-	return recovery.Policy{
-		Warm:             true,
+	return recovery.Policy{Warm: true, HealthPolicy: dispatch.HealthPolicy{
 		FailThreshold:    1,
 		ReadmitThreshold: 2,
 		RampStart:        0.25,
@@ -88,7 +87,7 @@ func recoveryPolicy() recovery.Policy {
 		FlapWindow:       4,
 		QuarantineBase:   2,
 		QuarantineMax:    8,
-	}
+	}}
 }
 
 // recoveryComplexes is the scenario plant: one complex, three nodes, so a
@@ -130,7 +129,6 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	},
 		deploy.WithRecovery(recoveryPolicy()),
 		deploy.WithAudit(),
-		deploy.WithObservability(),
 	)
 	if err != nil {
 		return nil, err
@@ -416,9 +414,9 @@ func benchReadmission(cfg RecoveryBenchConfig, warm bool) (RecoveryBenchMode, in
 	d, err := deploy.New(deploy.Config{
 		Spec:      spec(),
 		Complexes: recoveryComplexes(),
-	}, deploy.WithRecovery(recovery.Policy{
-		Warm: warm, FailThreshold: 1, ReadmitThreshold: 1, RampStart: 1,
-	}))
+	}, deploy.WithRecovery(recovery.Policy{Warm: warm, HealthPolicy: dispatch.HealthPolicy{
+		FailThreshold: 1, ReadmitThreshold: 1, RampStart: 1,
+	}}))
 	if err != nil {
 		return mode, 0, err
 	}

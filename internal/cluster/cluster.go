@@ -126,7 +126,7 @@ func (n *Node) ServeCtx(ctx context.Context, path string) (*cache.Object, httpse
 // SetWarmup installs the recovery warmup hook: with one installed, Recover
 // enters NodeWarming and runs it asynchronously, and the node only reaches
 // NodeUp when the hook succeeds. Without one, Recover flips straight up
-// (the legacy cold rejoin).
+// (a cold rejoin).
 func (n *Node) SetWarmup(w WarmupFunc) {
 	n.mu.Lock()
 	n.warm = w

@@ -160,7 +160,7 @@ type Result struct {
 	FragmentRenders int
 	FragmentReuses  int
 
-	// Stage timings, for propagation tracing (internal/trace): how long
+	// Stage timings, for propagation tracing (internal/obs): how long
 	// this propagation spent traversing the dependence graph, regenerating
 	// objects, and pushing remedies into the store. Render and push are
 	// cumulative across workers, clamped by the caller when deriving

@@ -107,7 +107,7 @@ type Transaction struct {
 	// TraceID is a process-unique propagation trace ID minted at commit.
 	// It rides the CDC feed and log shipping unchanged, so the trigger
 	// monitor can attribute every downstream propagation stage back to the
-	// originating commit (internal/trace).
+	// originating commit (internal/obs).
 	TraceID int64
 }
 

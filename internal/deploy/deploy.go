@@ -54,7 +54,6 @@ import (
 	"dupserve/internal/routing"
 	"dupserve/internal/site"
 	"dupserve/internal/stats"
-	"dupserve/internal/trace"
 	"dupserve/internal/trigger"
 	"dupserve/internal/wire"
 )
@@ -106,6 +105,10 @@ type Config struct {
 	// on that period, readmitting a node once its probe is healthy again.
 	// Zero leaves probing to CheckNow and Advise calls (deterministic mode).
 	ProbeInterval time.Duration
+	// SLO is every complex's freshness objective: a propagation slower than
+	// it counts as a violation and journals trace/slo_violation. Zero means
+	// the paper's 60 seconds; chaos scenarios use a tight one.
+	SLO time.Duration
 }
 
 // NaganoConfig returns the paper's four-complex layout with chained US
@@ -144,17 +147,15 @@ type Complex struct {
 	Cluster *cluster.Complex
 	// Dispatcher fronts the complex's serving nodes.
 	Dispatcher *dispatch.Dispatcher
-	// Tracer records end-to-end propagation traces for this complex when
-	// the deployment was built WithTracing; nil otherwise. It survives
-	// monitor restarts, so freshness history spans crashes.
-	Tracer *trace.Tracer
 	// Auditor samples this complex's served responses and shadow-renders
 	// them against the replica when the deployment was built WithAudit;
 	// nil otherwise.
 	Auditor *audit.Auditor
-	// Obs is this complex's observability suite — serve-span collector,
-	// event journal, flight recorder — when the deployment was built
-	// WithObservability; nil otherwise.
+	// Obs is this complex's observability suite: the propagation tracer
+	// (which survives monitor restarts, so freshness history spans
+	// crashes), the serve-span collector its dispatcher mints into, the
+	// event journal every state transition lands in, and the flight
+	// recorder.
 	Obs *obs.Suite
 	// Recovery accumulates the complex's recovery_* metrics (warmups, pages
 	// restored, replayed LSNs, readmissions, flap quarantines) when the
@@ -223,13 +224,9 @@ type Deployment struct {
 
 	inj         *fault.Injector
 	retry       *cache.RetryPolicy
-	tracing     bool
-	tracingSLO  time.Duration
 	overload    *overload.Config
 	staleBudget time.Duration
 	audit       bool
-	obsEnabled  bool
-	obsOpts     []obs.Option
 	recovery    *recovery.Policy
 
 	lifeMu   sync.Mutex
@@ -259,13 +256,6 @@ func WithRetryPolicy(p cache.RetryPolicy) Option {
 	return func(d *Deployment) { d.retry = &p }
 }
 
-// WithTracing gives every complex a propagation tracer with the given
-// freshness SLO (the paper's number is 60s; chaos tests use a tight one).
-// Tracers persist across monitor restarts.
-func WithTracing(slo time.Duration) Option {
-	return func(d *Deployment) { d.tracing = true; d.tracingSLO = slo }
-}
-
 // WithOverload arms overload control on every serving node: each node gets
 // its OWN admission limiter built from cfg (a limiter is per-node state),
 // and every node cache retains invalidated entries so a shedding node can
@@ -274,19 +264,6 @@ func WithTracing(slo time.Duration) Option {
 // requests fail over or 503 immediately.
 func WithOverload(cfg overload.Config, staleBudget time.Duration) Option {
 	return func(d *Deployment) { d.overload = &cfg; d.staleBudget = staleBudget }
-}
-
-// WithObservability gives every complex an obs.Suite: the dispatcher mints
-// a serve span per request and the serving node stamps stage boundaries;
-// state transitions across the pipeline (trigger crashes and replays, cache
-// push downgrades, overload shed flips, routing withdrawals, audit
-// incoherence, freshness-SLO violations) land in the complex's journal as
-// typed events; and the flight recorder snapshots spans, propagation
-// traces, and events into a black-box dump whenever a trigger condition
-// fires. opts (clock, ring sizes, shed-burst threshold) apply to every
-// complex's suite.
-func WithObservability(opts ...obs.Option) Option {
-	return func(d *Deployment) { d.obsEnabled = true; d.obsOpts = opts }
 }
 
 // WithRecovery arms the node-recovery protocol on every complex. Each
@@ -307,8 +284,8 @@ func WithRecovery(p recovery.Policy) Option {
 // are sampled via a response tap on every node, and Auditor.Sweep shadow-
 // renders them against the complex's replica at a pinned LSN, classifying
 // divergence and diffing observed reads against declared ODG edges. The
-// auditor inherits the deployment's freshness SLO (WithTracing) and stale
-// budget (WithOverload) when those are configured.
+// auditor reads in-flight propagation and the freshness SLO from the
+// complex's tracer, and inherits the stale budget of WithOverload.
 func WithAudit() Option {
 	return func(d *Deployment) { d.audit = true }
 }
@@ -359,66 +336,44 @@ func New(cfg Config, opts ...Option) (*Deployment, error) {
 	if err := d.Router.AdvertiseSpread(d.order, primaryCost, secondaryCost); err != nil {
 		return nil, err
 	}
-	if d.obsEnabled {
-		// MSIRP withdrawal steps land in the affected complex's journal.
-		d.Router.OnShedChange(func(complexName string, withdrawn, prev int) {
-			cx, ok := d.complexes[complexName]
-			if !ok || cx.Obs == nil {
-				return
-			}
-			kind, level := "withdraw", obs.LevelWarn
-			if withdrawn < prev {
-				kind, level = "restore", obs.LevelInfo
-			}
-			cx.Obs.Journal.Event(level, "routing", kind,
-				"load advisor changed the complex's advertised address set",
-				"complex", complexName,
-				"withdrawn", strconv.Itoa(withdrawn),
-				"prev", strconv.Itoa(prev))
-		})
-	}
+	// MSIRP withdrawal steps land in the affected complex's journal.
+	d.Router.OnShedChange(func(complexName string, withdrawn, prev int) {
+		cx, ok := d.complexes[complexName]
+		if !ok {
+			return
+		}
+		kind, level := "withdraw", obs.LevelWarn
+		if withdrawn < prev {
+			kind, level = "restore", obs.LevelInfo
+		}
+		cx.Obs.Journal.Event(level, "routing", kind,
+			"load advisor changed the complex's advertised address set",
+			"complex", complexName,
+			"withdrawn", strconv.Itoa(withdrawn),
+			"prev", strconv.Itoa(prev))
+	})
 	return d, nil
 }
 
 func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedName string) (*Complex, error) {
 	replica := db.New(cs.Name)
 	graph := odg.New()
+	// The observability suite exists first so the store, the nodes and the
+	// auditor can close over it.
+	sopts := []obs.Option{obs.WithName(cs.Name)}
+	if cfg.SLO > 0 {
+		sopts = append(sopts, obs.WithSLO(cfg.SLO))
+	}
+	suite := obs.NewSuite(sopts...)
 	cx := &Complex{
 		Name:    cs.Name,
 		Link:    feedName + "->" + cs.Name,
 		Replica: replica,
 		Graph:   graph,
+		Obs:     suite,
 		spec:    cs,
 		feed:    feed,
 	}
-	// Tracer and observability suite exist first so the store, the nodes
-	// and the auditor can close over them.
-	var tracer *trace.Tracer
-	if d.tracing {
-		var topts []trace.Option
-		if d.tracingSLO > 0 {
-			topts = append(topts, trace.WithSLO(d.tracingSLO))
-		}
-		tracer = trace.New(topts...)
-	}
-	var suite *obs.Suite
-	if d.obsEnabled {
-		sopts := []obs.Option{obs.WithName(cs.Name), obs.WithTracer(tracer)}
-		suite = obs.NewSuite(append(sopts, d.obsOpts...)...)
-		journal := suite.Journal
-		// Freshness-SLO violations become journal events (and a flight-
-		// recorder trigger). Attrs carry identity only — never durations,
-		// and never the trace ID, which comes from a process-wide counter
-		// and would break dump byte-reproducibility; the LSN correlates.
-		if tracer != nil {
-			tracer.SetOnViolation(func(tr trace.Trace) {
-				journal.Event(obs.LevelWarn, "trace", "slo_violation",
-					"propagation exceeded the freshness SLO",
-					"lsn", strconv.FormatInt(tr.LSN, 10))
-			})
-		}
-	}
-	cx.Tracer, cx.Obs = tracer, suite
 
 	var csite *site.Site
 	gen := core.Generator(func(key cache.Key, version int64) (*cache.Object, error) {
@@ -434,17 +389,14 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 	if d.inj != nil {
 		gen = d.inj.Generator(cs.Name, gen)
 	}
-	var dopts []dispatch.Option
-	if suite != nil {
-		// The dispatcher mints a serve span per request.
-		dopts = append(dopts, dispatch.WithObserver(suite.Collector))
-	}
+	// The dispatcher mints a serve span per request.
+	dopts := []dispatch.Option{dispatch.WithObserver(suite.Collector)}
 	// The engine's store exists before the engine: a wire complex pushes
 	// through its group client (whose ApplyBatch ships a page wave as one
 	// frame per node), an in-process one through its cluster's cache group.
 	var store core.Store
 	if len(cs.Peers) > 0 {
-		cx.Dispatcher = dispatch.New(dispatch.Config{Name: cs.Name, Nodes: cx.dialNodes(suite), ProbeInterval: cfg.ProbeInterval}, dopts...)
+		cx.Dispatcher = dispatch.New(dispatch.Config{Name: cs.Name, Nodes: cx.dialNodes(), ProbeInterval: cfg.ProbeInterval}, dopts...)
 		store = cx.push
 	} else {
 		d.buildCluster(cx, cfg, gen, dopts, func(ch db.Change) []odg.NodeID { return csite.Indexer(ch) })
@@ -523,21 +475,17 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 			node.SetWarmup(func() error {
 				rep, err := warmer.Warm()
 				if err != nil {
-					if suite != nil {
-						suite.Journal.Event(obs.LevelError, "node", "warmup_failed",
-							err.Error(), "node", node.Name())
-					}
+					suite.Journal.Event(obs.LevelError, "node", "warmup_failed",
+						err.Error(), "node", node.Name())
 					return err
 				}
-				if suite != nil {
-					suite.Journal.Event(obs.LevelInfo, "node", "warmup",
-						"cache rebuilt to the pinned LSN floor before readmission",
-						"node", rep.Node,
-						"pages", strconv.Itoa(rep.Pages),
-						"from_peer", strconv.Itoa(rep.FromPeer),
-						"rendered", strconv.Itoa(rep.Rendered),
-						"floor_lsn", strconv.FormatInt(rep.FloorLSN, 10))
-				}
+				suite.Journal.Event(obs.LevelInfo, "node", "warmup",
+					"cache rebuilt to the pinned LSN floor before readmission",
+					"node", rep.Node,
+					"pages", strconv.Itoa(rep.Pages),
+					"from_peer", strconv.Itoa(rep.FromPeer),
+					"rendered", strconv.Itoa(rep.Rendered),
+					"floor_lsn", strconv.FormatInt(rep.FloorLSN, 10))
 				return nil
 			})
 			// A dead machine receives no pushes: detach the cache from the
@@ -557,28 +505,24 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 // dispatcher with the deployment's fault, retry, observability, overload,
 // audit and recovery wiring; indexer feeds the auditor.
 func (d *Deployment) buildCluster(cx *Complex, cfg Config, gen core.Generator, dopts []dispatch.Option, indexer func(db.Change) []odg.NodeID) {
-	cs, suite := cx.spec, cx.Obs
-	var groupOpts []cache.GroupOption
+	cs, journal := cx.spec, cx.Obs.Journal
+	// Push downgrades: a broadcast that exhausted its retries against a
+	// node and fell back to invalidation.
+	groupOpts := []cache.GroupOption{cache.WithDowngradeHook(func(node string, key cache.Key) {
+		journal.Event(obs.LevelWarn, "cache", "push_downgrade",
+			"cache push exhausted retries; downgraded to invalidation",
+			"node", node, "page", string(key))
+	})}
 	if d.inj != nil {
 		groupOpts = append(groupOpts, cache.WithPutHook(d.inj.PushHook(cs.Name)))
 	}
 	if d.retry != nil {
 		groupOpts = append(groupOpts, cache.WithRetryPolicy(*d.retry))
 	}
-	if suite != nil {
-		journal := suite.Journal
-		// Push downgrades: a broadcast that exhausted its retries against a
-		// node and fell back to invalidation.
-		groupOpts = append(groupOpts, cache.WithDowngradeHook(func(node string, key cache.Key) {
-			journal.Event(obs.LevelWarn, "cache", "push_downgrade",
-				"cache push exhausted retries; downgraded to invalidation",
-				"node", node, "page", string(key))
-		}))
-	}
 	var auditor *audit.Auditor
 	if d.audit {
 		spec := cfg.Spec
-		acfg := audit.Config{
+		auditor = audit.New(audit.Config{
 			Name:    cs.Name,
 			Replica: cx.Replica,
 			Build: func(sdb *db.DB, reg fragment.Registrar) (*fragment.Engine, []string, error) {
@@ -589,19 +533,14 @@ func (d *Deployment) buildCluster(cx *Complex, cfg Config, gen core.Generator, d
 				return s.Engine, s.Pages(), nil
 			},
 			Indexer:     indexer,
-			Tracer:      cx.Tracer,
+			Tracer:      cx.Obs.Tracer,
 			StaleBudget: d.staleBudget,
-			SLO:         d.tracingSLO,
-		}
-		if suite != nil {
-			journal := suite.Journal
-			acfg.OnIncoherent = func(page string) {
+			OnIncoherent: func(page string) {
 				journal.Event(obs.LevelError, "audit", "incoherent",
 					"served page diverges from shadow render at the same LSN",
 					"page", page)
-			}
-		}
-		auditor = audit.New(acfg)
+			},
+		})
 	}
 
 	clCfg := cluster.Config{
@@ -615,16 +554,13 @@ func (d *Deployment) buildCluster(cx *Complex, cfg Config, gen core.Generator, d
 		DispatcherOptions: dopts,
 		ProbeInterval:     cfg.ProbeInterval,
 	}
-	var nodeOptFns []func(string) []httpserver.Option
-	if suite != nil {
-		// The nodes count their render-time database reads through a probe
-		// on the replica.
-		probe := obs.NewReadProbe()
-		cx.Replica.SetReadHook(probe.Hook)
-		nodeOptFns = append(nodeOptFns, func(string) []httpserver.Option {
-			return []httpserver.Option{httpserver.WithReadProbe(probe)}
-		})
-	}
+	// The nodes count their render-time database reads through a probe on
+	// the replica.
+	probe := obs.NewReadProbe()
+	cx.Replica.SetReadHook(probe.Hook)
+	nodeOptFns := []func(string) []httpserver.Option{func(string) []httpserver.Option {
+		return []httpserver.Option{httpserver.WithReadProbe(probe)}
+	}}
 	if d.overload != nil {
 		ocfg, budget := *d.overload, d.staleBudget
 		if budget > 0 {
@@ -632,20 +568,17 @@ func (d *Deployment) buildCluster(cx *Complex, cfg Config, gen core.Generator, d
 		}
 		nodeOptFns = append(nodeOptFns, func(name string) []httpserver.Option {
 			// Each node gets its own limiter (a limiter is per-node state)
-			// and, under observability, its own shed-transition journal hook.
+			// and its own shed-transition journal hook.
 			ncfg := ocfg
-			if suite != nil {
-				journal := suite.Journal
-				ncfg.OnShedChange = func(shedding bool) {
-					if shedding {
-						journal.Event(obs.LevelWarn, "overload", "shed_start",
-							"admission queue delay crossed the target; node is shedding",
-							"node", name)
-					} else {
-						journal.Event(obs.LevelInfo, "overload", "shed_stop",
-							"admission queue delay recovered; node stopped shedding",
-							"node", name)
-					}
+			ncfg.OnShedChange = func(shedding bool) {
+				if shedding {
+					journal.Event(obs.LevelWarn, "overload", "shed_start",
+						"admission queue delay crossed the target; node is shedding",
+						"node", name)
+				} else {
+					journal.Event(obs.LevelInfo, "overload", "shed_stop",
+						"admission queue delay recovered; node stopped shedding",
+						"node", name)
 				}
 			}
 			return []httpserver.Option{httpserver.WithOverload(overload.NewLimiter(ncfg), budget)}
@@ -658,53 +591,38 @@ func (d *Deployment) buildCluster(cx *Complex, cfg Config, gen core.Generator, d
 	}
 	if d.recovery != nil {
 		cx.Recovery = &recovery.Metrics{}
-		p := *d.recovery
+		// Probation-machine transitions feed the journal: node/down on
+		// eviction (plus node/flap_quarantine when damping trips — a
+		// flight-recorder trigger), node/readmitted when a node re-enters
+		// the list.
 		clCfg.DispatcherOptions = append(clCfg.DispatcherOptions,
-			dispatch.WithHealthPolicy(dispatch.HealthPolicy{
-				FailThreshold:    p.FailThreshold,
-				ReadmitThreshold: p.ReadmitThreshold,
-				RampStart:        p.RampStart,
-				RampFactor:       p.RampFactor,
-				FlapWindow:       p.FlapWindow,
-				QuarantineBase:   p.QuarantineBase,
-				QuarantineMax:    p.QuarantineMax,
-			}))
-		if suite != nil {
-			// Probation-machine transitions feed the journal: node/down on
-			// eviction (plus node/flap_quarantine when damping trips — a
-			// flight-recorder trigger), node/readmitted when a node
-			// re-enters the list.
-			clCfg.DispatcherOptions = append(clCfg.DispatcherOptions,
-				dispatch.WithStateChange(func(ch dispatch.StateChange) {
-					switch {
-					case ch.To == dispatch.StateDown:
-						suite.Journal.Event(obs.LevelWarn, "node", "down",
-							"dispatcher evicted the node from the distribution list",
-							"node", ch.Node, "cause", ch.Cause)
-						if ch.Flapped {
-							suite.Journal.Event(obs.LevelError, "node", "flap_quarantine",
-								"repeated fail/recover cycles; readmission quarantined",
-								"node", ch.Node,
-								"flaps", strconv.Itoa(ch.Flaps),
-								"quarantine", strconv.Itoa(ch.Quarantine))
-						}
-					case ch.From == dispatch.StateDown:
-						suite.Journal.Event(obs.LevelInfo, "node", "readmitted",
-							"node readmitted to the distribution list",
-							"node", ch.Node, "state", ch.To.String())
+			dispatch.WithHealthPolicy(d.recovery.HealthPolicy),
+			dispatch.WithStateChange(func(ch dispatch.StateChange) {
+				switch {
+				case ch.To == dispatch.StateDown:
+					journal.Event(obs.LevelWarn, "node", "down",
+						"dispatcher evicted the node from the distribution list",
+						"node", ch.Node, "cause", ch.Cause)
+					if ch.Flapped {
+						journal.Event(obs.LevelError, "node", "flap_quarantine",
+							"repeated fail/recover cycles; readmission quarantined",
+							"node", ch.Node,
+							"flaps", strconv.Itoa(ch.Flaps),
+							"quarantine", strconv.Itoa(ch.Quarantine))
 					}
-				}))
-		}
+				case ch.From == dispatch.StateDown:
+					journal.Event(obs.LevelInfo, "node", "readmitted",
+						"node readmitted to the distribution list",
+						"node", ch.Node, "state", ch.To.String())
+				}
+			}))
 	}
-	if len(nodeOptFns) > 0 {
-		fns := nodeOptFns
-		clCfg.NodeOptions = func(name string) []httpserver.Option {
-			var opts []httpserver.Option
-			for _, fn := range fns {
-				opts = append(opts, fn(name)...)
-			}
-			return opts
+	clCfg.NodeOptions = func(name string) []httpserver.Option {
+		var opts []httpserver.Option
+		for _, fn := range nodeOptFns {
+			opts = append(opts, fn(name)...)
 		}
+		return opts
 	}
 	cx.Cluster = cluster.NewComplex(clCfg)
 	cx.Dispatcher, cx.Auditor = cx.Cluster.Dispatcher, auditor
@@ -713,29 +631,23 @@ func (d *Deployment) buildCluster(cx *Complex, cfg Config, gen core.Generator, d
 // dialNodes connects a wire complex to its node processes, one pooled
 // client per node for log shipping, pushes, serves and probes, and returns
 // them as the dispatcher's pool. Connection state changes and push
-// downgrades land in the journal when the complex has one.
-func (cx *Complex) dialNodes(suite *obs.Suite) []dispatch.Node {
+// downgrades land in the journal.
+func (cx *Complex) dialNodes() []dispatch.Node {
+	journal := cx.Obs.Journal
 	cx.wm = wire.NewMetrics()
-	copts := []wire.ClientOption{wire.WithClientMetrics(cx.wm)}
-	var gopts []wire.GroupClientOption
-	if cx.spec.Shaper != nil {
-		copts = append(copts, wire.WithShaper(cx.spec.Shaper))
-	}
-	if suite != nil {
-		journal := suite.Journal
-		copts = append(copts, wire.WithClientStateHook(func(name, event, detail string) {
+	copts := []wire.ClientOption{
+		wire.WithClientMetrics(cx.wm),
+		wire.WithClientStateHook(func(name, event, detail string) {
 			level := obs.LevelInfo
 			if event == "disconnect" || event == "read_error" || event == "partition_drop" {
 				level = obs.LevelWarn
 			}
 			journal.Event(level, "wire", event,
 				"wire connection state change", "peer", name, "detail", detail)
-		}))
-		gopts = append(gopts, wire.WithGroupDowngradeHook(func(node string, key cache.Key) {
-			journal.Event(obs.LevelWarn, "wire", "push_downgrade",
-				"wire push exhausted retries; node entry invalidated",
-				"node", node, "key", string(key))
-		}))
+		}),
+	}
+	if cx.spec.Shaper != nil {
+		copts = append(copts, wire.WithShaper(cx.spec.Shaper))
 	}
 	var stores []*wire.StoreClient
 	var pool []dispatch.Node
@@ -746,7 +658,11 @@ func (cx *Complex) dialNodes(suite *obs.Suite) []dispatch.Node {
 		n := nodeProcess{wire.NewRemoteNode(name, c), wire.NewReplicaClient(c)}
 		cx.nodes, pool = append(cx.nodes, n), append(pool, n)
 	}
-	cx.push = wire.NewGroupClient(stores, gopts...)
+	cx.push = wire.NewGroupClient(stores, wire.WithGroupDowngradeHook(func(node string, key cache.Key) {
+		journal.Event(obs.LevelWarn, "wire", "push_downgrade",
+			"wire push exhausted retries; node entry invalidated",
+			"node", node, "key", string(key))
+	}))
 	return pool
 }
 
@@ -805,30 +721,23 @@ func (d *Deployment) startMonitor(cx *Complex, gen int) error {
 	}
 	cx.mu.Unlock()
 
-	opts := []trigger.Option{trigger.WithIndexer(cx.Site.Indexer)}
-	if cx.Tracer != nil {
-		opts = append(opts, trigger.WithTracer(cx.Tracer))
-	}
-	if cx.Obs != nil {
-		journal := cx.Obs.Journal
-		opts = append(opts, trigger.WithOnReplay(func(count int, upto int64) {
+	journal := cx.Obs.Journal
+	opts := []trigger.Option{
+		trigger.WithIndexer(cx.Site.Indexer),
+		trigger.WithTracer(cx.Obs.Tracer),
+		trigger.WithOnReplay(func(count int, upto int64) {
 			journal.Event(obs.LevelInfo, "trigger", "replay",
 				"restarted monitor replayed retained log from checkpoint",
 				"count", strconv.Itoa(count),
 				"upto_lsn", strconv.FormatInt(upto, 10))
-		}))
-	}
-	if cx.Obs != nil || d.inj != nil {
-		journal, inj := cx.Obs, d.inj
-		opts = append(opts, trigger.WithOnCrash(func(err error) {
-			if journal != nil {
-				journal.Journal.Event(obs.LevelError, "trigger", "crash", err.Error(),
-					"complex", cx.Name, "generation", strconv.Itoa(gen))
-			}
-			if inj != nil {
+		}),
+		trigger.WithOnCrash(func(err error) {
+			journal.Event(obs.LevelError, "trigger", "crash", err.Error(),
+				"complex", cx.Name, "generation", strconv.Itoa(gen))
+			if d.inj != nil {
 				d.superviseRestart(cx)
 			}
-		}))
+		}),
 	}
 	if d.inj != nil {
 		opts = append(opts, trigger.WithCrashHook(d.inj.CrashHook(cx.Name, gen)))
@@ -904,9 +813,10 @@ func (d *Deployment) Shutdown(ctx context.Context) error {
 func (d *Deployment) MonitorRestarts() int64 { return d.restarts.Value() }
 
 // RegisterMetrics publishes the master database and every part of every
-// complex into reg, each complex's series labelled with its name. Call it
-// after Start: the trigger families are the monitor generation running
-// then (supervision replaces a monitor only under WithFaults).
+// complex into reg, each complex's series labelled with its name, and from
+// then on every flight-recorder dump carries reg's snapshot. Call it after
+// Start: the trigger families are the monitor generation running then
+// (supervision replaces a monitor only under WithFaults).
 func (d *Deployment) RegisterMetrics(reg *stats.Registry) {
 	d.Master.RegisterMetrics(reg, stats.Labels{"db": "master"})
 	for _, cx := range d.Complexes() {
@@ -917,12 +827,7 @@ func (d *Deployment) RegisterMetrics(reg *stats.Registry) {
 		cx.Dispatcher.RegisterMetrics(reg, l)
 		reg.RegisterCounter("monitor_restarts_total",
 			"trigger monitors restarted from checkpoint by supervision", l, &cx.restarts)
-		if cx.Tracer != nil {
-			cx.Tracer.RegisterMetrics(reg, l)
-		}
-		if cx.Obs != nil {
-			cx.Obs.RegisterMetrics(reg, l)
-		}
+		cx.Obs.RegisterMetrics(reg, l)
 		if cx.Auditor != nil {
 			cx.Auditor.RegisterMetrics(reg, l)
 		}

@@ -10,23 +10,23 @@ import (
 )
 
 // faultyDeployment builds a Nagano-shaped deployment with fault injection
-// armed through the given injector.
-func faultyDeployment(t *testing.T, inj *fault.Injector, opts ...Option) *Deployment {
+// armed through the given injector and the given freshness SLO (0: the
+// paper's 60s).
+func faultyDeployment(t *testing.T, inj *fault.Injector, slo time.Duration) *Deployment {
 	t.Helper()
 	cfg := NaganoConfig(smallSpec())
+	cfg.SLO = slo
 	for i := range cfg.Complexes {
 		cfg.Complexes[i].ReplicationDelay = time.Millisecond
 	}
-	opts = append([]Option{
+	d, err := New(cfg,
 		WithFaults(inj),
 		WithRetryPolicy(cache.RetryPolicy{
 			MaxAttempts: 3,
 			Backoff:     50 * time.Microsecond,
 			MaxBackoff:  time.Millisecond,
 			Sleep:       func(time.Duration) {},
-		}),
-	}, opts...)
-	d, err := New(cfg, opts...)
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func faultyDeployment(t *testing.T, inj *fault.Injector, opts ...Option) *Deploy
 // clears, every complex converges to the master with nothing lost.
 func TestMonitorCrashIsSupervisedAndRecovers(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 23})
-	d := faultyDeployment(t, inj)
+	d := faultyDeployment(t, inj, 0)
 
 	inj.SetRate(fault.KindMonitorCrash, 1)
 	ev := d.MasterSite.Events[0]
@@ -84,7 +84,7 @@ func TestMonitorCrashIsSupervisedAndRecovers(t *testing.T) {
 // commits; the heal ships them all.
 func TestPartitionHealsWithZeroLoss(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 29})
-	d := faultyDeployment(t, inj)
+	d := faultyDeployment(t, inj, 0)
 	cx, ok := d.Complex("tokyo")
 	if !ok {
 		t.Fatal("no tokyo complex")
@@ -116,7 +116,7 @@ func TestPartitionHealsWithZeroLoss(t *testing.T) {
 // fault clears a fresh transaction propagates with zero new violations.
 func TestSLOViolationsReturnToZeroAfterFaultClears(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 31})
-	d := faultyDeployment(t, inj, WithTracing(50*time.Millisecond))
+	d := faultyDeployment(t, inj, 50*time.Millisecond)
 	cx, _ := d.Complex("tokyo")
 
 	inj.SetPartition(cx.Link, true)
@@ -129,19 +129,14 @@ func TestSLOViolationsReturnToZeroAfterFaultClears(t *testing.T) {
 	if !d.WaitFresh(10 * time.Second) {
 		t.Fatal("no convergence after heal")
 	}
-	if cx.Tracer == nil {
-		t.Fatal("tracing enabled but no tracer")
-	}
-	if cx.Tracer.Violations() == 0 {
+	if cx.Obs.Tracer.Violations() == 0 {
 		t.Fatal("held transaction did not register an SLO violation")
 	}
 
 	// Healthy pipeline: a probe transaction adds zero violations.
 	base := int64(0)
 	for _, c := range d.Complexes() {
-		if c.Tracer != nil {
-			base += c.Tracer.Violations()
-		}
+		base += c.Obs.Tracer.Violations()
 	}
 	if _, err := d.MasterSite.RecordPartial(ev, ev.Participants[1], "3.1"); err != nil {
 		t.Fatal(err)
@@ -151,9 +146,7 @@ func TestSLOViolationsReturnToZeroAfterFaultClears(t *testing.T) {
 	}
 	after := int64(0)
 	for _, c := range d.Complexes() {
-		if c.Tracer != nil {
-			after += c.Tracer.Violations()
-		}
+		after += c.Obs.Tracer.Violations()
 	}
 	if after != base {
 		t.Fatalf("healthy probe added %d SLO violations", after-base)
@@ -165,7 +158,7 @@ func TestSLOViolationsReturnToZeroAfterFaultClears(t *testing.T) {
 // the committed update.
 func TestPushFaultsNeverServeStale(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 37})
-	d := faultyDeployment(t, inj)
+	d := faultyDeployment(t, inj, 0)
 
 	inj.SetRate(fault.KindPush, 0.5)
 	ev := d.MasterSite.Events[1]

@@ -47,9 +47,9 @@ func recoveryDeployment(t *testing.T, p recovery.Policy) *Deployment {
 // verify every page it now serves is a hit at a version no older than its
 // own pre-failure copy.
 func TestRecoveredNodeNeverServesBelowPreFailureLSN(t *testing.T) {
-	d := recoveryDeployment(t, recovery.Policy{
-		Warm: true, FailThreshold: 1, ReadmitThreshold: 1, RampStart: 1,
-	})
+	d := recoveryDeployment(t, recovery.Policy{Warm: true, HealthPolicy: dispatch.HealthPolicy{
+		FailThreshold: 1, ReadmitThreshold: 1, RampStart: 1,
+	}})
 	cx := d.Complexes()[0]
 	victim := cx.Cluster.Nodes()[0]
 	vcache, ok := cx.Cluster.Caches.Get(victim.Name())
@@ -115,9 +115,9 @@ func TestRecoveredNodeNeverServesBelowPreFailureLSN(t *testing.T) {
 // failed node's cache from the broadcast group (a dead machine receives no
 // pushes) and the warmup's re-attach restores membership.
 func TestDetachedCacheMissesPushesWhileDown(t *testing.T) {
-	d := recoveryDeployment(t, recovery.Policy{
-		Warm: true, FailThreshold: 1, ReadmitThreshold: 1, RampStart: 1,
-	})
+	d := recoveryDeployment(t, recovery.Policy{Warm: true, HealthPolicy: dispatch.HealthPolicy{
+		FailThreshold: 1, ReadmitThreshold: 1, RampStart: 1,
+	}})
 	cx := d.Complexes()[0]
 	victim := cx.Cluster.Nodes()[0]
 	group := cx.Cluster.Caches
@@ -140,9 +140,9 @@ func TestDetachedCacheMissesPushesWhileDown(t *testing.T) {
 // cache — the baseline the benchmark compares against — and every
 // post-rejoin serve is a render.
 func TestColdPolicyRejoinsEmpty(t *testing.T) {
-	d := recoveryDeployment(t, recovery.Policy{
-		Warm: false, FailThreshold: 1, ReadmitThreshold: 1, RampStart: 1,
-	})
+	d := recoveryDeployment(t, recovery.Policy{Warm: false, HealthPolicy: dispatch.HealthPolicy{
+		FailThreshold: 1, ReadmitThreshold: 1, RampStart: 1,
+	}})
 	cx := d.Complexes()[0]
 	victim := cx.Cluster.Nodes()[0]
 	victim.Fail()

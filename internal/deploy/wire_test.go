@@ -13,6 +13,7 @@ import (
 	"dupserve/internal/dispatch"
 	"dupserve/internal/fault"
 	"dupserve/internal/httpserver"
+	"dupserve/internal/obs"
 	"dupserve/internal/odg"
 	"dupserve/internal/overload"
 	"dupserve/internal/recovery"
@@ -73,8 +74,7 @@ func TestWireComplexKeepsRestartedNodeDown(t *testing.T) {
 	spec := smallSpec()
 	_, addr0 := startNodeProcess(t, spec, "up0", "127.0.0.1:0")
 	n1, addr1 := startNodeProcess(t, spec, "up1", "127.0.0.1:0")
-	d, err := New(Config{Spec: spec, Complexes: []ComplexSpec{{Name: "master", Peers: []string{addr0, addr1}}}},
-		WithTracing(time.Minute), WithObservability())
+	d, err := New(Config{Spec: spec, Complexes: []ComplexSpec{{Name: "master", Peers: []string{addr0, addr1}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +123,80 @@ func TestWireComplexKeepsRestartedNodeDown(t *testing.T) {
 		}
 		if obj.Version < tx.LSN || !bytes.Contains(obj.Value, []byte(ev.Participants[0])) {
 			t.Fatalf("serve %d: version %d without the new result, want the commit at lsn %d", i, obj.Version, tx.LSN)
+		}
+	}
+}
+
+// TestEveryComplexIsTracedAndObserved: New with no options gives an
+// in-process complex and a wire complex alike an observability suite whose
+// tracer records every propagation, whose families register under the
+// complex's label, and whose journal takes the violations of a 1ns
+// Config.SLO.
+func TestEveryComplexIsTracedAndObserved(t *testing.T) {
+	spec := smallSpec()
+	_, addr := startNodeProcess(t, spec, "up0", "127.0.0.1:0")
+	d, err := New(Config{Spec: spec, SLO: time.Nanosecond, Complexes: []ComplexSpec{
+		{Name: "tokyo", Frames: 1, NodesPerFrame: 2},
+		{Name: "master", Peers: []string{addr}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = d.Shutdown(context.Background()) })
+	if err := d.Prime(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ev := d.MasterSite.Events[0]
+	tx, err := d.MasterSite.RecordResult(ev, ev.Participants[0], ev.Participants[1], ev.Participants[2], "240.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.WaitFresh(10 * time.Second) {
+		t.Fatal("commit never propagated")
+	}
+	page := fmt.Sprintf("/en/sports/%s/%s", ev.Sport, ev.Key)
+
+	reg := stats.NewRegistry()
+	d.RegisterMetrics(reg)
+	var text bytes.Buffer
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, cx := range d.Complexes() {
+		if cx.Obs == nil {
+			t.Fatalf("%s: no observability suite", cx.Name)
+		}
+		tr := cx.Obs.Tracer.Recent(0)
+		if len(tr) == 0 || tr[0].LSN != tx.LSN {
+			t.Fatalf("%s: newest trace %+v, want the commit at lsn %d", cx.Name, tr, tx.LSN)
+		}
+		if _, _, err := cx.Dispatcher.Serve(page); err != nil {
+			t.Fatalf("%s: serve %s: %v", cx.Name, page, err)
+		}
+		if spans := cx.Obs.Collector.Recent(1); len(spans) != 1 || spans[0].Path != page {
+			t.Fatalf("%s: newest serve span %+v, want %s", cx.Name, spans, page)
+		}
+		if cx.Obs.Tracer.Violations() == 0 {
+			t.Fatalf("%s: no SLO violation under a 1ns SLO", cx.Name)
+		}
+		violated := false
+		for _, e := range cx.Obs.Journal.Recent(0) {
+			violated = violated || e.Scope+"/"+e.Kind == obs.TriggerSLOViolation
+		}
+		if !violated {
+			t.Fatalf("%s: journal has no %s event", cx.Name, obs.TriggerSLOViolation)
+		}
+		for _, series := range []string{
+			`dup_propagation_seconds_count{complex="` + cx.Name + `"}`,
+			`serve_seconds_count{complex="` + cx.Name + `"}`,
+			`journal_events_total{complex="` + cx.Name + `"}`,
+		} {
+			if !bytes.Contains(text.Bytes(), []byte(series)) {
+				t.Fatalf("exposition has no %s", series)
+			}
 		}
 	}
 }

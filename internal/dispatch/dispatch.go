@@ -123,7 +123,8 @@ type HealthPolicy struct {
 	// FailThreshold is how many consecutive bad probe observations evict an
 	// up or probationary member (default 1). Serving failures and explicit
 	// MarkDown calls evict immediately regardless — a request that died on
-	// the node is certainty, not probe noise.
+	// the node is certainty, not probe noise. A failed render
+	// (httpserver.RenderError) is not a serving failure: the node answered.
 	FailThreshold int
 	// ReadmitThreshold is how many consecutive good observations a down
 	// member needs before readmission begins (default 1).
@@ -779,8 +780,10 @@ func (d *Dispatcher) serve(ctx context.Context, sp *obs.Span, path string) (*cac
 			retries++
 			continue
 		}
-		if outcome == httpserver.OutcomeError && err != nil && !errors.Is(err, httpserver.ErrNoRoute) {
-			// Node-level failure: pull it and fail over.
+		if outcome == httpserver.OutcomeError && err != nil && !errors.Is(err, httpserver.ErrNoRoute) &&
+			!errors.As(err, new(httpserver.RenderError)) {
+			// Node-level failure: pull it and fail over. A failed render is
+			// the page's failure, answered by a working node.
 			d.release(m, true)
 			d.failovers.Inc()
 			retries++

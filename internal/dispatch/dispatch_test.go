@@ -343,6 +343,29 @@ func TestNotFoundIsNotAFailure(t *testing.T) {
 	}
 }
 
+// TestRenderErrorIsNotAFailure: a failed render (say, against a replica
+// that has not caught up yet) is answered by a working node. It reaches the
+// client as an error, but no node is pulled, so the next request renders
+// again instead of finding every node evicted.
+func TestRenderErrorIsNotAFailure(t *testing.T) {
+	var calls atomic.Int64
+	render := func(path string) (*cache.Object, httpserver.Outcome, error) {
+		calls.Add(1)
+		return nil, httpserver.OutcomeError, httpserver.RenderError{Err: errors.New("athlete not registered")}
+	}
+	d := New(Config{Name: "nd", Nodes: []Node{nodeFunc{"a", render}, nodeFunc{"b", render}}})
+	for i := 0; i < 4; i++ {
+		_, outcome, err := d.Serve("/p")
+		if outcome != httpserver.OutcomeError || !errors.As(err, new(httpserver.RenderError)) {
+			t.Fatalf("serve %d: %v %v, want the render error", i, outcome, err)
+		}
+	}
+	if d.Stats().Failovers != 0 || d.HealthyCount() != 2 || calls.Load() != 4 {
+		t.Fatalf("failovers %d healthy %d renders %d: render error treated as node failure",
+			d.Stats().Failovers, d.HealthyCount(), calls.Load())
+	}
+}
+
 type nodeFunc struct {
 	name string
 	fn   func(path string) (*cache.Object, httpserver.Outcome, error)

@@ -78,6 +78,15 @@ func (o Outcome) String() string {
 // a generator.
 var ErrNoRoute = errors.New("httpserver: no route")
 
+// RenderError is returned (with OutcomeError) when a page render fails —
+// say, against a replica that has not yet replicated the page's rows. The
+// node answered, so the failure is the page's, not the node's: dispatchers
+// return it to the client without pulling the node from the pool.
+type RenderError struct{ Err error }
+
+func (e RenderError) Error() string { return e.Err.Error() }
+func (e RenderError) Unwrap() error { return e.Err }
+
 // ErrOverloaded is returned (wrapping overload.ErrShed) when the node's
 // admission controller refuses a render and no stale copy within the
 // freshness budget exists. Unlike a node failure, an overloaded node is
@@ -249,8 +258,8 @@ func (s *Server) Limiter() *overload.Limiter { return s.limiter }
 
 // LoadSignal reports the node's scalar load (see overload.Limiter.Load):
 // 0 idle, ~1 fully busy, >1 queueing. Nodes without admission control
-// report 0 — they never claim to be saturated, matching their unbounded
-// legacy behaviour. Dispatch advisors consume this to steer work away from
+// report 0 — they admit every render, so they never claim to be
+// saturated. Dispatch advisors consume this to steer work away from
 // overloaded nodes before they start shedding.
 func (s *Server) LoadSignal() float64 {
 	if s.limiter == nil {
@@ -334,7 +343,7 @@ func (s *Server) ServeCtx(ctx context.Context, path string) (*cache.Object, Outc
 			return nil, OutcomeNotFound, err
 		}
 		s.errs.Inc()
-		return nil, OutcomeError, err
+		return nil, OutcomeError, RenderError{err}
 	}
 	if s.cache != nil {
 		s.cache.Put(obj)

@@ -1,7 +1,6 @@
-package trace
+package obs
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 )
@@ -42,17 +41,17 @@ func TestTraceStageDurations(t *testing.T) {
 		StagePush:   5 * time.Millisecond,
 	}
 	for s, want := range wantDur {
-		if got := tr.StageDur(s); got != want {
+		if got := stageDur(tr.Times[:], int(s)); got != want {
 			t.Fatalf("StageDur(%v) = %v, want %v", s, got, want)
 		}
 	}
-	if tr.StageDur(StageCommit) != 0 {
-		t.Fatalf("StageDur(commit) = %v, want 0", tr.StageDur(StageCommit))
+	if stageDur(tr.Times[:], int(StageCommit)) != 0 {
+		t.Fatalf("StageDur(commit) = %v, want 0", stageDur(tr.Times[:], int(StageCommit)))
 	}
 }
 
 func TestRecordNormalizesInvertedTimestamps(t *testing.T) {
-	tr := New()
+	tr := NewSuite().Tracer
 	base := time.Unix(1000, 0)
 	// render stamped before dup (cross-goroutine clock skew).
 	in := mk(1, 1, base, [NumStages]time.Duration{
@@ -66,64 +65,38 @@ func TestRecordNormalizesInvertedTimestamps(t *testing.T) {
 			t.Fatalf("stage %v timestamp precedes %v after normalize", s, s-1)
 		}
 	}
-	if got.StageDur(StageRender) != 0 {
-		t.Fatalf("inverted stage duration = %v, want clamped to 0", got.StageDur(StageRender))
+	if stageDur(got.Times[:], int(StageRender)) != 0 {
+		t.Fatalf("inverted stage duration = %v, want clamped to 0", stageDur(got.Times[:], int(StageRender)))
 	}
 }
 
-func TestRingBoundsMemoryUnder10kTransactions(t *testing.T) {
-	const ringSize, txCount = 256, 10_000
-	tr := New()
-	base := time.Unix(1000, 0)
-	for i := 0; i < txCount; i++ {
-		tr.Record(mk(int64(i), int64(i), base.Add(time.Duration(i)*time.Millisecond),
-			[NumStages]time.Duration{0, 1, 2, 3, 4, 5}))
-	}
-	if got := len(tr.Recent(0)); got != ringSize {
-		t.Fatalf("ring holds %d traces, want %d (ring must not grow)", got, ringSize)
-	}
-	if got := tr.Recorded(); got != txCount {
-		t.Fatalf("Recorded = %d, want %d", got, txCount)
-	}
-	all := tr.Recent(0)
-	if len(all) != ringSize {
-		t.Fatalf("Recent(0) = %d traces, want %d", len(all), ringSize)
-	}
-	// Newest first: the last recorded ID leads.
-	if all[0].ID != txCount-1 {
-		t.Fatalf("Recent[0].ID = %d, want %d", all[0].ID, txCount-1)
-	}
-	if all[ringSize-1].ID != txCount-ringSize {
-		t.Fatalf("oldest retained ID = %d, want %d", all[ringSize-1].ID, txCount-ringSize)
-	}
-}
-
-func TestRecordHotPathDoesNotAllocate(t *testing.T) {
-	tr := New()
-	base := time.Unix(1000, 0)
-	var i int64
-	allocs := testing.AllocsPerRun(1000, func() {
-		i++
-		tr.Record(mk(i, i, base, [NumStages]time.Duration{0, 1, 2, 3, 4, 5}))
-	})
-	if allocs > 0 {
-		t.Fatalf("Record allocates %.1f times per call, want 0", allocs)
-	}
-}
-
+// TestSLOViolations: a trace over the SLO counts once and journals
+// trace/slo_violation, which trips the flight recorder. The event names the
+// LSN, never the trace ID, so dumps stay reproducible.
 func TestSLOViolations(t *testing.T) {
-	tr := New(WithSLO(60 * time.Second))
+	s := NewSuite(WithSLO(60 * time.Second))
+	tr := s.Tracer
 	base := time.Unix(1000, 0)
 	tr.Record(mk(1, 1, base, [NumStages]time.Duration{0, 0, 0, 0, 0, 30 * time.Second}))
 	if tr.Violations() != 0 {
 		t.Fatalf("violations after 30s trace = %d, want 0", tr.Violations())
 	}
-	tr.Record(mk(2, 2, base, [NumStages]time.Duration{0, 0, 0, 0, 0, 61 * time.Second}))
+	tr.Record(mk(20, 2, base, [NumStages]time.Duration{0, 0, 0, 0, 0, 61 * time.Second}))
 	if tr.Violations() != 1 {
 		t.Fatalf("violations after 61s trace = %d, want 1", tr.Violations())
 	}
+	events := s.Journal.Recent(0)
+	if len(events) != 1 || events[0].Scope+"/"+events[0].Kind != TriggerSLOViolation {
+		t.Fatalf("journal = %+v, want one %s event", events, TriggerSLOViolation)
+	}
+	if attrs := events[0].Attrs; len(attrs) != 1 || attrs["lsn"] != "2" {
+		t.Fatalf("violation attrs = %v, want only lsn=2", attrs)
+	}
+	if kinds := s.Recorder.Kinds(); len(kinds) != 1 || kinds[0] != TriggerSLOViolation {
+		t.Fatalf("recorder kinds = %v, want the violation", kinds)
+	}
 	// SLO 0 disables counting.
-	tr2 := New(WithSLO(0))
+	tr2 := NewSuite(WithSLO(0)).Tracer
 	tr2.Record(mk(3, 3, base, [NumStages]time.Duration{0, 0, 0, 0, 0, time.Hour}))
 	if tr2.Violations() != 0 {
 		t.Fatalf("violations with SLO disabled = %d, want 0", tr2.Violations())
@@ -132,7 +105,7 @@ func TestSLOViolations(t *testing.T) {
 
 func TestWorstInFlightStaleness(t *testing.T) {
 	now := time.Unix(2000, 0)
-	tr := New(WithClock(func() time.Time { return now }))
+	tr := NewSuite(WithClock(func() time.Time { return now })).Tracer
 	if tr.WorstInFlight() != 0 {
 		t.Fatalf("WorstInFlight empty = %v, want 0", tr.WorstInFlight())
 	}
@@ -156,7 +129,7 @@ func TestWorstInFlightStaleness(t *testing.T) {
 }
 
 func TestStageHistogramsObserve(t *testing.T) {
-	tr := New()
+	tr := NewSuite().Tracer
 	base := time.Unix(1000, 0)
 	for i := 0; i < 50; i++ {
 		tr.Record(mk(int64(i), int64(i), base, [NumStages]time.Duration{
@@ -165,54 +138,19 @@ func TestStageHistogramsObserve(t *testing.T) {
 		}))
 	}
 	for s := StageCDC; s < NumStages; s++ {
-		h := tr.stageHist[s]
+		h := tr.stage[s]
 		if h.Count() != 50 {
 			t.Fatalf("stage %v histogram count = %d, want 50", s, h.Count())
 		}
 	}
-	if tr.stageHist[StageCommit] != nil {
+	if tr.stage[StageCommit] != nil {
 		t.Fatal("commit stage has a histogram; it has no duration")
 	}
-	total := tr.totalHist
+	total := tr.total
 	if total.Count() != 50 {
 		t.Fatalf("total histogram count = %d, want 50", total.Count())
 	}
 	if p50 := total.Quantile(0.5); p50 < 0.025 || p50 > 0.1 {
 		t.Fatalf("total p50 = %v, want near 50ms", p50)
-	}
-}
-
-func TestSnapshotAndJSON(t *testing.T) {
-	tr := New()
-	base := time.Unix(1000, 0)
-	tr.Record(Trace{
-		ID: 7, LSN: 9,
-		Times: [NumStages]time.Time{
-			base, base.Add(time.Millisecond), base.Add(2 * time.Millisecond),
-			base.Add(3 * time.Millisecond), base.Add(4 * time.Millisecond),
-			base.Add(5 * time.Millisecond),
-		},
-		Vertices: 2, FanOut: 11, Updated: 10, Invalidated: 1,
-	})
-	snap := tr.Snapshot()
-	if snap.Recorded != 1 || len(snap.Stages) != int(NumStages)-1 {
-		t.Fatalf("snapshot recorded=%d stages=%d", snap.Recorded, len(snap.Stages))
-	}
-	b, err := json.Marshal(tr.Recent(1)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal(b, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded["id"].(float64) != 7 || decoded["fan_out"].(float64) != 11 {
-		t.Fatalf("trace JSON = %s", b)
-	}
-	stages := decoded["stages"].(map[string]any)
-	for _, k := range []string{"cdc_ms", "batch_ms", "dup_ms", "render_ms", "push_ms"} {
-		if _, ok := stages[k]; !ok {
-			t.Fatalf("trace JSON missing stage %q: %s", k, b)
-		}
 	}
 }

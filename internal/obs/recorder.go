@@ -4,16 +4,16 @@ import (
 	"encoding/json"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dupserve/internal/stats"
-	"dupserve/internal/trace"
 )
 
 // Dump is one self-contained black-box capture: the journal event (or
 // manual request) that triggered it, plus the recent serve spans,
-// propagation traces, journal events, and (optionally) a full metrics
-// snapshot at capture time.
+// propagation traces, journal events, and, once the suite's metrics are
+// registered, a full metrics snapshot at capture time.
 type Dump struct {
 	Seq     int64                  `json:"seq"`
 	Time    time.Time              `json:"time"`
@@ -21,7 +21,7 @@ type Dump struct {
 	Kind    string                 `json:"kind"`   // trigger "scope/kind", or "manual"
 	Reason  string                 `json:"reason"` // triggering event's message
 	Spans   []ServeTrace           `json:"spans"`
-	Traces  []trace.Trace          `json:"traces"`
+	Traces  []Trace                `json:"traces"`
 	Events  []Event                `json:"events"`
 	Metrics []stats.FamilySnapshot `json:"metrics,omitempty"`
 }
@@ -98,8 +98,8 @@ func (d Dump) Canonical() []byte {
 	return b
 }
 
-// Trigger conditions: a journal event whose "scope/kind" is in this set
-// causes an automatic capture.
+// Trigger conditions: the "scope/kind" of the journal events that cause an
+// automatic capture.
 const (
 	TriggerCrash        = "trigger/crash"
 	TriggerSLOViolation = "trace/slo_violation"
@@ -116,13 +116,12 @@ const dumpDepth = 64
 // captures a Dump whenever a trigger condition fires; Capture() takes one on
 // demand. The dumpRingSize most recent dumps are retained.
 type Recorder struct {
-	name     string
-	col      *Collector
-	tracer   *trace.Tracer
-	journal  *Journal
-	reg      *stats.Registry
-	now      func() time.Time
-	triggers map[string]bool
+	suite *Suite
+	now   func() time.Time
+	// reg is the registry the suite's metrics were registered in; nil until
+	// then, and dumps omit the metrics section (deterministic scenarios rely
+	// on that: metric values are timing-dependent).
+	reg atomic.Pointer[stats.Registry]
 
 	mu    sync.Mutex
 	dumps stats.Ring[Dump]
@@ -131,26 +130,18 @@ type Recorder struct {
 	captures stats.Counter
 }
 
-func newRecorder(cfg config, col *Collector, j *Journal) *Recorder {
-	r := &Recorder{
-		name:    cfg.name,
-		col:     col,
-		tracer:  cfg.tracer,
-		journal: j,
-		reg:     cfg.reg,
-		now:     cfg.clock,
-		triggers: map[string]bool{
-			TriggerCrash:        true,
-			TriggerSLOViolation: true,
-			TriggerShedStart:    true,
-			TriggerIncoherent:   true,
-			TriggerFlapDamping:  true,
-		},
-		dumps: stats.NewRing[Dump](dumpRingSize),
-	}
-	if j != nil {
-		j.Subscribe(r.observe)
-	}
+// triggers is the set of trigger conditions.
+var triggers = map[string]bool{
+	TriggerCrash:        true,
+	TriggerSLOViolation: true,
+	TriggerShedStart:    true,
+	TriggerIncoherent:   true,
+	TriggerFlapDamping:  true,
+}
+
+func newRecorder(cfg config, s *Suite) *Recorder {
+	r := &Recorder{suite: s, now: cfg.clock, dumps: stats.NewRing[Dump](dumpRingSize)}
+	s.Journal.Subscribe(r.observe)
 	return r
 }
 
@@ -158,7 +149,7 @@ func newRecorder(cfg config, col *Collector, j *Journal) *Recorder {
 // trigger condition. Every shed transition is an anomaly worth a dump.
 func (r *Recorder) observe(e Event) {
 	key := e.Scope + "/" + e.Kind
-	if !r.triggers[key] {
+	if !triggers[key] {
 		return
 	}
 	r.capture(key, e.Msg)
@@ -170,23 +161,18 @@ func (r *Recorder) Capture(reason string) Dump {
 }
 
 func (r *Recorder) capture(kind, reason string) Dump {
+	s := r.suite
 	d := Dump{
 		Time:    r.now(),
-		Complex: r.name,
+		Complex: s.Name,
 		Kind:    kind,
 		Reason:  reason,
+		Spans:   s.Collector.Recent(dumpDepth),
+		Traces:  s.Tracer.Recent(dumpDepth),
+		Events:  s.Journal.Recent(dumpDepth),
 	}
-	if r.col != nil {
-		d.Spans = r.col.Recent(dumpDepth)
-	}
-	if r.tracer != nil {
-		d.Traces = r.tracer.Recent(dumpDepth)
-	}
-	if r.journal != nil {
-		d.Events = r.journal.Recent(dumpDepth)
-	}
-	if r.reg != nil {
-		d.Metrics = r.reg.Snapshot()
+	if reg := r.reg.Load(); reg != nil {
+		d.Metrics = reg.Snapshot()
 	}
 	r.mu.Lock()
 	r.seq++

@@ -29,7 +29,7 @@ const (
 	NumServeStages
 )
 
-var serveStageNames = [NumServeStages]string{
+var serveStageNames = []string{
 	"start", "route", "lookup", "admit", "render", "stale", "done",
 }
 
@@ -73,74 +73,25 @@ type ServeTrace struct {
 	Times   [NumServeStages]time.Time
 }
 
-// StageDur returns the time spent reaching stage s: the gap from the most
-// recent earlier stage that was actually stamped. Unvisited stages (zero
-// time) report 0.
-func (t *ServeTrace) StageDur(s ServeStage) time.Duration {
-	if s <= SpanStart || s >= NumServeStages || t.Times[s].IsZero() {
-		return 0
-	}
-	for p := s - 1; p >= SpanStart; p-- {
-		if !t.Times[p].IsZero() {
-			d := t.Times[s].Sub(t.Times[p])
-			if d < 0 {
-				return 0
-			}
-			return d
-		}
-	}
-	return 0
-}
-
 // Total returns end-to-end latency (SpanStart to SpanDone), or 0 if the
 // span never finished.
-func (t *ServeTrace) Total() time.Duration {
-	if t.Times[SpanStart].IsZero() || t.Times[SpanDone].IsZero() {
-		return 0
-	}
-	d := t.Times[SpanDone].Sub(t.Times[SpanStart])
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+func (t *ServeTrace) Total() time.Duration { return totalDur(t.Times[:]) }
 
-// serveTraceJSON is the wire form of a span: stage durations by name rather
-// than raw timestamps, so the /debug/serve payload is self-describing.
-type serveTraceJSON struct {
-	ID       int64              `json:"id"`
-	Path     string             `json:"path"`
-	Node     string             `json:"node,omitempty"`
-	Outcome  string             `json:"outcome"`
-	LSN      int64              `json:"lsn"`
-	DBReads  int64              `json:"db_reads"`
-	Start    time.Time          `json:"start"`
-	TotalMS  float64            `json:"total_ms"`
-	StagesMS map[string]float64 `json:"stages_ms,omitempty"`
-}
-
-// MarshalJSON renders the span with named stage durations in milliseconds.
+// MarshalJSON renders the span with named stage durations in milliseconds,
+// so the /debug/serve payload is self-describing.
 func (t ServeTrace) MarshalJSON() ([]byte, error) {
-	out := serveTraceJSON{
-		ID:      t.ID,
-		Path:    t.Path,
-		Node:    t.Node,
-		Outcome: t.Outcome,
-		LSN:     t.LSN,
-		DBReads: t.DBReads,
-		Start:   t.Times[SpanStart],
-		TotalMS: float64(t.Total()) / float64(time.Millisecond),
-	}
-	for s := SpanRoute; s < SpanDone; s++ {
-		if t.Times[s].IsZero() {
-			continue
-		}
-		if out.StagesMS == nil {
-			out.StagesMS = make(map[string]float64, int(SpanDone-SpanRoute))
-		}
-		out.StagesMS[s.String()] = float64(t.StageDur(s)) / float64(time.Millisecond)
-	}
-	return json.Marshal(out)
+	return json.Marshal(struct {
+		ID       int64              `json:"id"`
+		Path     string             `json:"path"`
+		Node     string             `json:"node,omitempty"`
+		Outcome  string             `json:"outcome"`
+		LSN      int64              `json:"lsn"`
+		DBReads  int64              `json:"db_reads"`
+		Start    time.Time          `json:"start"`
+		TotalMS  float64            `json:"total_ms"`
+		StagesMS map[string]float64 `json:"stages_ms"`
+	}{t.ID, t.Path, t.Node, t.Outcome, t.LSN, t.DBReads, t.Times[SpanStart],
+		ms(t.Total()), stagesMS(t.Times[:], serveStageNames)})
 }
 
 // spanKey is the context key under which an active *Span travels.
@@ -220,7 +171,7 @@ func (sp *Span) Finish() {
 	}
 	c := sp.c
 	sp.tr.Times[SpanDone] = c.now()
-	c.record(&sp.tr)
+	c.observe(&sp.tr)
 	c.pool.Put(sp)
 }
 
@@ -229,18 +180,13 @@ func (sp *Span) Finish() {
 // allocations: spans are pooled, each pooled span carries a pre-derived
 // context, histograms are lock-free, and the ring is preallocated.
 type Collector struct {
+	stageLog[ServeTrace]
 	now  func() time.Time
 	pool sync.Pool
 	ids  atomic.Int64
 
-	stageHist   [NumServeStages]*stats.Histogram
-	totalHist   *stats.Histogram
 	outcomeHist map[string]*stats.Histogram // fixed keys; read-only after init
 	dbReads     *stats.Histogram
-	recorded    stats.Counter
-
-	mu   sync.Mutex
-	ring stats.Ring[ServeTrace] // spanRingSize most recent spans
 }
 
 // serveLatencyBounds cover sub-10µs cache hits through multi-second
@@ -256,14 +202,10 @@ var dbReadBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250}
 func newCollector(cfg config) *Collector {
 	c := &Collector{
 		now:         cfg.clock,
-		totalHist:   stats.NewHistogram(serveLatencyBounds...),
 		outcomeHist: make(map[string]*stats.Histogram, len(spanOutcomes)),
 		dbReads:     stats.NewHistogram(dbReadBounds...),
-		ring:        stats.NewRing[ServeTrace](spanRingSize),
 	}
-	for s := SpanRoute; s < NumServeStages; s++ {
-		c.stageHist[s] = stats.NewHistogram(serveLatencyBounds...)
-	}
+	c.init(serveStageNames, serveLatencyBounds, spanRingSize)
 	for _, o := range spanOutcomes {
 		c.outcomeHist[o] = stats.NewHistogram(serveLatencyBounds...)
 	}
@@ -289,129 +231,51 @@ func (c *Collector) StartSpan(ctx context.Context) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
-// record observes the finished trace into histograms and the ring.
-func (c *Collector) record(tr *ServeTrace) {
-	for s := SpanRoute; s < NumServeStages; s++ {
-		if tr.Times[s].IsZero() {
-			continue
-		}
-		c.stageHist[s].Observe(tr.StageDur(s).Seconds())
-	}
-	total := tr.Total().Seconds()
-	c.totalHist.Observe(total)
+// observe records the finished trace into the histograms and the ring.
+func (c *Collector) observe(tr *ServeTrace) {
 	if h := c.outcomeHist[tr.Outcome]; h != nil {
-		h.Observe(total)
+		h.Observe(tr.Total().Seconds())
 	}
 	if !tr.Times[SpanRender].IsZero() {
 		c.dbReads.Observe(float64(tr.DBReads))
 	}
-	c.recorded.Inc()
-
-	c.mu.Lock()
-	c.ring.Push(*tr)
-	c.mu.Unlock()
+	c.record(tr.Times[:], tr)
 }
 
-// Recent returns up to n recorded spans, newest first.
-func (c *Collector) Recent(n int) []ServeTrace {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ring.Recent(n)
-}
-
-// RegisterMetrics publishes the collector's histogram families into reg.
-func (c *Collector) RegisterMetrics(reg *stats.Registry, labels stats.Labels) {
-	for s := SpanRoute; s < NumServeStages; s++ {
-		l := stats.Labels{"stage": s.String()}
-		for k, v := range labels {
-			l[k] = v
-		}
-		reg.RegisterHistogram("serve_stage_seconds",
-			"time spent reaching each serve-path stage", l, c.stageHist[s])
-	}
+// registerMetrics publishes the collector's histogram families into reg.
+func (c *Collector) registerMetrics(reg *stats.Registry, labels stats.Labels) {
+	c.register(reg, labels,
+		family{"serve_stage_seconds", "time spent reaching each serve-path stage"},
+		family{"serve_seconds", "end-to-end serve latency across all outcomes"},
+		family{"serve_spans_recorded_total", "serve spans recorded"})
 	for _, o := range spanOutcomes {
-		l := stats.Labels{"outcome": o}
-		for k, v := range labels {
-			l[k] = v
-		}
 		reg.RegisterHistogram("serve_outcome_seconds",
-			"end-to-end serve latency by outcome", l, c.outcomeHist[o])
+			"end-to-end serve latency by outcome", withLabel(labels, "outcome", o), c.outcomeHist[o])
 	}
-	reg.RegisterHistogram("serve_seconds",
-		"end-to-end serve latency across all outcomes", labels, c.totalHist)
 	reg.RegisterHistogram("serve_db_reads",
 		"database reads per rendered request", labels, c.dbReads)
-	reg.RegisterCounter("serve_spans_recorded_total",
-		"serve spans recorded", labels, &c.recorded)
 }
 
 // OutcomeSnapshot summarizes latency for one outcome class.
 type OutcomeSnapshot struct {
-	Outcome string  `json:"outcome"`
-	Count   int64   `json:"count"`
-	MeanMS  float64 `json:"mean_ms"`
-	P50MS   float64 `json:"p50_ms"`
-	P95MS   float64 `json:"p95_ms"`
-	P99MS   float64 `json:"p99_ms"`
-}
-
-// StageSnapshot summarizes time spent reaching one stage.
-type StageSnapshot struct {
-	Stage  string  `json:"stage"`
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P95MS  float64 `json:"p95_ms"`
+	Outcome string `json:"outcome"`
+	Summary
 }
 
 // CollectorSnapshot is the aggregate view served by /debug/serve.
 type CollectorSnapshot struct {
-	Recorded   int64             `json:"recorded"`
-	MeanMS     float64           `json:"mean_ms"`
-	P50MS      float64           `json:"p50_ms"`
-	P95MS      float64           `json:"p95_ms"`
-	P99MS      float64           `json:"p99_ms"`
+	logSnapshot
 	DBReadMean float64           `json:"db_reads_mean"`
-	Stages     []StageSnapshot   `json:"stages"`
 	Outcomes   []OutcomeSnapshot `json:"outcomes"`
 }
 
-const msPerSec = 1000
-
 // Snapshot returns aggregate serve-path statistics.
 func (c *Collector) Snapshot() CollectorSnapshot {
-	snap := CollectorSnapshot{
-		Recorded:   c.recorded.Value(),
-		MeanMS:     c.totalHist.Mean() * msPerSec,
-		P50MS:      c.totalHist.Quantile(0.50) * msPerSec,
-		P95MS:      c.totalHist.Quantile(0.95) * msPerSec,
-		P99MS:      c.totalHist.Quantile(0.99) * msPerSec,
-		DBReadMean: c.dbReads.Mean(),
-	}
-	for s := SpanRoute; s < NumServeStages; s++ {
-		h := c.stageHist[s]
-		if h.Count() == 0 {
-			continue
-		}
-		snap.Stages = append(snap.Stages, StageSnapshot{
-			Stage:  s.String(),
-			Count:  h.Count(),
-			MeanMS: h.Mean() * msPerSec,
-			P95MS:  h.Quantile(0.95) * msPerSec,
-		})
-	}
+	snap := CollectorSnapshot{logSnapshot: c.snapshot(), DBReadMean: c.dbReads.Mean()}
 	for _, o := range spanOutcomes {
-		h := c.outcomeHist[o]
-		if h.Count() == 0 {
-			continue
+		if h := c.outcomeHist[o]; h.Count() > 0 {
+			snap.Outcomes = append(snap.Outcomes, OutcomeSnapshot{Outcome: o, Summary: summarize(h)})
 		}
-		snap.Outcomes = append(snap.Outcomes, OutcomeSnapshot{
-			Outcome: o,
-			Count:   h.Count(),
-			MeanMS:  h.Mean() * msPerSec,
-			P50MS:   h.Quantile(0.50) * msPerSec,
-			P95MS:   h.Quantile(0.95) * msPerSec,
-			P99MS:   h.Quantile(0.99) * msPerSec,
-		})
 	}
 	return snap
 }

@@ -17,9 +17,8 @@
 // stamped at or past the floor.
 //
 // The dispatcher side of the protocol (probe hysteresis, the slow-start
-// weight ramp, flap damping) lives in internal/dispatch.HealthPolicy;
-// Policy here carries both halves so deploy.WithRecovery can wire them
-// together.
+// weight ramp, flap damping) is dispatch.HealthPolicy; Policy embeds it so
+// deploy.WithRecovery wires both halves together.
 package recovery
 
 import (
@@ -28,6 +27,7 @@ import (
 
 	"dupserve/internal/cache"
 	"dupserve/internal/db"
+	"dupserve/internal/dispatch"
 	"dupserve/internal/stats"
 )
 
@@ -38,20 +38,8 @@ type Policy struct {
 	// the baseline the recovery benchmark (simulate -recovery-bench)
 	// compares against, and its reason to exist.
 	Warm bool
-
-	// Dispatcher probation knobs, mirrored into dispatch.HealthPolicy:
-	// FailThreshold consecutive bad probe observations evict,
-	// ReadmitThreshold consecutive good ones begin readmission at RampStart
-	// traffic share growing by RampFactor per sweep, and a re-eviction
-	// within FlapWindow good observations of readmission earns a quarantine
-	// of QuarantineBase sweeps, doubling per flap up to QuarantineMax.
-	FailThreshold    int
-	ReadmitThreshold int
-	RampStart        float64
-	RampFactor       float64
-	FlapWindow       int
-	QuarantineBase   int
-	QuarantineMax    int
+	// HealthPolicy is the complex dispatcher's probation state machine.
+	dispatch.HealthPolicy
 }
 
 // Config wires one node's Warmer. Everything is a closure so the package

@@ -41,9 +41,9 @@ import (
 
 	"dupserve/internal/core"
 	"dupserve/internal/db"
+	"dupserve/internal/obs"
 	"dupserve/internal/odg"
 	"dupserve/internal/stats"
-	"dupserve/internal/trace"
 )
 
 // Indexer maps one database change to the ODG vertex IDs that should be
@@ -111,7 +111,7 @@ type Monitor struct {
 	flushC     chan chan struct{}
 	done       chan struct{}
 
-	tracer    *trace.Tracer
+	tracer    *obs.Tracer
 	crashHook CrashHook
 	onCrash   func(err error)
 	onReplay  func(count int, upto int64)
@@ -157,7 +157,7 @@ func WithClock(now func() time.Time) Option {
 
 // WithTracer records an end-to-end propagation trace (commit -> cdc ->
 // batch -> dup -> render -> push) for every transaction into t.
-func WithTracer(t *trace.Tracer) Option {
+func WithTracer(t *obs.Tracer) Option {
 	return func(m *Monitor) { m.tracer = t }
 }
 
@@ -435,7 +435,7 @@ func (m *Monitor) propagate(batch []pendingTx) bool {
 		dupDone := clampTime(flush.Add(res.GraphDur), end)
 		renderDone := clampTime(dupDone.Add(res.RenderDur), end)
 		for _, p := range batch {
-			tr := trace.Trace{
+			tr := obs.Trace{
 				ID:              p.tx.TraceID,
 				LSN:             p.tx.LSN,
 				Vertices:        res.Changed,
@@ -445,12 +445,12 @@ func (m *Monitor) propagate(batch []pendingTx) bool {
 				FragmentRenders: res.FragmentRenders,
 				FragmentReuses:  res.FragmentReuses,
 			}
-			tr.Times[trace.StageCommit] = p.tx.Commit
-			tr.Times[trace.StageCDC] = p.arrived
-			tr.Times[trace.StageBatch] = flush
-			tr.Times[trace.StageDUP] = dupDone
-			tr.Times[trace.StageRender] = renderDone
-			tr.Times[trace.StagePush] = end
+			tr.Times[obs.StageCommit] = p.tx.Commit
+			tr.Times[obs.StageCDC] = p.arrived
+			tr.Times[obs.StageBatch] = flush
+			tr.Times[obs.StageDUP] = dupDone
+			tr.Times[obs.StageRender] = renderDone
+			tr.Times[obs.StagePush] = end
 			m.tracer.Record(tr)
 		}
 	}

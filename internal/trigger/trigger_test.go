@@ -11,8 +11,8 @@ import (
 	"dupserve/internal/cache"
 	"dupserve/internal/core"
 	"dupserve/internal/db"
+	"dupserve/internal/obs"
 	"dupserve/internal/odg"
-	"dupserve/internal/trace"
 )
 
 // harness wires db -> monitor -> engine -> cache with a generator that
@@ -380,7 +380,7 @@ func TestTracePropagationStages(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := trace.New()
+			tr := obs.NewSuite().Tracer
 			opts := append(append([]Option(nil), tc.opts...), WithTracer(tr))
 			commits := 1 + tc.backlog
 			if tc.backlog == 0 {
@@ -396,7 +396,7 @@ func TestTracePropagationStages(t *testing.T) {
 				h.monitor.Flush()
 			}
 
-			if got := tr.Recorded(); got != int64(commits) {
+			if got := tr.Snapshot().Recorded; got != int64(commits) {
 				t.Fatalf("traces recorded = %d, want %d (one per transaction)", got, commits)
 			}
 			if tr.InFlight() != 0 {
@@ -417,7 +417,7 @@ func TestTracePropagationStages(t *testing.T) {
 				if got.Vertices < 1 || got.FanOut < 1 {
 					t.Fatalf("trace touched vertices=%d fanOut=%d, want >= 1 each", got.Vertices, got.FanOut)
 				}
-				for s := trace.Stage(0); s < trace.NumStages; s++ {
+				for s := obs.Stage(0); s < obs.NumStages; s++ {
 					ts := got.Times[s]
 					if ts.IsZero() {
 						t.Fatalf("stage %v has no timestamp", s)
@@ -447,7 +447,7 @@ func TestTraceSLOViolation(t *testing.T) {
 		return &cache.Object{Key: key, Value: []byte("x"), Version: version}, nil
 	}
 	e := core.NewEngine(g, c, core.WithGenerator(gen))
-	tr := trace.New(trace.WithSLO(60 * time.Second))
+	tr := obs.NewSuite(obs.WithSLO(60 * time.Second)).Tracer
 	m := startMonitor(t, d, e, WithTracer(tr),
 		WithClock(func() time.Time { return base.Add(70 * time.Second) }))
 
@@ -459,15 +459,15 @@ func TestTraceSLOViolation(t *testing.T) {
 	if got := tr.Violations(); got != 1 {
 		t.Fatalf("SLO violations = %d, want 1 (70s > 60s SLO)", got)
 	}
-	if tr.Recorded() != 1 {
-		t.Fatalf("recorded = %d, want 1", tr.Recorded())
+	if tr.Snapshot().Recorded != 1 {
+		t.Fatalf("recorded = %d, want 1", tr.Snapshot().Recorded)
 	}
 }
 
 // TestBatchHistograms verifies the monitor feeds its batching histograms:
 // one batch-size and one batch-wait observation per propagated batch.
 func TestBatchHistograms(t *testing.T) {
-	tr := trace.New()
+	tr := obs.NewSuite().Tracer
 	h, hold := newHeldHarness(t, WithTracer(tr))
 	h.registerPage(t, "ev1")
 	hold.pileUp(t, h, 3)

@@ -107,7 +107,6 @@ func TestE2EWirePropagation(t *testing.T) {
 		},
 		Indexer:     func(ch db.Change) []odg.NodeID { return st.Indexer(ch) },
 		StaleBudget: time.Minute,
-		SLO:         time.Minute,
 	})
 
 	// Two serving-node "processes" on loopback.

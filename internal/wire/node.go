@@ -88,7 +88,12 @@ func (n *RemoteNode) Serve(path string) (*cache.Object, httpserver.Outcome, erro
 		return nil, httpserver.OutcomeError, err
 	}
 	if r.Err != "" {
-		return r.Object, r.Outcome, errors.New(r.Err)
+		err = errors.New(r.Err)
+		if r.Outcome == httpserver.OutcomeError {
+			// The node answered: its error is a failed render.
+			err = httpserver.RenderError{Err: err}
+		}
+		return r.Object, r.Outcome, err
 	}
 	return r.Object, r.Outcome, nil
 }

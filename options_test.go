@@ -36,8 +36,7 @@ var knobAllowlist = map[string]string{
 	"dupserve/internal/db.WithClock":              "test clock for commit timestamps",
 	"dupserve/internal/db.WithSleep":              "test sleep for replication delay",
 	"dupserve/internal/fault.WithRate":            "seeded fault rate for chaos tests",
-	"dupserve/internal/obs.WithClock":             "test clock for spans, journal and dumps",
-	"dupserve/internal/trace.WithClock":           "test clock for stage timings",
+	"dupserve/internal/obs.WithClock":             "test clock for staleness, spans, journal and dumps",
 	"dupserve/internal/trigger.WithClock":         "test clock for batch waits",
 	"dupserve/internal/wire.WithCallTimeout":      "shortens RPC deadlines so timeout tests run fast",
 	"dupserve/internal/wire.WithDialer":           "fake dialer for partition and reconnect tests",
