@@ -12,8 +12,9 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # The whole module runs under the race detector — no package allowlist. The
-# serve plane (striped cache, RCU dispatch, zero-alloc hit path) is lock-free
-# or fine-grained by design, and every package is expected to be race-clean.
+# serve plane (one-lock node caches, RCU dispatch, zero-alloc hit path) shares
+# state across goroutines by design, and every package is expected to be
+# race-clean.
 race:
 	$(GO) test -race -shuffle=on ./...
 

@@ -361,7 +361,7 @@ func BenchmarkE15_IncrementalPropagation(b *testing.B) {
 		gen := func(key cache.Key, version int64) (*cache.Object, error) {
 			return st.Engine.Generate(key, version)
 		}
-		engine := core.NewEngine(graph, c, core.WithGenerator(gen), core.WithParallelism(4))
+		engine := core.NewEngine(graph, c, core.WithGenerator(gen))
 		var err error
 		st, err = site.Build(site.DefaultSpec(), master, engine)
 		if err != nil {
@@ -578,60 +578,6 @@ func BenchmarkAblation_WeightThreshold(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e.OnChange(int64(i), "db:ticker")
-		}
-	})
-}
-
-// Parallel regeneration (the paper's 8-way SMP rendering) vs sequential,
-// with a deliberately slow generator standing in for heavy page assembly.
-// The speedup scales with GOMAXPROCS: on a single-CPU machine the two
-// variants run at parity (the workers only add scheduling overhead), on an
-// 8-way SMP the parallel path approaches 8x — which is exactly why the
-// paper put rendering on the SMP.
-func BenchmarkAblation_ParallelRendering(b *testing.B) {
-	slowGen := func(key cache.Key, version int64) (*cache.Object, error) {
-		// ~20µs of real work per page.
-		x := uint64(1)
-		for i := 0; i < 12000; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		if x == 0 {
-			panic("unreachable")
-		}
-		return &cache.Object{Key: key, Value: make([]byte, 2048), Version: version}, nil
-	}
-	build := func(workers int) *core.Engine {
-		c := cache.New("c")
-		g := odg.New()
-		opts := []core.Option{core.WithGenerator(slowGen)}
-		if workers > 1 {
-			opts = append(opts, core.WithParallelism(workers))
-		}
-		e := core.NewEngine(g, c, opts...)
-		e.RegisterFragment("frag:m", []odg.NodeID{"db:row"})
-		for i := 0; i < 128; i++ {
-			e.RegisterObject(cache.Key(fmt.Sprintf("/p%d", i)), []odg.NodeID{"frag:m"})
-		}
-		return e
-	}
-	b.Run("Sequential", func(b *testing.B) {
-		e := build(1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if res := e.OnChange(int64(i), "db:row"); res.Updated != 129 {
-				b.Fatalf("updated = %d", res.Updated)
-			}
-		}
-	})
-	b.Run("Workers8", func(b *testing.B) {
-		e := build(8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if res := e.OnChange(int64(i), "db:row"); res.Updated != 129 {
-				b.Fatalf("updated = %d", res.Updated)
-			}
 		}
 	})
 }

@@ -275,8 +275,9 @@ type plant struct {
 }
 
 // newPlant builds and starts the deployment of cs and registers its
-// metrics. The plant serves pages at once; its /debug surface answers 503
-// until prime has warmed every node cache.
+// metrics. Its listener may come up at once: pages, /healthz and the
+// /debug surface answer 503 with Retry-After until prime has warmed every
+// node cache.
 func newPlant(f flags, cs deploy.ComplexSpec) *plant {
 	p := &plant{reg: stats.NewRegistry()}
 	var opts []deploy.Option
@@ -376,6 +377,14 @@ func (p *plant) mux() *http.ServeMux {
 		client := r.RemoteAddr
 		if i := strings.LastIndexByte(client, ':'); i > 0 {
 			client = client[:i]
+		}
+		if !p.ready.Load() {
+			// Before prime the replica may not have applied the seed, so
+			// a render could fail; answer as /healthz does.
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "starting: prerendering site", http.StatusServiceUnavailable)
+			p.access.Log(client, r.URL.Path, http.StatusServiceUnavailable, 0)
+			return
 		}
 		obj, outcome, err := cx.Dispatcher.Serve(r.URL.Path)
 		status, n := writePage(w, r, obj, outcome, err)

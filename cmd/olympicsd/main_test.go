@@ -205,6 +205,26 @@ func TestEvictedPlantAnswers503(t *testing.T) {
 	}
 }
 
+// TestPagesAnswer503BeforePrime: until prime has warmed the caches a page
+// GET answers 503 with Retry-After, never a render error's 500 (the replica
+// may not have applied the seed yet); after prime the same GET is a 200.
+func TestPagesAnswer503BeforePrime(t *testing.T) {
+	p := newPlant(flags{nodes: 2, days: 2, slo: time.Minute}, deploy.ComplexSpec{Name: "nagano", NodesPerFrame: 2})
+	t.Cleanup(func() { _ = p.shutdown(context.Background()) })
+	mux, page := p.mux(), p.cx.Site.Pages()[0]
+	for i := 0; i < 3; i++ {
+		rec := do(mux, http.MethodGet, page)
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("GET %s %d before prime: status %d Retry-After %q, want 503 with Retry-After: %s",
+				page, i, rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+		}
+	}
+	p.prime()
+	if rec := do(mux, http.MethodGet, page); rec.Code != http.StatusOK {
+		t.Fatalf("GET %s after prime: status %d, want 200: %s", page, rec.Code, rec.Body.String())
+	}
+}
+
 // TestAccessLogFileFlushes: the -accesslog file shows every request within
 // two flush intervals without anyone reading /logreport, and every request
 // once the plant has shut down.

@@ -8,16 +8,14 @@
 // behaviour that achieved hit rates near 100%, because hot pages are never
 // absent from the cache).
 //
-// # Striping
+// # Locking
 //
-// The cache is lock-striped: keys hash onto N independent shards, each with
-// its own mutex, item table, and stale side-table, so concurrent hits on
-// different pages never contend on a shared lock. Per-shard counters are
-// plain integers mutated under the shard lock and folded into totals at
-// Stats()/RegisterMetrics read time — the hit path pays no shared atomic
-// traffic at all. Byte accounting is the one global: an atomic gauge keeps
-// the exact aggregate (and its high-water mark, the paper's "~175 MB for a
-// single copy of all cached objects" figure).
+// Each cache is one mutex over one item map, its stale side-table and
+// plain-integer counters, as in the paper, where every serving node was a
+// uniprocessor holding one cache. Byte accounting is an atomic gauge
+// (stats.Gauge) so the metrics registry reads it, and its high-water mark
+// (the paper's "~175 MB for a single copy of all cached objects" figure),
+// without the lock.
 //
 // Caches are unbounded, as in the paper: "the system never had to apply a
 // cache replacement algorithm" because every dynamic page fits in memory.
@@ -26,7 +24,6 @@
 package cache
 
 import (
-	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
@@ -96,38 +93,27 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// shard is one stripe: an independent item table with its own lock, stale
-// side-table, and plain-integer counters folded at snapshot time. On 64-bit
-// platforms it is exactly one 64-byte cache line, so neighbouring shards'
-// locks never false-share.
-type shard struct {
+// Cache is a concurrency-safe, unbounded object cache. The zero value is
+// not usable; call New.
+type Cache struct {
+	name string
+	now  func() time.Time
+
 	mu    sync.Mutex
 	items map[Key]*entry
 	// stale holds the last value of invalidated entries when stale
-	// retention is on, for overload fallback (GetStale). At most one copy
-	// per key; replaced entries and Clear drop it.
+	// retention is on (non-nil), for overload fallback (GetStale). At most
+	// one copy per key; replaced entries and Clear drop it.
 	stale map[Key]*staleEntry
 
-	// Counters; mutated under mu, folded at Stats() time.
+	// Counters; mutated under mu.
 	hits          int64
 	misses        int64
 	puts          int64
 	updates       int64
 	invalidations int64
-}
 
-// Cache is a concurrency-safe, lock-striped, unbounded object cache. The
-// zero value is not usable; call New.
-type Cache struct {
-	name        string
-	now         func() time.Time
-	seed        maphash.Seed
-	shards      []shard
-	mask        uint64
-	nshards     int // set by the package tests' withShards; 0 = DefaultShards
-	retainStale bool
-
-	bytes stats.Gauge // exact aggregate bytes + high-water mark
+	bytes stats.Gauge // exact bytes + high-water mark
 }
 
 // Option configures a Cache.
@@ -147,62 +133,20 @@ func WithClock(now func() time.Time) Option {
 // soon as a fresh Put arrives, the freshness budget expires, or the cache
 // is cleared (node death loses memory-resident state, stale or not).
 func WithStaleRetention() Option {
-	return func(c *Cache) { c.retainStale = true }
+	return func(c *Cache) { c.stale = make(map[Key]*staleEntry) }
 }
-
-// DefaultShards is the stripe count of every cache.
-const DefaultShards = 64
 
 // New returns an empty cache. name appears in diagnostics only.
 func New(name string, opts ...Option) *Cache {
 	c := &Cache{
-		name: name,
-		now:  time.Now,
-		seed: maphash.MakeSeed(),
+		name:  name,
+		now:   time.Now,
+		items: make(map[Key]*entry),
 	}
 	for _, o := range opts {
 		o(c)
 	}
-	n := c.nshards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	if n > 4096 {
-		n = 4096
-	}
-	// Round up to a power of two so shard selection is a mask.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	c.shards = make([]shard, p)
-	c.mask = uint64(p - 1)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.items = make(map[Key]*entry)
-		if c.retainStale {
-			sh.stale = make(map[Key]*staleEntry)
-		}
-	}
 	return c
-}
-
-// shardOf returns the stripe owning key. Single-shard caches (the tests'
-// single-lock reference layout) skip the hash entirely.
-func (c *Cache) shardOf(key Key) *shard {
-	if c.mask == 0 {
-		return &c.shards[0]
-	}
-	return &c.shards[maphash.String(c.seed, string(key))&c.mask]
-}
-
-// shardIndex exposes the stripe assignment for tests (stability and
-// uniformity properties).
-func (c *Cache) shardIndex(key Key) int {
-	if c.mask == 0 {
-		return 0
-	}
-	return int(maphash.String(c.seed, string(key)) & c.mask)
 }
 
 // Name returns the cache's diagnostic name.
@@ -211,18 +155,17 @@ func (c *Cache) Name() string { return c.name }
 // Get returns the cached object for key, recording a hit or miss. The
 // returned object must be treated as read-only.
 func (c *Cache) Get(key Key) (*Object, bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	e, ok := sh.items[key]
+	c.mu.Lock()
+	e, ok := c.items[key]
 	if ok {
 		e.hits++
-		sh.hits++
+		c.hits++
 		obj := e.obj
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return obj, true
 	}
-	sh.misses++
-	sh.mu.Unlock()
+	c.misses++
+	c.mu.Unlock()
 	return nil, false
 }
 
@@ -231,10 +174,9 @@ func (c *Cache) Get(key Key) (*Object, bool) {
 // Invalidate resets it). The hybrid propagation policy uses it as its
 // hot-page signal.
 func (c *Cache) HitCount(key Key) int64 {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.items[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.items[key]; ok {
 		return e.hits
 	}
 	return 0
@@ -244,10 +186,9 @@ func (c *Cache) HitCount(key Key) int64 {
 // Monitoring code uses it so that diagnostics do not perturb hit rates or
 // the hybrid policy's per-page hit counts.
 func (c *Cache) Peek(key Key) (*Object, bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.items[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.items[key]
 	if !ok {
 		return nil, false
 	}
@@ -264,27 +205,19 @@ func (c *Cache) Put(obj *Object) bool {
 	if obj.StoredAt.IsZero() {
 		obj.StoredAt = c.now()
 	}
-	sh := c.shardOf(obj.Key)
-	sh.mu.Lock()
-	var delta int64
-	var replaced bool
-	if e, ok := sh.items[obj.Key]; ok {
-		delta = obj.Size() - e.obj.Size()
-		e.obj = obj
-		replaced = true
-	} else {
-		sh.items[obj.Key] = &entry{obj: obj}
-		delta = obj.Size()
-	}
-	if sh.stale != nil {
-		delete(sh.stale, obj.Key) // fresh value supersedes any retained copy
-	}
-	sh.puts++
+	delta := obj.Size()
+	c.mu.Lock()
+	e, replaced := c.items[obj.Key]
 	if replaced {
-		sh.updates++
+		delta -= e.obj.Size()
+		e.obj = obj
+		c.updates++
+	} else {
+		c.items[obj.Key] = &entry{obj: obj}
 	}
-	sh.mu.Unlock()
-
+	delete(c.stale, obj.Key) // fresh value supersedes any retained copy
+	c.puts++
+	c.mu.Unlock()
 	c.bytes.Add(delta)
 	return replaced
 }
@@ -293,36 +226,26 @@ func (c *Cache) Put(obj *Object) bool {
 // With stale retention on, the removed value stays reachable via GetStale
 // until a fresh Put or its freshness budget expires.
 func (c *Cache) Invalidate(key Key) bool {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	e, ok := sh.items[key]
-	var size int64
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.items[key]
 	if ok {
-		delete(sh.items, key)
-		size = e.obj.Size()
-		sh.invalidations++
-		c.retainLocked(sh, e.obj)
-	}
-	sh.mu.Unlock()
-	if ok {
-		c.bytes.Add(-size)
+		c.removeLocked(e.obj)
 	}
 	return ok
 }
 
-// retainLocked moves an invalidated object into the stale side-table when
-// retention is enabled. Caller holds the shard's mu. Repeated invalidations
-// keep the earliest since-time: the page has been continuously stale since
-// the first update it missed, and the freshness budget must count from
-// there.
-func (c *Cache) retainLocked(sh *shard, obj *Object) {
-	if sh.stale == nil {
-		return
+// removeLocked drops obj's entry, counts the invalidation and, when
+// retention is enabled, moves obj into the stale side-table. Caller holds
+// mu. A key has no stale copy while it is cached (Put drops it), so the
+// copy stored here is the only one and is stale from now on.
+func (c *Cache) removeLocked(obj *Object) {
+	delete(c.items, obj.Key)
+	c.invalidations++
+	c.bytes.Add(-obj.Size())
+	if c.stale != nil {
+		c.stale[obj.Key] = &staleEntry{obj: obj, since: c.now()}
 	}
-	if _, already := sh.stale[obj.Key]; already {
-		return
-	}
-	sh.stale[obj.Key] = &staleEntry{obj: obj, since: c.now()}
 }
 
 // GetStale returns the retained copy of an invalidated entry, provided it
@@ -332,16 +255,15 @@ func (c *Cache) retainLocked(sh *shard, obj *Object) {
 // caller can never observe staleness beyond maxAge. GetStale does not touch
 // the hit/miss counters; fresh-path behaviour is unchanged.
 func (c *Cache) GetStale(key Key, maxAge time.Duration) (*Object, time.Duration, bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	se, ok := sh.stale[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	se, ok := c.stale[key]
 	if !ok {
 		return nil, 0, false
 	}
 	age := c.now().Sub(se.since)
 	if age > maxAge {
-		delete(sh.stale, key)
+		delete(c.stale, key)
 		return nil, 0, false
 	}
 	return se.obj, age, true
@@ -352,29 +274,16 @@ func (c *Cache) GetStale(key Key, maxAge time.Duration) (*Object, time.Duration,
 // database update, drop whole sections of the site ("all ski pages") rather
 // than computing the precise affected set.
 func (c *Cache) InvalidatePrefix(prefix string) int {
-	total := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		var victims []Key
-		for k := range sh.items {
-			if strings.HasPrefix(string(k), prefix) {
-				victims = append(victims, k)
-			}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for k, e := range c.items {
+		if strings.HasPrefix(string(k), prefix) {
+			c.removeLocked(e.obj)
+			n++
 		}
-		var freed int64
-		for _, k := range victims {
-			e := sh.items[k]
-			delete(sh.items, k)
-			freed += e.obj.Size()
-			c.retainLocked(sh, e.obj)
-		}
-		sh.invalidations += int64(len(victims))
-		sh.mu.Unlock()
-		c.bytes.Add(-freed)
-		total += len(victims)
 	}
-	return total
+	return n
 }
 
 // ApplyPut implements the DUP store contract (core.Store) directly on a
@@ -400,37 +309,27 @@ func (c *Cache) ApplyInvalidatePrefix(prefix string) int {
 // copies are dropped too: Clear models losing the node's memory-resident
 // state, and a rebooted node has nothing to degrade to.
 func (c *Cache) Clear() int {
-	total := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n := len(sh.items)
-		var freed int64
-		for _, e := range sh.items {
-			freed += e.obj.Size()
-		}
-		sh.items = make(map[Key]*entry)
-		if sh.stale != nil {
-			sh.stale = make(map[Key]*staleEntry)
-		}
-		sh.invalidations += int64(n)
-		sh.mu.Unlock()
-		c.bytes.Add(-freed)
-		total += n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.items)
+	var freed int64
+	for _, e := range c.items {
+		freed += e.obj.Size()
 	}
-	return total
+	c.items = make(map[Key]*entry)
+	if c.stale != nil {
+		c.stale = make(map[Key]*staleEntry)
+	}
+	c.invalidations += int64(n)
+	c.bytes.Add(-freed)
+	return n
 }
 
 // Len returns the number of cached entries.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items)
 }
 
 // Bytes returns the current accounted size of the cache.
@@ -443,78 +342,54 @@ func (c *Cache) PeakBytes() int64 { return c.bytes.Max() }
 
 // Keys returns all cached keys, sorted.
 func (c *Cache) Keys() []Key {
-	var out []Key
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k := range sh.items {
-			out = append(out, k)
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	out := make([]Key, 0, len(c.items))
+	for k := range c.items {
+		out = append(out, k)
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// fold sums the per-shard counters into a Stats snapshot. Each shard is
-// locked briefly in turn, so the snapshot is per-shard consistent (the
-// cross-shard total may interleave with concurrent traffic, exactly like
-// reading a set of independent atomics).
-func (c *Cache) fold() Stats {
-	var s Stats
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Hits += sh.hits
-		s.Misses += sh.misses
-		s.Puts += sh.puts
-		s.Updates += sh.updates
-		s.Invalidations += sh.invalidations
-		s.Items += len(sh.items)
-		sh.mu.Unlock()
-	}
-	s.Bytes = c.bytes.Value()
-	s.PeakBytes = c.bytes.Max()
-	return s
-}
-
-// Stats returns a snapshot of the counters, folded across shards.
-func (c *Cache) Stats() Stats { return c.fold() }
-
-// counterFold returns a fold of one per-shard counter for metric
-// registration.
-func (c *Cache) counterFold(pick func(*shard) int64) func() int64 {
-	return func() int64 {
-		var n int64
-		for i := range c.shards {
-			sh := &c.shards[i]
-			sh.mu.Lock()
-			n += pick(sh)
-			sh.mu.Unlock()
-		}
-		return n
+// Stats returns a snapshot of the counters.
+func (c *Cache) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Stats{
+		Hits:          c.hits,
+		Misses:        c.misses,
+		Puts:          c.puts,
+		Updates:       c.updates,
+		Invalidations: c.invalidations,
+		Items:         len(c.items),
+		Bytes:         c.bytes.Value(),
+		PeakBytes:     c.bytes.Max(),
 	}
 }
 
 // RegisterMetrics publishes the cache's counters into a registry under a
 // node label (plus any extra labels), the thin adapter replacing ad-hoc
 // Stats polling. Counter families are shared across caches; each cache is
-// one labeled series, folded from the shards at scrape time.
+// one labeled series, read from a Stats snapshot at scrape time.
 func (c *Cache) RegisterMetrics(reg *stats.Registry, extra stats.Labels) {
 	labels := stats.Labels{"node": c.name}
 	for k, v := range extra {
 		labels[k] = v
 	}
+	counter := func(pick func(Stats) int64) func() int64 {
+		return func() int64 { return pick(c.Stats()) }
+	}
 	reg.RegisterCounterFunc("cache_hits_total", "cache lookups served", labels,
-		c.counterFold(func(sh *shard) int64 { return sh.hits }))
+		counter(func(s Stats) int64 { return s.Hits }))
 	reg.RegisterCounterFunc("cache_misses_total", "cache lookups that missed", labels,
-		c.counterFold(func(sh *shard) int64 { return sh.misses }))
+		counter(func(s Stats) int64 { return s.Misses }))
 	reg.RegisterCounterFunc("cache_puts_total", "objects stored", labels,
-		c.counterFold(func(sh *shard) int64 { return sh.puts }))
+		counter(func(s Stats) int64 { return s.Puts }))
 	reg.RegisterCounterFunc("cache_updates_total", "puts that replaced an entry (update-in-place)", labels,
-		c.counterFold(func(sh *shard) int64 { return sh.updates }))
+		counter(func(s Stats) int64 { return s.Updates }))
 	reg.RegisterCounterFunc("cache_invalidations_total", "entries invalidated", labels,
-		c.counterFold(func(sh *shard) int64 { return sh.invalidations }))
+		counter(func(s Stats) int64 { return s.Invalidations }))
 	reg.RegisterGauge("cache_bytes", "accounted bytes cached", labels, &c.bytes)
 	reg.RegisterFunc("cache_items", "entries cached", labels,
 		func() float64 { return float64(c.Len()) })
@@ -525,14 +400,7 @@ func (c *Cache) RegisterMetrics(reg *stats.Registry, extra stats.Labels) {
 // ResetCounters zeroes hit/miss/put/update/invalidation counters while
 // leaving contents intact. Experiments use it to discard warm-up effects.
 func (c *Cache) ResetCounters() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.hits = 0
-		sh.misses = 0
-		sh.puts = 0
-		sh.updates = 0
-		sh.invalidations = 0
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.hits, c.misses, c.puts, c.updates, c.invalidations = 0, 0, 0, 0, 0
 }

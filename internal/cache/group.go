@@ -15,8 +15,9 @@ import (
 // push that never reached the node.
 type PutHook func(node string, obj *Object, attempt int) error
 
-// RetryPolicy bounds how hard BroadcastPut fights a failing push before
-// degrading. The remedy on exhaustion is always an invalidation of that
+// RetryPolicy bounds how hard a push fights a failing node before
+// degrading; BroadcastPut here and the wire package's GroupClient both run
+// it through Do. The remedy on exhaustion is always an invalidation of that
 // node's entry: the node takes a miss on the next request instead of ever
 // serving a page the pipeline knows is stale.
 type RetryPolicy struct {
@@ -38,6 +39,28 @@ type RetryPolicy struct {
 // capped at 5ms.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, Backoff: 200 * time.Microsecond, MaxBackoff: 5 * time.Millisecond}
+}
+
+// Do calls try with attempt numbers from 1 until it returns nil or
+// MaxAttempts attempts have failed, sleeping Backoff before the second
+// attempt and doubling the sleep, capped at MaxBackoff, before each further
+// one. Every failed attempt counts in failures, and every attempt after the
+// first in retries. It reports whether an attempt succeeded.
+func (p RetryPolicy) Do(try func(attempt int) error, failures, retries *stats.Counter) bool {
+	p = p.normalize()
+	backoff := p.Backoff
+	for attempt := 1; ; attempt++ {
+		if try(attempt) == nil {
+			return true
+		}
+		failures.Inc()
+		if attempt >= p.MaxAttempts {
+			return false
+		}
+		retries.Inc()
+		p.Sleep(backoff)
+		backoff = min(2*backoff, p.MaxBackoff)
+	}
 }
 
 // normalize fills zero fields from the default policy.
@@ -91,7 +114,7 @@ func WithPutHook(h PutHook) GroupOption {
 // WithRetryPolicy sets the bounded-retry policy applied when a put hook
 // fails. Without this option the default policy applies.
 func WithRetryPolicy(p RetryPolicy) GroupOption {
-	return func(g *Group) { g.retry = p.normalize() }
+	return func(g *Group) { g.retry = p }
 }
 
 // WithDowngradeHook installs a callback fired each time a push exhausts its
@@ -104,7 +127,7 @@ func WithDowngradeHook(h func(node string, key Key)) GroupOption {
 
 // NewGroup returns an empty group.
 func NewGroup(opts ...GroupOption) *Group {
-	g := &Group{caches: make(map[string]*Cache), retry: DefaultRetryPolicy().normalize()}
+	g := &Group{caches: make(map[string]*Cache), retry: DefaultRetryPolicy()}
 	for _, o := range opts {
 		o(g)
 	}
@@ -188,30 +211,19 @@ func (g *Group) BroadcastPut(obj *Object) int {
 // policy and invalidating the node's entry on exhaustion. Reports whether
 // the node ended up with the fresh object.
 func (g *Group) pushWithRetry(hook PutHook, retry RetryPolicy, downgrade func(string, Key), c *Cache, o *Object) bool {
-	backoff := retry.Backoff
-	for attempt := 1; ; attempt++ {
-		err := hook(c.Name(), o, attempt)
-		if err == nil {
-			c.Put(o)
-			return true
-		}
-		g.pushFailures.Inc()
-		if attempt >= retry.MaxAttempts {
-			// Exhausted: never leave the stale version serveable.
-			c.Invalidate(o.Key)
-			g.pushDowngrades.Inc()
-			if downgrade != nil {
-				downgrade(c.Name(), o.Key)
-			}
-			return false
-		}
-		g.pushRetries.Inc()
-		retry.Sleep(backoff)
-		backoff *= 2
-		if backoff > retry.MaxBackoff {
-			backoff = retry.MaxBackoff
-		}
+	pushed := retry.Do(func(attempt int) error { return hook(c.Name(), o, attempt) },
+		&g.pushFailures, &g.pushRetries)
+	if pushed {
+		c.Put(o)
+		return true
 	}
+	// Exhausted: never leave the stale version serveable.
+	c.Invalidate(o.Key)
+	g.pushDowngrades.Inc()
+	if downgrade != nil {
+		downgrade(c.Name(), o.Key)
+	}
+	return false
 }
 
 // BroadcastInvalidate removes key from every member cache and returns how

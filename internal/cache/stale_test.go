@@ -121,12 +121,7 @@ func TestStaleRetentionOnPrefixInvalidate(t *testing.T) {
 
 // staleLen counts c's retained stale copies.
 func staleLen(c *Cache) int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.stale)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.stale)
 }

@@ -3,30 +3,100 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// withShards sets the stripe count, rounded up to a power of two and
-// clamped to [1, 4096]. n = 1 is the single-lock reference layout the
-// torture and fuzz tests compare the default striping against; production
-// caches always use DefaultShards.
-func withShards(n int) Option {
-	return func(c *Cache) { c.nshards = n }
+// mapModel is the reference semantics of a Cache with stale retention: a
+// plain map of live objects, a map of retained stale copies with the
+// instant each went stale, and the counters Stats reports.
+type mapModel struct {
+	now   func() time.Time
+	items map[Key]*Object
+	stale map[Key]staleEntry
+	stats Stats
 }
 
-// TestStripedMatchesSingleLockReference drives an identical randomized op
-// stream — Put, Get, Invalidate, GetStale, InvalidatePrefix, Clear —
-// through a striped cache and a single-shard (single-lock) reference, and
-// requires every observable result and the final state to match exactly.
-// Striping must be a pure concurrency optimization with no semantic drift.
-func TestStripedMatchesSingleLockReference(t *testing.T) {
+func (m *mapModel) put(o *Object) bool {
+	old, replaced := m.items[o.Key]
+	if replaced {
+		m.stats.Bytes -= old.Size()
+		m.stats.Updates++
+	}
+	m.items[o.Key] = o
+	delete(m.stale, o.Key)
+	m.stats.Puts++
+	m.stats.Bytes += o.Size()
+	m.stats.PeakBytes = max(m.stats.PeakBytes, m.stats.Bytes)
+	return replaced
+}
+
+func (m *mapModel) invalidate(k Key) bool {
+	o, ok := m.items[k]
+	if !ok {
+		return false
+	}
+	delete(m.items, k)
+	m.stats.Invalidations++
+	m.stats.Bytes -= o.Size()
+	m.stale[k] = staleEntry{obj: o, since: m.now()}
+	return true
+}
+
+func (m *mapModel) getStale(k Key, maxAge time.Duration) (*Object, time.Duration, bool) {
+	se, ok := m.stale[k]
+	if !ok {
+		return nil, 0, false
+	}
+	age := m.now().Sub(se.since)
+	if age > maxAge {
+		delete(m.stale, k)
+		return nil, 0, false
+	}
+	return se.obj, age, true
+}
+
+func (m *mapModel) invalidatePrefix(p string) int {
+	n := 0
+	for k := range m.items {
+		if strings.HasPrefix(string(k), p) && m.invalidate(k) {
+			n++
+		}
+	}
+	return n
+}
+
+func (m *mapModel) clear() int {
+	n := len(m.items)
+	m.stats.Invalidations += int64(n)
+	m.stats.Bytes = 0
+	m.items = make(map[Key]*Object)
+	m.stale = make(map[Key]staleEntry)
+	return n
+}
+
+func (m *mapModel) get(k Key) (*Object, bool) {
+	o, ok := m.items[k]
+	if ok {
+		m.stats.Hits++
+	} else {
+		m.stats.Misses++
+	}
+	return o, ok
+}
+
+// TestCacheMatchesMapModel drives a randomized op stream — Put, Get,
+// Invalidate, GetStale, InvalidatePrefix, Clear — through a cache and a
+// plain-map model of its semantics, and requires every observable result
+// and the final state (keys, stale copies, counters) to match exactly.
+func TestCacheMatchesMapModel(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	now := func() time.Time { return clock }
-	striped := New("striped", withShards(8), WithStaleRetention(), WithClock(now))
-	ref := New("ref", withShards(1), WithStaleRetention(), WithClock(now))
+	c := New("cache", WithStaleRetention(), WithClock(now))
+	ref := &mapModel{now: now, items: make(map[Key]*Object), stale: make(map[Key]staleEntry)}
 
 	rng := rand.New(rand.NewSource(7))
 	keys := make([]Key, 40)
@@ -40,28 +110,28 @@ func TestStripedMatchesSingleLockReference(t *testing.T) {
 		case 0, 1, 2: // Put
 			version++
 			val := []byte(fmt.Sprintf("%s@%d", k, version))
-			a := striped.Put(&Object{Key: k, Value: val, Version: version, StoredAt: clock})
-			b := ref.Put(&Object{Key: k, Value: val, Version: version, StoredAt: clock})
+			a := c.Put(&Object{Key: k, Value: val, Version: version, StoredAt: clock})
+			b := ref.put(&Object{Key: k, Value: val, Version: version, StoredAt: clock})
 			if a != b {
 				t.Fatalf("op %d: Put(%s) fresh=%v, ref %v", op, k, a, b)
 			}
 		case 3: // Invalidate
-			a := striped.Invalidate(k)
-			b := ref.Invalidate(k)
+			a := c.Invalidate(k)
+			b := ref.invalidate(k)
 			if a != b {
 				t.Fatalf("op %d: Invalidate(%s) = %v, ref %v", op, k, a, b)
 			}
 		case 4: // GetStale within budget
-			ao, aage, aok := striped.GetStale(k, time.Minute)
-			bo, bage, bok := ref.GetStale(k, time.Minute)
+			ao, aage, aok := c.GetStale(k, time.Minute)
+			bo, bage, bok := ref.getStale(k, time.Minute)
 			if aok != bok || aage != bage || (aok && ao.Version != bo.Version) {
 				t.Fatalf("op %d: GetStale(%s) = (%v,%v,%v), ref (%v,%v,%v)",
 					op, k, ao, aage, aok, bo, bage, bok)
 			}
 		case 5: // InvalidatePrefix
 			p := fmt.Sprintf("/en/p%d", rng.Intn(4))
-			a := striped.InvalidatePrefix(p)
-			b := ref.InvalidatePrefix(p)
+			a := c.InvalidatePrefix(p)
+			b := ref.invalidatePrefix(p)
 			if a != b {
 				t.Fatalf("op %d: InvalidatePrefix(%s) = %d, ref %d", op, p, a, b)
 			}
@@ -69,51 +139,51 @@ func TestStripedMatchesSingleLockReference(t *testing.T) {
 			clock = clock.Add(time.Duration(rng.Intn(20)) * time.Second)
 		case 7:
 			if rng.Intn(50) == 0 { // rare full clear
-				a := striped.Clear()
-				b := ref.Clear()
+				a := c.Clear()
+				b := ref.clear()
 				if a != b {
 					t.Fatalf("op %d: Clear() = %d, ref %d", op, a, b)
 				}
 			}
 		default: // Get
-			ao, aok := striped.Get(k)
-			bo, bok := ref.Get(k)
+			ao, aok := c.Get(k)
+			bo, bok := ref.get(k)
 			if aok != bok || (aok && (ao.Version != bo.Version || string(ao.Value) != string(bo.Value))) {
 				t.Fatalf("op %d: Get(%s) = (%v,%v), ref (%v,%v)", op, k, ao, aok, bo, bok)
 			}
 		}
 	}
 
-	// Final state identical: same keys, same stats (modulo nothing — the op
-	// streams were identical, so even counters must agree).
-	sa, sb := striped.Stats(), ref.Stats()
-	if sa != sb {
-		t.Fatalf("final stats diverge:\nstriped %+v\nref     %+v", sa, sb)
+	// Final state identical: same keys, same stats (the op streams were
+	// identical, so even counters must agree).
+	ref.stats.Items = len(ref.items)
+	if sa := c.Stats(); sa != ref.stats {
+		t.Fatalf("final stats diverge:\ncache %+v\nref   %+v", sa, ref.stats)
 	}
-	ka, kb := striped.Keys(), ref.Keys()
-	if len(ka) != len(kb) {
-		t.Fatalf("key count %d, ref %d", len(ka), len(kb))
+	ka := c.Keys()
+	if len(ka) != len(ref.items) {
+		t.Fatalf("key count %d, ref %d", len(ka), len(ref.items))
 	}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			t.Fatalf("key[%d] = %s, ref %s", i, ka[i], kb[i])
+	for i, k := range ka {
+		if _, ok := ref.items[k]; !ok || (i > 0 && ka[i-1] >= k) {
+			t.Fatalf("key[%d] = %s: not in the model or out of order", i, k)
 		}
 	}
-	if staleLen(striped) != staleLen(ref) {
-		t.Fatalf("stale len %d, ref %d", staleLen(striped), staleLen(ref))
+	if staleLen(c) != len(ref.stale) {
+		t.Fatalf("stale len %d, ref %d", staleLen(c), len(ref.stale))
 	}
 }
 
-// TestStripedTorture hammers one striped cache from many goroutines with
+// TestCacheTorture hammers one cache from many goroutines with
 // overlapping keys — gets, puts, invalidations, warm-style peer copies,
 // prefix invalidations and stats reads — and checks structural invariants
 // the whole way: a Get hit always returns the object stored under that key,
 // versions returned for a key never regress below the floor established by
 // a completed Put, and the cache's byte accounting ends exactly consistent
-// with its contents. Run under -race this is the striping memory-safety
+// with its contents. Run under -race this is the cache's memory-safety
 // proof.
-func TestStripedTorture(t *testing.T) {
-	c := New("torture", withShards(8), WithStaleRetention())
+func TestCacheTorture(t *testing.T) {
+	c := New("torture", WithStaleRetention())
 	const (
 		workers = 8
 		iters   = 4000
@@ -188,7 +258,7 @@ func TestStripedTorture(t *testing.T) {
 	wg.Wait()
 
 	// Quiescent consistency: byte gauge equals the sum of live objects, and
-	// every key is findable through the shard it hashes to.
+	// every listed key is findable.
 	var sum int64
 	for _, k := range c.Keys() {
 		obj, ok := c.Peek(k)
@@ -203,25 +273,5 @@ func TestStripedTorture(t *testing.T) {
 	}
 	if st.Items != len(c.Keys()) {
 		t.Fatalf("Items %d, Keys %d", st.Items, len(c.Keys()))
-	}
-}
-
-// TestShardDistribution sanity-checks the stripe hash: across a realistic
-// page population every shard of a 64-way cache gets some keys (no dead or
-// pathologically hot stripes).
-func TestShardDistribution(t *testing.T) {
-	c := New("dist", withShards(64))
-	counts := make([]int, len(c.shards))
-	for i := 0; i < 6400; i++ {
-		k := Key(fmt.Sprintf("/en/event%d/results", i))
-		counts[c.shardIndex(k)]++
-	}
-	for i, n := range counts {
-		if n == 0 {
-			t.Fatalf("shard %d received no keys", i)
-		}
-		if n > 400 { // mean is 100; 4x the mean means the hash is broken
-			t.Fatalf("shard %d received %d of 6400 keys", i, n)
-		}
 	}
 }

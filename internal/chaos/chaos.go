@@ -159,14 +159,6 @@ func Run(cfg Config) (*Result, error) {
 		SLO:       cfg.SLO,
 	},
 		deploy.WithFaults(inj),
-		// Tight, sleepless retries: the burst decision is deterministic per
-		// push identity, so backoff duration only costs wall-clock here.
-		deploy.WithRetryPolicy(cache.RetryPolicy{
-			MaxAttempts: 3,
-			Backoff:     50 * time.Microsecond,
-			MaxBackoff:  time.Millisecond,
-			Sleep:       func(time.Duration) {},
-		}),
 		deploy.WithAudit(),
 	)
 	if err != nil {

@@ -86,12 +86,6 @@ func RunFlight(cfg FlightConfig) (*FlightResult, error) {
 		SLO: time.Nanosecond,
 	},
 		deploy.WithFaults(inj),
-		deploy.WithRetryPolicy(cache.RetryPolicy{
-			MaxAttempts: 3,
-			Backoff:     50 * time.Microsecond,
-			MaxBackoff:  time.Millisecond,
-			Sleep:       func(time.Duration) {},
-		}),
 		deploy.WithAudit(),
 		// One render slot with a 1ns CoDel target: a single queued waiter
 		// is a standing queue, so the shed phase can flip the controller

@@ -10,7 +10,7 @@ import (
 )
 
 // TestFullHitPathZeroAlloc pins the complete serve hit path — dispatcher
-// pick, kill-switch wrapper, httpserver, striped cache — at zero heap
+// pick, kill-switch wrapper, httpserver, cache — at zero heap
 // allocations per request. This is the end-to-end guarantee the serve-path
 // benchmark depends on: at saturation the hit path generates no garbage.
 func TestFullHitPathZeroAlloc(t *testing.T) {

@@ -72,7 +72,7 @@ func (b *batchLog) batches(t *testing.T) []string {
 // frag:a-outer. The names sort against dependency order, so a batch in
 // sorted order would show. Nothing is primed; the caller commits and runs
 // one propagation.
-func nestedStack(t *testing.T, nPages int, opts ...Option) (*db.DB, *Engine, *batchLog) {
+func nestedStack(t *testing.T, nPages int) (*db.DB, *Engine, *batchLog) {
 	t.Helper()
 	d := db.New("t")
 	d.CreateTable("rows")
@@ -84,7 +84,7 @@ func nestedStack(t *testing.T, nPages int, opts ...Option) (*db.DB, *Engine, *ba
 	gen := func(key cache.Key, version int64) (*cache.Object, error) {
 		return fe.Generate(key, version)
 	}
-	e := NewEngine(odg.New(), store, append([]Option{WithGenerator(gen)}, opts...)...)
+	e := NewEngine(odg.New(), store, WithGenerator(gen))
 	fe = fragment.New(fragment.Config{DB: d, Registrar: e})
 	e.SetAssembler(fe)
 	fe.Define("frag:z-inner", func(ctx *fragment.Context) ([]byte, error) {
@@ -141,23 +141,6 @@ func TestBatchStoreGetsOneCallPerPhase(t *testing.T) {
 	}
 }
 
-// TestBatchStoreParallelSameBatches: WithParallelism collects by index, so
-// the batches match the sequential engine's exactly.
-func TestBatchStoreParallelSameBatches(t *testing.T) {
-	const nPages = 24
-	seqDB, seq, seqStore := nestedStack(t, nPages)
-	parDB, par, parStore := nestedStack(t, nPages, WithParallelism(4))
-	seq.OnChange(seqDB.LSN(), odg.NodeID(db.RowID("rows", "score")))
-	par.OnChange(parDB.LSN(), odg.NodeID(db.RowID("rows", "score")))
-	want, got := seqStore.batches(t), parStore.batches(t)
-	if len(want) != 2 {
-		t.Fatalf("sequential batches = %q, want 2", want)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parallel batches = %q, want %q", got, want)
-	}
-}
-
 // TestBatchStoreFailedRenderInvalidatesAtOnce: a key whose generator fails
 // is invalidated before the wave is handed over, and is not in it.
 func TestBatchStoreFailedRenderInvalidatesAtOnce(t *testing.T) {
@@ -168,23 +151,21 @@ func TestBatchStoreFailedRenderInvalidatesAtOnce(t *testing.T) {
 		}
 		return &cache.Object{Key: key, Value: []byte("ok"), Version: version}, nil
 	}
-	for _, workers := range []int{1, 4} {
-		store := newBatchLog()
-		e := NewEngine(odg.New(), store, WithGenerator(gen), WithParallelism(workers))
-		for _, k := range []cache.Key{"/a", "/b", "/c"} {
-			e.RegisterObject(k, []odg.NodeID{"db:x"})
-			store.Put(&cache.Object{Key: k, Value: []byte("stale")})
-		}
-		res := e.OnChange(1, "db:x")
-		if res.Updated != 2 || res.Invalidated != 1 || len(res.Errors) != 1 {
-			t.Fatalf("workers=%d: result = %+v", workers, res)
-		}
-		want := []string{"invalidate /b", "batch /a /c"}
-		if !reflect.DeepEqual(store.ops, want) {
-			t.Fatalf("workers=%d: ops = %q, want %q", workers, store.ops, want)
-		}
-		if present(store.Peek("/b")) {
-			t.Fatalf("workers=%d: known-stale /b left in the cache", workers)
-		}
+	store := newBatchLog()
+	e := NewEngine(odg.New(), store, WithGenerator(gen))
+	for _, k := range []cache.Key{"/a", "/b", "/c"} {
+		e.RegisterObject(k, []odg.NodeID{"db:x"})
+		store.Put(&cache.Object{Key: k, Value: []byte("stale")})
+	}
+	res := e.OnChange(1, "db:x")
+	if res.Updated != 2 || res.Invalidated != 1 || len(res.Errors) != 1 {
+		t.Fatalf("result = %+v", res)
+	}
+	want := []string{"invalidate /b", "batch /a /c"}
+	if !reflect.DeepEqual(store.ops, want) {
+		t.Fatalf("ops = %q, want %q", store.ops, want)
+	}
+	if present(store.Peek("/b")) {
+		t.Fatal("known-stale /b left in the cache")
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dupserve/internal/cache"
@@ -163,24 +162,16 @@ type Result struct {
 	// Stage timings, for propagation tracing (internal/obs): how long
 	// this propagation spent traversing the dependence graph, regenerating
 	// objects, and pushing remedies into the store. Render and push are
-	// cumulative across workers, clamped by the caller when deriving
-	// wall-clock stage boundaries.
+	// summed over the objects of the propagation.
 	GraphDur  time.Duration
 	RenderDur time.Duration
 	PushDur   time.Duration
 	// FragmentDur and AssembleDur split the incremental planner's wall
 	// clock into phase 1 (changed-fragment renders) and phase 2 (page
 	// assembly). Zero when no assembler is wired; RenderDur remains the
-	// cumulative per-worker render time across both phases.
+	// summed render time across both phases.
 	FragmentDur time.Duration
 	AssembleDur time.Duration
-}
-
-// stageTiming accumulates render/push nanoseconds across the (possibly
-// concurrent) regeneration workers of one propagation.
-type stageTiming struct {
-	render atomic.Int64
-	push   atomic.Int64
 }
 
 // Engine executes DUP propagations. Safe for concurrent use, though the
@@ -211,11 +202,6 @@ type Engine struct {
 	threshold float64
 	staleMu   sync.Mutex
 	staleAcc  map[cache.Key]float64 // accumulated below-threshold staleness
-
-	// workers > 1 regenerates affected objects concurrently, level by
-	// dependency level — the paper ran triggering and rendering on an
-	// 8-way SMP.
-	workers int
 
 	propagations stats.Counter
 	updated      stats.Counter
@@ -269,19 +255,6 @@ func WithStalenessThreshold(t float64) Option {
 // the fragment engine) exists. Call before propagation starts; the engine
 // does not synchronize this field against in-flight OnChange calls.
 func (e *Engine) SetAssembler(a Assembler) { e.asm = a }
-
-// WithParallelism regenerates affected objects with n concurrent workers
-// per dependency level (fragments still complete before the pages embedding
-// them). The generator and store must be safe for concurrent use; the
-// fragment engine and all cache stores in this module are. n <= 1 keeps
-// sequential regeneration. No deployment sets it yet: a goroutine per
-// object costs more than a second core returns, so the parallel wave waits
-// on a fixed worker pool. It stays because the experiments set it
-// (BenchmarkE15_IncrementalPropagation and
-// BenchmarkAblation_ParallelRendering) and the worker pool builds on it.
-func WithParallelism(n int) Option {
-	return func(e *Engine) { e.workers = n }
-}
 
 // NewEngine returns an Engine over the given graph and store.
 func NewEngine(graph *odg.Graph, store Store, opts ...Option) *Engine {
@@ -372,14 +345,11 @@ func (e *Engine) updateInPlace(res *Result, version int64, affected []odg.NodeID
 		e.invalidated.Add(int64(res.Invalidated))
 		return
 	}
-	var tm stageTiming
 	if e.asm != nil {
-		e.assemble(res, version, affected, &tm)
+		e.assemble(res, version, affected)
 	} else {
-		e.regenerateSet(res, version, e.dependencyOrder(affected), &tm)
+		e.regenerateSet(res, version, e.dependencyOrder(affected))
 	}
-	res.RenderDur += time.Duration(tm.render.Load())
-	res.PushDur += time.Duration(tm.push.Load())
 	e.updated.Add(int64(res.Updated))
 	e.invalidated.Add(int64(res.Invalidated))
 }
@@ -389,11 +359,11 @@ func (e *Engine) updateInPlace(res *Result, version int64, affected []odg.NodeID
 // batch (pinning fragment version floors), render each changed fragment
 // exactly once in phase 1 (dependency-ordered, so nested fragments precede
 // their embedders), then rebuild the containing pages in phase 2 as one
-// flat parallel wave — every fragment a page splices is already fresh, so
+// flat wave — every fragment a page splices is already fresh, so
 // page assembly degenerates to cached-byte concatenation and the batch's
 // render work scales with the number of changed fragments, not
 // pages x fragments.
-func (e *Engine) assemble(res *Result, version int64, affected []odg.NodeID, tm *stageTiming) {
+func (e *Engine) assemble(res *Result, version int64, affected []odg.NodeID) {
 	fragments, pages := e.graph.Partition(affected)
 	keys := make([]cache.Key, len(fragments))
 	for i, id := range fragments {
@@ -401,12 +371,12 @@ func (e *Engine) assemble(res *Result, version int64, affected []odg.NodeID, tm 
 	}
 	e.asm.BeginBatch(version, keys)
 	fragStart := time.Now()
-	e.regenerateSet(res, version, e.dependencyOrder(fragments), tm)
+	e.regenerateSet(res, version, e.dependencyOrder(fragments))
 	res.FragmentDur += time.Since(fragStart)
 	asmStart := time.Now()
 	// Pages have no edges among themselves (a depended-on vertex is by
 	// definition in the fragment partition), so no ordering pass is needed.
-	e.regenerateSet(res, version, pages, tm)
+	e.regenerateSet(res, version, pages)
 	res.AssembleDur += time.Since(asmStart)
 	renders, reuses := e.asm.EndBatch()
 	res.FragmentRenders += int(renders)
@@ -415,125 +385,46 @@ func (e *Engine) assemble(res *Result, version int64, affected []odg.NodeID, tm 
 	e.fragReuses.Add(reuses)
 }
 
-// regenerateSet regenerates an ordered set of objects, concurrently when
-// the engine has workers configured. With a BatchStore the fresh objects
-// are collected by index and handed over in one ApplyBatch, in set order.
-func (e *Engine) regenerateSet(res *Result, version int64, ordered []odg.NodeID, tm *stageTiming) {
+// regenerateSet regenerates an ordered set of objects, one at a time in
+// set order. Each fresh object goes to the store at once, or, with a
+// BatchStore, all of them in one ApplyBatch after the set has rendered. A
+// failed render is invalidated at once: never leave a known-stale page in
+// the cache.
+func (e *Engine) regenerateSet(res *Result, version int64, ordered []odg.NodeID) {
 	var wave []*cache.Object
 	if e.batch != nil {
-		wave = make([]*cache.Object, len(ordered))
+		wave = make([]*cache.Object, 0, len(ordered))
 	}
-	if e.workers > 1 && len(ordered) > 1 {
-		e.regenerateParallel(res, version, ordered, wave, tm)
-	} else {
-		for i, id := range ordered {
-			updated, invalidated, err := e.regenerateOne(version, id, wave, i, tm)
-			if updated {
-				res.Updated++
-			}
-			if invalidated {
+	for _, id := range ordered {
+		renderStart := time.Now()
+		obj, err := e.gen(cache.Key(id), version)
+		res.RenderDur += time.Since(renderStart)
+		if err != nil {
+			e.genErrors.Inc()
+			pushStart := time.Now()
+			if e.store.ApplyInvalidate(cache.Key(id)) > 0 {
 				res.Invalidated++
 			}
-			if err != nil {
-				res.Errors = append(res.Errors, err)
-			}
+			res.PushDur += time.Since(pushStart)
+			res.Errors = append(res.Errors, fmt.Errorf("core: regenerate %q: %w", id, err))
+			continue
 		}
-	}
-	if wave != nil {
-		e.applyWave(wave, tm)
-	}
-}
-
-// applyWave hands a collected wave to the BatchStore in one call, leaving
-// out the empty slots of failed renders (already invalidated).
-func (e *Engine) applyWave(wave []*cache.Object, tm *stageTiming) {
-	objs := wave[:0]
-	for _, obj := range wave {
-		if obj != nil {
-			objs = append(objs, obj)
+		if obj.Version == 0 {
+			obj.Version = version
 		}
-	}
-	if len(objs) == 0 {
-		return
-	}
-	pushStart := time.Now()
-	e.batch.ApplyBatch(objs)
-	tm.push.Add(int64(time.Since(pushStart)))
-}
-
-// regenerateOne renders a single object and applies it — or, given a wave,
-// leaves it at wave[i] for applyWave — or invalidates it at once on
-// failure: never leave a known-stale page in the cache. Safe for concurrent
-// use; result accounting is the caller's job.
-func (e *Engine) regenerateOne(version int64, id odg.NodeID, wave []*cache.Object, i int, tm *stageTiming) (updated, invalidated bool, err error) {
-	renderStart := time.Now()
-	obj, genErr := e.gen(cache.Key(id), version)
-	tm.render.Add(int64(time.Since(renderStart)))
-	if genErr != nil {
-		e.genErrors.Inc()
+		res.Updated++
+		if e.batch != nil {
+			wave = append(wave, obj)
+			continue
+		}
 		pushStart := time.Now()
-		invalidated = e.store.ApplyInvalidate(cache.Key(id)) > 0
-		tm.push.Add(int64(time.Since(pushStart)))
-		return false, invalidated, fmt.Errorf("core: regenerate %q: %w", id, genErr)
+		e.store.ApplyPut(obj)
+		res.PushDur += time.Since(pushStart)
 	}
-	if obj.Version == 0 {
-		obj.Version = version
-	}
-	if wave != nil {
-		wave[i] = obj
-		return true, false, nil
-	}
-	pushStart := time.Now()
-	e.store.ApplyPut(obj)
-	tm.push.Add(int64(time.Since(pushStart)))
-	return true, false, nil
-}
-
-// regenerateParallel renders the ordered affected set with e.workers
-// goroutines, one dependency level at a time: all of a level's objects may
-// render concurrently because their predecessors completed in earlier
-// levels. A wave, when given, is filled by index into ordered.
-func (e *Engine) regenerateParallel(res *Result, version int64, ordered []odg.NodeID, wave []*cache.Object, tm *stageTiming) {
-	inSet := make(map[odg.NodeID]int, len(ordered)) // id -> level
-	var levels [][]int                              // indices into ordered
-	for i, id := range ordered {
-		lvl := 0
-		for _, p := range e.graph.Predecessors(id) {
-			if pl, ok := inSet[p]; ok && pl+1 > lvl {
-				lvl = pl + 1
-			}
-		}
-		inSet[id] = lvl
-		for len(levels) <= lvl {
-			levels = append(levels, nil)
-		}
-		levels[lvl] = append(levels[lvl], i)
-	}
-	var mu sync.Mutex
-	for _, level := range levels {
-		sem := make(chan struct{}, e.workers)
-		var wg sync.WaitGroup
-		for _, i := range level {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				updated, invalidated, err := e.regenerateOne(version, ordered[i], wave, i, tm)
-				mu.Lock()
-				if updated {
-					res.Updated++
-				}
-				if invalidated {
-					res.Invalidated++
-				}
-				if err != nil {
-					res.Errors = append(res.Errors, err)
-				}
-				mu.Unlock()
-			}()
-		}
-		wg.Wait()
+	if len(wave) > 0 {
+		pushStart := time.Now()
+		e.batch.ApplyBatch(wave)
+		res.PushDur += time.Since(pushStart)
 	}
 }
 

@@ -352,96 +352,6 @@ func BenchmarkOnChangeInvalidate(b *testing.B) {
 	}
 }
 
-func TestParallelRegenerationOrdersFragmentsFirst(t *testing.T) {
-	// Record generation order with a mutex; fragments must complete before
-	// any page that embeds them starts.
-	var mu sync.Mutex
-	var order []string
-	fragDone := make(map[string]bool)
-	gen := func(key cache.Key, version int64) (*cache.Object, error) {
-		mu.Lock()
-		if strings.HasPrefix(string(key), "/page") {
-			for f := range map[string]bool{"frag:a": true, "frag:b": true} {
-				if !fragDone[f] {
-					mu.Unlock()
-					return nil, fmt.Errorf("page %s rendered before fragment %s", key, f)
-				}
-			}
-		}
-		if strings.HasPrefix(string(key), "frag:") {
-			fragDone[string(key)] = true
-		}
-		order = append(order, string(key))
-		mu.Unlock()
-		return &cache.Object{Key: key, Value: []byte("x"), Version: version}, nil
-	}
-	c := cache.New("t")
-	g := odg.New()
-	e := NewEngine(g, c, WithGenerator(gen), WithParallelism(4))
-	e.RegisterFragment("frag:a", []odg.NodeID{"db:x"})
-	e.RegisterFragment("frag:b", []odg.NodeID{"db:x"})
-	for i := 0; i < 20; i++ {
-		e.RegisterObject(cache.Key(fmt.Sprintf("/page%d", i)), []odg.NodeID{"frag:a", "frag:b"})
-	}
-	res := e.OnChange(1, "db:x")
-	if len(res.Errors) > 0 {
-		t.Fatalf("ordering violations: %v", res.Errors)
-	}
-	if res.Updated != 22 {
-		t.Fatalf("updated = %d, want 22", res.Updated)
-	}
-	if c.Len() != 22 {
-		t.Fatalf("cache = %d entries", c.Len())
-	}
-}
-
-func TestParallelMatchesSequentialCounts(t *testing.T) {
-	build := func(workers int) Result {
-		gen, _ := testGen()
-		c := cache.New("t")
-		g := odg.New()
-		opts := []Option{WithGenerator(gen)}
-		if workers > 1 {
-			opts = append(opts, WithParallelism(workers))
-		}
-		e := NewEngine(g, c, opts...)
-		e.RegisterFragment("frag:m", []odg.NodeID{"db:x"})
-		for i := 0; i < 50; i++ {
-			e.RegisterObject(cache.Key(fmt.Sprintf("/p%d", i)), []odg.NodeID{"frag:m"})
-		}
-		return e.OnChange(1, "db:x")
-	}
-	seq := build(1)
-	par := build(8)
-	if seq.Updated != par.Updated || seq.Affected != par.Affected {
-		t.Fatalf("sequential %+v vs parallel %+v", seq, par)
-	}
-}
-
-func TestParallelGeneratorFailureStillInvalidates(t *testing.T) {
-	gen := func(key cache.Key, version int64) (*cache.Object, error) {
-		if key == "/bad" {
-			return nil, errors.New("boom")
-		}
-		return &cache.Object{Key: key, Value: []byte("ok"), Version: version}, nil
-	}
-	c := cache.New("t")
-	g := odg.New()
-	e := NewEngine(g, c, WithGenerator(gen), WithParallelism(4))
-	c.Put(&cache.Object{Key: "/bad", Value: []byte("stale")})
-	e.RegisterObject("/bad", []odg.NodeID{"db:x"})
-	for i := 0; i < 10; i++ {
-		e.RegisterObject(cache.Key(fmt.Sprintf("/ok%d", i)), []odg.NodeID{"db:x"})
-	}
-	res := e.OnChange(1, "db:x")
-	if res.Updated != 10 || res.Invalidated != 1 || len(res.Errors) != 1 {
-		t.Fatalf("result = %+v", res)
-	}
-	if present(c.Peek("/bad")) {
-		t.Fatal("stale page survived parallel failure path")
-	}
-}
-
 func TestHybridPolicyHotVsCold(t *testing.T) {
 	gen, _ := testGen()
 	c := cache.New("t")

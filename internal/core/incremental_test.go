@@ -13,7 +13,7 @@ import (
 // fragmentStack wires a real fragment engine behind the DUP engine with the
 // incremental assembler installed: one fragment reading a database row,
 // included by nPages pages, everything primed in the serving cache.
-func fragmentStack(t *testing.T, nPages int, opts ...Option) (*db.DB, *fragment.Engine, *Engine, *cache.Cache) {
+func fragmentStack(t *testing.T, nPages int) (*db.DB, *fragment.Engine, *Engine, *cache.Cache) {
 	t.Helper()
 	d := db.New("t")
 	d.CreateTable("rows")
@@ -26,7 +26,7 @@ func fragmentStack(t *testing.T, nPages int, opts ...Option) (*db.DB, *fragment.
 	gen := func(key cache.Key, version int64) (*cache.Object, error) {
 		return fe.Generate(key, version)
 	}
-	e := NewEngine(g, c, append([]Option{WithGenerator(gen)}, opts...)...)
+	e := NewEngine(g, c, WithGenerator(gen))
 	fe = fragment.New(fragment.Config{DB: d, Registrar: e})
 	e.SetAssembler(fe)
 
@@ -57,12 +57,12 @@ func fragmentStack(t *testing.T, nPages int, opts ...Option) (*db.DB, *fragment.
 }
 
 // TestIncrementalBatchRendersFragmentOnce drives one update through the
-// assembler-equipped engine with parallel workers: the changed fragment must
+// assembler-equipped engine: the changed fragment must
 // render exactly once and every containing page must splice the cached
 // bytes, never re-render it.
 func TestIncrementalBatchRendersFragmentOnce(t *testing.T) {
 	const nPages = 24
-	d, fe, e, c := fragmentStack(t, nPages, WithParallelism(8))
+	d, fe, e, c := fragmentStack(t, nPages)
 
 	if _, err := d.Commit(d.NewTx().Put("rows", "score", map[string]string{"v": "251.6"})); err != nil {
 		t.Fatal(err)

@@ -223,7 +223,6 @@ type Deployment struct {
 	order     []string
 
 	inj         *fault.Injector
-	retry       *cache.RetryPolicy
 	overload    *overload.Config
 	staleBudget time.Duration
 	audit       bool
@@ -244,16 +243,20 @@ type Option func(*Deployment)
 // deployment: per-node push failures in each complex's cache group, render
 // faults in each engine's generator, crash hooks on every trigger monitor
 // (supervision restarts them from checkpoint), and partition checks on
-// every replication link (named by Complex.Link).
+// every replication link (named by Complex.Link). A failed push is retried
+// under faultRetry before it downgrades to an invalidation.
 func WithFaults(inj *fault.Injector) Option {
 	return func(d *Deployment) { d.inj = inj }
 }
 
-// WithRetryPolicy sets the push retry/backoff policy of every complex's
-// cache group (how hard broadcasts fight a failing node before downgrading
-// the push to an invalidation).
-func WithRetryPolicy(p cache.RetryPolicy) Option {
-	return func(d *Deployment) { d.retry = &p }
+// faultRetry is the push retry policy under WithFaults: three tight,
+// sleepless attempts. The injector decides a push's fate from its identity,
+// so a backoff would cost only wall clock.
+var faultRetry = cache.RetryPolicy{
+	MaxAttempts: 3,
+	Backoff:     50 * time.Microsecond,
+	MaxBackoff:  time.Millisecond,
+	Sleep:       func(time.Duration) {},
 }
 
 // WithOverload arms overload control on every serving node: each node gets
@@ -312,8 +315,8 @@ func New(cfg Config, opts ...Option) (*Deployment, error) {
 	d.MasterSite = masterSite
 
 	for _, cs := range cfg.Complexes {
-		if len(cs.Peers) > 0 && (d.inj != nil || d.retry != nil || d.overload != nil || d.audit || d.recovery != nil) {
-			return nil, fmt.Errorf("deploy: %s: faults, retry policy, overload, audit and recovery need in-process nodes", cs.Name)
+		if len(cs.Peers) > 0 && (d.inj != nil || d.overload != nil || d.audit || d.recovery != nil) {
+			return nil, fmt.Errorf("deploy: %s: faults, overload, audit and recovery need in-process nodes", cs.Name)
 		}
 		feed := d.Master
 		feedName := "master"
@@ -502,7 +505,7 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 }
 
 // buildCluster builds an in-process complex's nodes, cache group and
-// dispatcher with the deployment's fault, retry, observability, overload,
+// dispatcher with the deployment's fault, observability, overload,
 // audit and recovery wiring; indexer feeds the auditor.
 func (d *Deployment) buildCluster(cx *Complex, cfg Config, gen core.Generator, dopts []dispatch.Option, indexer func(db.Change) []odg.NodeID) {
 	cs, journal := cx.spec, cx.Obs.Journal
@@ -514,10 +517,8 @@ func (d *Deployment) buildCluster(cx *Complex, cfg Config, gen core.Generator, d
 			"node", node, "page", string(key))
 	})}
 	if d.inj != nil {
-		groupOpts = append(groupOpts, cache.WithPutHook(d.inj.PushHook(cs.Name)))
-	}
-	if d.retry != nil {
-		groupOpts = append(groupOpts, cache.WithRetryPolicy(*d.retry))
+		groupOpts = append(groupOpts, cache.WithPutHook(d.inj.PushHook(cs.Name)),
+			cache.WithRetryPolicy(faultRetry))
 	}
 	var auditor *audit.Auditor
 	if d.audit {

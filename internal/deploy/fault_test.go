@@ -19,14 +19,7 @@ func faultyDeployment(t *testing.T, inj *fault.Injector, slo time.Duration) *Dep
 	for i := range cfg.Complexes {
 		cfg.Complexes[i].ReplicationDelay = time.Millisecond
 	}
-	d, err := New(cfg,
-		WithFaults(inj),
-		WithRetryPolicy(cache.RetryPolicy{
-			MaxAttempts: 3,
-			Backoff:     50 * time.Microsecond,
-			MaxBackoff:  time.Millisecond,
-			Sleep:       func(time.Duration) {},
-		}))
+	d, err := New(cfg, WithFaults(inj))
 	if err != nil {
 		t.Fatal(err)
 	}

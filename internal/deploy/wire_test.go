@@ -54,7 +54,6 @@ func TestWireComplexRejectsInProcessOptions(t *testing.T) {
 	cfg := Config{Spec: smallSpec(), Complexes: []ComplexSpec{{Name: "master", Peers: []string{"127.0.0.1:1"}}}}
 	for name, opt := range map[string]Option{
 		"faults":   WithFaults(fault.New(fault.Config{Seed: 1})),
-		"retry":    WithRetryPolicy(cache.RetryPolicy{}),
 		"overload": WithOverload(overload.Config{}, 0),
 		"audit":    WithAudit(),
 		"recovery": WithRecovery(recovery.Policy{}),

@@ -14,8 +14,8 @@ import (
 // TestSingleFlightAcrossParallelPageAssembly: after BeginBatch raises a
 // changed fragment's floor, many concurrent page assemblies that all find
 // the cached copy stale must share exactly one render of it. This is the
-// WithParallelism(n) propagation shape — n workers rebuilding n pages that
-// embed the same changed fragment.
+// shape of concurrent node-side cache misses — n serving goroutines each
+// rendering a missed page that embeds the same changed fragment.
 func TestSingleFlightAcrossParallelPageAssembly(t *testing.T) {
 	const nPages = 16
 	d := testDB(t)

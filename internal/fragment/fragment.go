@@ -85,9 +85,9 @@ type Engine struct {
 	floors  map[string]int64
 
 	// flights deduplicates concurrent renders of the same fragment at the
-	// same version: parallel page-assembly workers that find a fragment
-	// missing or below its floor share one render instead of each running
-	// it. Only fragment Generates and Includes issued from a page context
+	// same version: concurrent page renders (serving nodes' cache misses
+	// reach Generate on their own goroutines) that find a fragment missing
+	// or below its floor share one render instead of each running it. Only fragment Generates and Includes issued from a page context
 	// enter a flight; an Include inside a fragment render — whose stack may
 	// itself hold a flight — renders inline, so a flight holder never waits
 	// on a flight and deadlock is impossible even with cyclic includes.
@@ -341,7 +341,7 @@ func IndexID(table, prefix string) string {
 // — never a stale copy of a changed fragment, and never a redundant
 // re-render of an unchanged one. A fragment found missing or below its
 // floor is rendered through the single-flight table when the including
-// renderer is a page, so parallel page-assembly workers share one render;
+// renderer is a page, so concurrent page renders share one render;
 // an Include inside a fragment render (whose stack may hold a flight)
 // renders inline, keeping flight waits acyclic.
 func (c *Context) Include(fragName string) ([]byte, error) {

@@ -11,7 +11,7 @@ import (
 
 // FuzzHTTPServePath throws arbitrary request paths at a serving node whose
 // render capacity is fully occupied. No input may panic any layer (Serve,
-// ServeCtx, the striped cache underneath), and no input may reach the
+// ServeCtx, the cache underneath), and no input may reach the
 // generator without passing admission control: with every render slot held,
 // a miss must degrade (stale) or shed — a render would mean the path
 // smuggled itself past the limiter.

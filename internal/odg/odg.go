@@ -285,22 +285,6 @@ func (g *Graph) Successors(id NodeID) []NodeID {
 	return out
 }
 
-// Predecessors returns the direct predecessors of id in unspecified order,
-// or nil if id is absent.
-func (g *Graph) Predecessors(id NodeID) []NodeID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	if !ok {
-		return nil
-	}
-	out := make([]NodeID, 0, len(n.in))
-	for p := range n.in {
-		out = append(out, p)
-	}
-	return out
-}
-
 // Affected returns every object vertex transitively reachable from the
 // changed vertices — the set DUP must invalidate or update. The changed
 // vertices themselves are included only if they are objects (KindObject or

@@ -163,8 +163,8 @@ func (r *Registry) RegisterCounter(name, help string, labels Labels, c *Counter)
 }
 
 // RegisterCounterFunc publishes a compute-on-read value as a counter —
-// for subsystems whose monotonic totals are folded from internal shards at
-// read time (the striped cache) rather than held in one Counter. The
+// for subsystems whose monotonic totals are plain integers under their own
+// lock (the cache) rather than held in one Counter. The
 // function must be monotonically non-decreasing to honour counter
 // semantics.
 func (r *Registry) RegisterCounterFunc(name, help string, labels Labels, fn func() int64) {

@@ -430,8 +430,8 @@ func (m *Monitor) propagate(batch []pendingTx) bool {
 	}
 	if m.tracer != nil {
 		// Derive wall-clock stage boundaries from the engine's phase
-		// durations. Render/push are cumulative across workers, so clamp
-		// each boundary to the observed end of the propagation.
+		// durations. Render/push are sums over objects, not spans, so
+		// clamp each boundary to the observed end of the propagation.
 		dupDone := clampTime(flush.Add(res.GraphDur), end)
 		renderDone := clampTime(dupDone.Add(res.RenderDur), end)
 		for _, p := range batch {

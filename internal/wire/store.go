@@ -329,7 +329,8 @@ func (g *GroupClient) ApplyBatch(objs []*cache.Object) {
 			// Settle older debt first so operations arrive in a safe order: an
 			// undelivered invalidation must not outlive a newer successful push.
 			g.settle(m)
-			if encErr == nil && g.push(m, payloads, retry) {
+			push := func(int) error { return m.putPayloads(payloads) }
+			if encErr == nil && retry.Do(push, &g.pushFailures, &g.pushRetries) {
 				// A fresh object supersedes any debt recorded for its key
 				// while this broadcast was in flight.
 				for _, obj := range objs {
@@ -341,28 +342,6 @@ func (g *GroupClient) ApplyBatch(objs []*cache.Object) {
 		}()
 	}
 	wg.Wait()
-}
-
-// push delivers an encoded batch to m with bounded retries, reporting
-// whether it landed.
-func (g *GroupClient) push(m *StoreClient, payloads [][]byte, retry cache.RetryPolicy) bool {
-	sleep := retry.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	backoff := retry.Backoff
-	for attempt := 1; attempt <= retry.MaxAttempts; attempt++ {
-		if m.putPayloads(payloads) == nil {
-			return true
-		}
-		g.pushFailures.Inc()
-		if attempt < retry.MaxAttempts {
-			g.pushRetries.Inc()
-			sleep(backoff)
-			backoff = min(2*backoff, retry.MaxBackoff)
-		}
-	}
-	return false
 }
 
 // downgradeBatch invalidates on m every key of a batch it could not take.
