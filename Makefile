@@ -46,19 +46,21 @@ recovery:
 	$(GO) run ./cmd/simulate -recovery -seed 1
 
 # smoke runs the multi-process deployment end to end on loopback: the
-# olympicsd binary re-executes itself as two serving-node processes, the
-# parent runs the master role's plant against them over TCP (log shipping,
-# page pushes, remote serves), commits a result, and asserts the updated
-# page is a cache hit with fresh bytes on every node. It then expects 200
-# from the master's /stats, /debug/metrics, /debug/traces, /debug/serve and
-# /debug/journal, and a non-empty /debug/traces summary that recorded the
-# commit's propagation. It restarts node up1 empty on its old wire address,
-# waits two probe intervals, and asserts that 20 page GETs through the
-# master all show the commit and that dispatch_healthy_nodes reads 1: the
-# restarted node is not readmitted.
-# Last, the master's /logreport must count exactly those 20 GETs: 20
-# entries, 0 errors, and the result page first in the top pages with 20
-# hits.
+# olympicsd binary re-executes itself as two serving-node processes (each a
+# cache holding no database), the parent runs the master role's plant
+# against them over TCP (page pushes, remote serves), commits a result, and
+# asserts the updated page is a cache hit with fresh bytes on every node.
+# It then expects 200 from the master's /stats, /debug/metrics,
+# /debug/traces, /debug/serve and /debug/journal, and a non-empty
+# /debug/traces summary that recorded the commit's propagation. It restarts
+# node up1 empty on its old wire address, waits two probe intervals, and
+# asserts that 20 page GETs through the master all show the commit and that
+# dispatch_healthy_nodes reads 1: the restarted node is not readmitted. It
+# then invalidates the result page on up0 over up0's own connection: 5
+# serves through the master's dispatcher must each be a miss the master
+# renders, showing the commit. Last, the master's /logreport must count
+# exactly those 20 GETs: 20 entries, 0 errors, and the result page first in
+# the top pages with 20 hits.
 smoke:
 	$(GO) run ./cmd/olympicsd -role smoke -nodes 2
 

@@ -46,13 +46,10 @@ import (
 	"time"
 
 	"dupserve/internal/cache"
-	"dupserve/internal/core"
-	"dupserve/internal/db"
 	"dupserve/internal/deploy"
 	"dupserve/internal/dispatch"
 	"dupserve/internal/httpserver"
 	"dupserve/internal/netsim"
-	"dupserve/internal/odg"
 	"dupserve/internal/site"
 	"dupserve/internal/stats"
 	"dupserve/internal/weblog"
@@ -188,7 +185,7 @@ func main() {
 	flag.Parse()
 
 	// The master role owns the master database, renders and pushes pages to
-	// the -peers node processes, ships them the log, and fronts them.
+	// the -peers node processes, renders their misses, and fronts them.
 	var cs deploy.ComplexSpec
 	switch *role {
 	case "all":
@@ -243,9 +240,8 @@ func newServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
-// multiSpec is the site specification shared by every process of one
-// deployment: master and nodes must build identical renderer sets or the
-// nodes' miss-path renders would diverge from the pushed pages.
+// multiSpec is the site specification of one deployment: the master builds
+// the site from it, and each node takes its statics from it.
 func multiSpec(f flags) site.Spec {
 	if f.paper {
 		return site.PaperSpec()
@@ -537,45 +533,14 @@ func runNode(f flags) {
 	log.Fatal(newServer(f.addr, nodeMux(reg)).ListenAndServe())
 }
 
-// newNode builds one serving node: a database replica fed over the wire by
-// the master's log shipping, a cache the master pushes rendered pages into,
-// and an HTTP serving layer the master's dispatcher forwards requests to —
-// all three registered on one wire server, not yet listening — and the
-// registry its metrics publish into.
+// newNode builds one serving node, a wire.NewCacheNode with the site's
+// statics, not yet listening, and the registry its metrics publish into.
 func newNode(f flags) (*wire.Server, *stats.Registry) {
 	reg := stats.NewRegistry()
-	replica := db.New(f.name + "-replica")
-	replica.RegisterMetrics(reg, stats.Labels{"db": f.name + "-replica"})
-	nodeCache := cache.New(f.name)
-
-	var st *site.Site
-	gen := func(key cache.Key, version int64) (*cache.Object, error) {
-		return st.Engine.Generate(key, version)
-	}
-	// The node's engine regenerates misses against the local replica; its
-	// store is the node's own cache (a one-member complex).
-	engine := core.NewEngine(odg.New(), nodeCache, core.WithGenerator(gen))
-	var err error
-	st, err = site.BuildReplica(multiSpec(f), replica, engine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv := httpserver.New(f.name, nodeCache, gen, replica.LSN)
-	for p, body := range st.Statics() {
-		srv.SetStatic(p, body, "text/html; charset=utf-8")
-	}
-	srv.RegisterMetrics(reg, nil)
-
-	wm := wire.NewMetrics()
-	wm.RegisterMetrics(reg, stats.Labels{"endpoint": "node"})
-	ws := wire.NewServer(f.name,
-		wire.WithServerMetrics(wm),
+	ws := wire.NewCacheNode(f.name, multiSpec(f).Statics(), reg,
 		wire.WithServerStateHook(func(name, event, detail string) {
 			log.Printf("wire %s: %s %s", name, event, detail)
 		}))
-	wire.RegisterReplica(ws, replica)
-	wire.RegisterStore(ws, nodeCache)
-	wire.RegisterNode(ws, srv)
 	return ws, reg
 }
 
@@ -594,11 +559,12 @@ func nodeMux(reg *stats.Registry) *http.ServeMux {
 // runSmoke is the loopback deployment check `make check` runs: self-exec
 // -nodes node child processes, bring up the master role's plant against
 // them, commit a result, and verify the wire carried it into every node —
-// log shipping, cache push, and remote serve all exercised across real
-// process boundaries. It then checks the master's HTTP surface, and
-// restarts node up1 empty on its old address: the restarted node must stay
-// out of the distribution list, so every page served through the master
-// still shows the commit. Exits 0 on success.
+// cache push and remote serve both exercised across real process
+// boundaries. It then checks the master's HTTP surface, and restarts node
+// up1 empty on its old address: the restarted node must stay out of the
+// distribution list, so every page served through the master still shows
+// the commit. Last, the master must render the page up0 lost to an
+// invalidation. Exits 0 on success.
 func runSmoke(f flags) {
 	if f.days == 0 {
 		f.days = 2 // keep the smoke site small
@@ -724,9 +690,9 @@ func runSmoke(f flags) {
 		fail("master /debug/traces = %s, want a summary with the commit recorded", body)
 	}
 
-	// Restart up1 empty on its old address. Its replica is back at LSN 0 and
-	// replication stops at the gap, so the master must keep it out of the
-	// distribution list instead of serving its version-0 pages.
+	// Restart up1 empty on its old address. Its cache's installed version is
+	// back at 0, below the waves it acked, so the master must keep it out of
+	// the distribution list: it holds none of the pushed pages.
 	children[1].Process.Kill()
 	children[1].Wait()
 	startNode("up1", peers[1])
@@ -743,6 +709,23 @@ func runSmoke(f flags) {
 		fail("master: dispatch_healthy_nodes is not 1 after restarting up1 empty")
 	}
 	log.Printf("smoke: up1 restarted empty stays out of the distribution list")
+
+	// A page up0 lost is a miss the master renders, every time: nothing
+	// pushes it back from the serve path. The serves skip the HTTP surface,
+	// so the access log below still counts only the 20 GETs.
+	up0 := wire.NewStoreClient("up0", wire.Dial("up0", peers[0]))
+	_, err = up0.Invalidate(cache.Key(resultPage))
+	up0.Close()
+	if err != nil {
+		fail("up0: invalidate %s: %v", resultPage, err)
+	}
+	for i := 0; i < 5; i++ {
+		obj, outcome, err := p.cx.Dispatcher.Serve(resultPage)
+		if outcome != httpserver.OutcomeMiss || obj.Version < tx.LSN || !bytes.Contains(obj.Value, gold) {
+			fail("master serve %s after invalidating it on up0: %v (%v), want a miss the master renders at lsn %d or later", resultPage, outcome, err, tx.LSN)
+		}
+	}
+	log.Printf("smoke: the master renders %s, which up0 lost to an invalidation", resultPage)
 
 	// Those 20 GETs are the only pages requested through the master, so the
 	// access log's live report counts exactly them.

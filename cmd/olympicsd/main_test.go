@@ -368,6 +368,38 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
+// TestNodeHoldsNoDatabase: the node role is a cache and nothing else. Its
+// wire server answers log shipping (TypeTxn) and LSN queries (TypeLSN) with
+// its no-handler error, and its registry publishes no db_* series.
+func TestNodeHoldsNoDatabase(t *testing.T) {
+	ws, reg := newNode(flags{name: "bare", days: 2})
+	addr, err := ws.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ws.Close)
+	c := wire.Dial("bare", addr.String())
+	defer c.Close()
+	for _, typ := range []wire.Type{wire.TypeTxn, wire.TypeLSN} {
+		_, err := c.Call(context.Background(), typ, nil)
+		if want := "no handler for " + typ.String(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s call: %v, want %q", typ, err, want)
+		}
+	}
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if strings.HasPrefix(strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE "), "db_") {
+			t.Fatalf("node registry has a database series: %s", line)
+		}
+	}
+	if !strings.Contains(text.String(), "cache_put_older_total") {
+		t.Fatal("node registry has no cache series")
+	}
+}
+
 // TestSoakAllRole soaks the all role's in-process plant, then shuts it
 // down: every goroutine it started must end.
 func TestSoakAllRole(t *testing.T) {

@@ -79,6 +79,8 @@ type Stats struct {
 	Puts          int64
 	Updates       int64 // Puts that replaced an existing entry (update-in-place)
 	Invalidations int64
+	Older         int64 // Puts refused: older than the entry held
+	Installed     int64 // highest Version Put accepted: a wire node's pong reports it
 	Items         int
 	Bytes         int64
 	PeakBytes     int64
@@ -112,6 +114,8 @@ type Cache struct {
 	puts          int64
 	updates       int64
 	invalidations int64
+	older         int64 // Puts refused: older than the entry held
+	installed     int64
 
 	bytes stats.Gauge // exact bytes + high-water mark
 }
@@ -198,9 +202,12 @@ func (c *Cache) Peek(key Key) (*Object, bool) {
 // Put inserts or replaces the object stored under obj.Key. Replacing an
 // existing entry is the paper's update-in-place: the page never leaves the
 // cache, so no request ever misses on it. Returns true if an existing entry
-// was replaced. Put stamps StoredAt with the cache's clock when it is zero
-// and otherwise never writes to obj, so an object already stored elsewhere
-// may be Put again and shared.
+// was replaced. A cache never goes back: an object older than the entry
+// held is refused, counted in Stats.Older, and Put returns false (an equal
+// version installs; an invalidated key keeps no version). Put stamps
+// StoredAt with the cache's clock when it is zero and otherwise never
+// writes to obj, so an object already stored elsewhere may be Put again
+// and shared.
 func (c *Cache) Put(obj *Object) bool {
 	if obj.StoredAt.IsZero() {
 		obj.StoredAt = c.now()
@@ -208,6 +215,12 @@ func (c *Cache) Put(obj *Object) bool {
 	delta := obj.Size()
 	c.mu.Lock()
 	e, replaced := c.items[obj.Key]
+	if replaced && obj.Version < e.obj.Version {
+		c.older++
+		c.mu.Unlock()
+		return false
+	}
+	c.installed = max(c.installed, obj.Version)
 	if replaced {
 		delta -= e.obj.Size()
 		e.obj = obj
@@ -306,8 +319,9 @@ func (c *Cache) ApplyInvalidatePrefix(prefix string) int {
 }
 
 // Clear removes every entry, counting them as invalidations. Stale-retained
-// copies are dropped too: Clear models losing the node's memory-resident
-// state, and a rebooted node has nothing to degrade to.
+// copies and the installed version are dropped too: Clear models losing
+// the node's memory-resident state, and a rebooted node has nothing to
+// degrade to.
 func (c *Cache) Clear() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -317,6 +331,7 @@ func (c *Cache) Clear() int {
 		freed += e.obj.Size()
 	}
 	c.items = make(map[Key]*entry)
+	c.installed = 0
 	if c.stale != nil {
 		c.stale = make(map[Key]*staleEntry)
 	}
@@ -362,6 +377,8 @@ func (c *Cache) Stats() Stats {
 		Puts:          c.puts,
 		Updates:       c.updates,
 		Invalidations: c.invalidations,
+		Older:         c.older,
+		Installed:     c.installed,
 		Items:         len(c.items),
 		Bytes:         c.bytes.Value(),
 		PeakBytes:     c.bytes.Max(),
@@ -390,6 +407,8 @@ func (c *Cache) RegisterMetrics(reg *stats.Registry, extra stats.Labels) {
 		counter(func(s Stats) int64 { return s.Updates }))
 	reg.RegisterCounterFunc("cache_invalidations_total", "entries invalidated", labels,
 		counter(func(s Stats) int64 { return s.Invalidations }))
+	reg.RegisterCounterFunc("cache_put_older_total", "puts refused as older than the entry held", labels,
+		counter(func(s Stats) int64 { return s.Older }))
 	reg.RegisterGauge("cache_bytes", "accounted bytes cached", labels, &c.bytes)
 	reg.RegisterFunc("cache_items", "entries cached", labels,
 		func() float64 { return float64(c.Len()) })
@@ -397,10 +416,10 @@ func (c *Cache) RegisterMetrics(reg *stats.Registry, extra stats.Labels) {
 		func() float64 { return c.Stats().HitRate() })
 }
 
-// ResetCounters zeroes hit/miss/put/update/invalidation counters while
-// leaving contents intact. Experiments use it to discard warm-up effects.
+// ResetCounters zeroes the Stats counters while leaving contents intact.
+// Experiments use it to discard warm-up effects.
 func (c *Cache) ResetCounters() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.hits, c.misses, c.puts, c.updates, c.invalidations = 0, 0, 0, 0, 0
+	c.hits, c.misses, c.puts, c.updates, c.invalidations, c.older = 0, 0, 0, 0, 0, 0
 }

@@ -40,6 +40,41 @@ func TestPutGetHit(t *testing.T) {
 	}
 }
 
+// TestPutNeverGoesBack: a Put older than the entry held is refused and
+// counted, an equal version installs, Installed keeps the highest accepted
+// version, and an invalidated key keeps no version (no tombstone).
+func TestPutNeverGoesBack(t *testing.T) {
+	c := New("t")
+	c.Put(&Object{Key: "k", Value: []byte("v2"), Version: 2})
+	if c.Put(&Object{Key: "k", Value: []byte("v1"), Version: 1}) {
+		t.Fatal("older Put reported a replacement")
+	}
+	if got, _ := c.Peek("k"); string(got.Value) != "v2" {
+		t.Fatalf("held %q after an older Put, want v2", got.Value)
+	}
+	if !c.Put(&Object{Key: "k", Value: []byte("v2b"), Version: 2}) {
+		t.Fatal("equal-version Put did not replace")
+	}
+	if s := c.Stats(); s.Older != 1 || s.Puts != 2 || s.Bytes != int64(len("k")+len("v2b")) {
+		t.Fatalf("stats = %+v, want 1 older, 2 puts and the v2b bytes", s)
+	}
+	if got := c.Stats().Installed; got != 2 {
+		t.Fatalf("Installed = %d, want 2", got)
+	}
+	c.Invalidate("k")
+	c.Put(&Object{Key: "k", Value: []byte("v1"), Version: 1})
+	if got, ok := c.Peek("k"); !ok || got.Version != 1 {
+		t.Fatal("Put after Invalidate was refused")
+	}
+	if got := c.Stats().Installed; got != 2 {
+		t.Fatalf("Installed went back to %d", got)
+	}
+	c.Clear()
+	if got := c.Stats().Installed; got != 0 {
+		t.Fatalf("Installed = %d after Clear, want 0", got)
+	}
+}
+
 func TestUpdateInPlace(t *testing.T) {
 	c := New("t")
 	if replaced := c.Put(obj("k", 10)); replaced {

@@ -22,6 +22,10 @@ type mapModel struct {
 
 func (m *mapModel) put(o *Object) bool {
 	old, replaced := m.items[o.Key]
+	if replaced && o.Version < old.Version {
+		m.stats.Older++
+		return false
+	}
 	if replaced {
 		m.stats.Bytes -= old.Size()
 		m.stats.Updates++
@@ -29,6 +33,7 @@ func (m *mapModel) put(o *Object) bool {
 	m.items[o.Key] = o
 	delete(m.stale, o.Key)
 	m.stats.Puts++
+	m.stats.Installed = max(m.stats.Installed, o.Version)
 	m.stats.Bytes += o.Size()
 	m.stats.PeakBytes = max(m.stats.PeakBytes, m.stats.Bytes)
 	return replaced
@@ -73,6 +78,7 @@ func (m *mapModel) clear() int {
 	n := len(m.items)
 	m.stats.Invalidations += int64(n)
 	m.stats.Bytes = 0
+	m.stats.Installed = 0
 	m.items = make(map[Key]*Object)
 	m.stale = make(map[Key]staleEntry)
 	return n
@@ -88,10 +94,11 @@ func (m *mapModel) get(k Key) (*Object, bool) {
 	return o, ok
 }
 
-// TestCacheMatchesMapModel drives a randomized op stream — Put, Get,
-// Invalidate, GetStale, InvalidatePrefix, Clear — through a cache and a
-// plain-map model of its semantics, and requires every observable result
-// and the final state (keys, stale copies, counters) to match exactly.
+// TestCacheMatchesMapModel drives a randomized op stream — Put (some of them
+// late and older than the entry held), Get, Invalidate, GetStale,
+// InvalidatePrefix, Clear — through a cache and a plain-map model of its
+// semantics, and requires every observable result and the final state
+// (keys, stale copies, counters) to match exactly.
 func TestCacheMatchesMapModel(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	now := func() time.Time { return clock }
@@ -107,11 +114,15 @@ func TestCacheMatchesMapModel(t *testing.T) {
 	for op := 0; op < 20000; op++ {
 		k := keys[rng.Intn(len(keys))]
 		switch rng.Intn(10) {
-		case 0, 1, 2: // Put
+		case 0, 1, 2: // Put; one in four is a late push of an older version
 			version++
-			val := []byte(fmt.Sprintf("%s@%d", k, version))
-			a := c.Put(&Object{Key: k, Value: val, Version: version, StoredAt: clock})
-			b := ref.put(&Object{Key: k, Value: val, Version: version, StoredAt: clock})
+			v := version
+			if rng.Intn(4) == 0 {
+				v -= rng.Int63n(100)
+			}
+			val := []byte(fmt.Sprintf("%s@%d", k, v))
+			a := c.Put(&Object{Key: k, Value: val, Version: v, StoredAt: clock})
+			b := ref.put(&Object{Key: k, Value: val, Version: v, StoredAt: clock})
 			if a != b {
 				t.Fatalf("op %d: Put(%s) fresh=%v, ref %v", op, k, a, b)
 			}

@@ -8,7 +8,7 @@ import (
 
 // Target is the receiving end of replication: apply one transaction, report
 // the highest LSN applied. A *DB is a Target (the in-process wiring the
-// simulations use); wire.ReplicaClient is a Target that ships each
+// simulations use); wire.ReplicaClient, which only bench/ uses, ships each
 // transaction over TCP to a replica in another process.
 type Target interface {
 	Apply(Transaction) error
@@ -79,7 +79,8 @@ func StartReplication(master, replica *DB, opts ...ReplOption) *Replicator {
 // down, not the log broken) park delivery and retry the same transaction in
 // order until it lands or Stop is called, preserving the partition
 // semantics of local replication: committed transactions queue, nothing is
-// lost, the replica catches up when the path heals.
+// lost, the replica catches up when the path heals. bench/plant.go is its
+// one remaining caller, until the bench builds its plant with deploy.
 func StartReplicationTo(master *DB, replica Target, opts ...ReplOption) *Replicator {
 	r := &Replicator{
 		master:  master,

@@ -16,9 +16,9 @@
 //
 // A complex's serving nodes are either in-process (a cluster of caches and
 // servers) or node processes named by wire address (ComplexSpec.Peers):
-// then the engine pushes through a wire.GroupClient, the dispatcher fronts
-// wire.RemoteNodes, and each node's replica is fed over the wire from the
-// complex's replica.
+// then the engine pushes through a wire.GroupClient and the dispatcher
+// fronts wire.RemoteNodes. A node process is a cache, as in the paper,
+// where DB2 was replicated to each complex: the complex renders its misses.
 //
 // A Deployment has a start/drain lifecycle: New constructs the
 // entire topology cold, Start(ctx) brings up replication and the trigger
@@ -165,12 +165,10 @@ type Complex struct {
 	spec ComplexSpec
 	feed *db.DB
 
-	// A wire complex's push group, transport counters, node processes, and
-	// the replicators Start runs to their replicas.
-	push      *wire.GroupClient
-	wm        *wire.Metrics
-	nodes     []nodeProcess
-	nodeRepls []*db.Replicator
+	// A wire complex's push group, transport counters and node processes.
+	push  *wire.GroupClient
+	wm    *wire.Metrics
+	nodes []nodeProcess
 
 	mu         sync.Mutex
 	mon        *trigger.Monitor
@@ -192,22 +190,35 @@ func (cx *Complex) Monitor() *trigger.Monitor {
 func (cx *Complex) MonitorRestarts() int64 { return cx.restarts.Value() }
 
 // nodeProcess is one serving-node process of a wire complex, as its
-// dispatcher sees it. It reports ready only while its replica holds every
-// transaction it has acknowledged: a process restarted empty on the same
-// address answers pings, but its replica is back at LSN 0, the complex's
-// replicator stops at the LSN gap, and it would render version-0 pages
-// that its cache then serves as hits. Such a node stays out of the
-// distribution list.
+// dispatcher sees it. A page the node does not hold (lost to a push
+// downgrade or an invalidation) is rendered by render, the complex's
+// cacheless server over its replica; nothing is pushed from the serve path.
+// A process restarted empty on the same address answers pings with
+// installed version 0, below the waves it acked, so it stays down until
+// the next wave reaches it.
 type nodeProcess struct {
 	*wire.RemoteNode
-	replica *wire.ReplicaClient
+	store  *wire.StoreClient
+	render *httpserver.Server
 }
 
 // Ready implements dispatch.ReadyReporter. Only advisor probes call it, so
-// the replica check costs the serve path nothing.
+// the check costs the serve path nothing. Acked is read before a fresh
+// ping, so a wave acked in between cannot fail it.
 func (n nodeProcess) Ready() bool {
-	acked := n.replica.Acked()
-	return n.RemoteNode.Ready() && n.replica.LSN() >= acked
+	acked := n.store.Acked()
+	p, ok := n.Ping()
+	return ok && p.Ready && p.Installed >= acked
+}
+
+// Serve implements dispatch.Node: the node's answer, or on a miss the
+// complex's render (an unknown path is not found at both).
+func (n nodeProcess) Serve(path string) (*cache.Object, httpserver.Outcome, error) {
+	obj, outcome, err := n.RemoteNode.Serve(path)
+	if outcome == httpserver.OutcomeNotFound {
+		return n.render.Serve(path)
+	}
+	return obj, outcome, err
 }
 
 // Deployment is the assembled system. New builds it cold; Start brings up
@@ -399,7 +410,8 @@ func (d *Deployment) newComplex(cs ComplexSpec, cfg Config, feed *db.DB, feedNam
 	// frame per node), an in-process one through its cluster's cache group.
 	var store core.Store
 	if len(cs.Peers) > 0 {
-		cx.Dispatcher = dispatch.New(dispatch.Config{Name: cs.Name, Nodes: cx.dialNodes(), ProbeInterval: cfg.ProbeInterval}, dopts...)
+		render := httpserver.New(cs.Name, nil, gen, replica.LSN)
+		cx.Dispatcher = dispatch.New(dispatch.Config{Name: cs.Name, Nodes: cx.dialNodes(render), ProbeInterval: cfg.ProbeInterval}, dopts...)
 		store = cx.push
 	} else {
 		d.buildCluster(cx, cfg, gen, dopts, func(ch db.Change) []odg.NodeID { return csite.Indexer(ch) })
@@ -630,10 +642,10 @@ func (d *Deployment) buildCluster(cx *Complex, cfg Config, gen core.Generator, d
 }
 
 // dialNodes connects a wire complex to its node processes, one pooled
-// client per node for log shipping, pushes, serves and probes, and returns
-// them as the dispatcher's pool. Connection state changes and push
-// downgrades land in the journal.
-func (cx *Complex) dialNodes() []dispatch.Node {
+// client per node for pushes, serves and probes, and returns them as the
+// dispatcher's pool, rendering misses through render. Connection state
+// changes and push downgrades land in the journal.
+func (cx *Complex) dialNodes(render *httpserver.Server) []dispatch.Node {
 	journal := cx.Obs.Journal
 	cx.wm = wire.NewMetrics()
 	copts := []wire.ClientOption{
@@ -655,8 +667,8 @@ func (cx *Complex) dialNodes() []dispatch.Node {
 	for i, addr := range cx.spec.Peers {
 		name := fmt.Sprintf("up%d", i)
 		c := wire.Dial(name, addr, copts...)
-		stores = append(stores, wire.NewStoreClient(name, c))
-		n := nodeProcess{wire.NewRemoteNode(name, c), wire.NewReplicaClient(c)}
+		n := nodeProcess{wire.NewRemoteNode(name, c), wire.NewStoreClient(name, c), render}
+		stores = append(stores, n.store)
 		cx.nodes, pool = append(cx.nodes, n), append(pool, n)
 	}
 	cx.push = wire.NewGroupClient(stores, wire.WithGroupDowngradeHook(func(node string, key cache.Key) {
@@ -668,8 +680,7 @@ func (cx *Complex) dialNodes() []dispatch.Node {
 }
 
 // Start brings the deployment up: replication begins shipping (with
-// fault-injection partition checks when configured; a wire complex's
-// replica also ships to each node process's replica), every complex's
+// fault-injection partition checks when configured), every complex's
 // trigger monitor starts and is supervised — a crashed monitor is
 // restarted from its LastLSN checkpoint — and each dispatcher's advisors
 // start when Config.ProbeInterval is set. Cancelling ctx initiates the
@@ -694,9 +705,6 @@ func (d *Deployment) Start(ctx context.Context) error {
 			replOpts = append(replOpts, db.WithPartitionCheck(d.inj.PartitionCheck(cx.Link)))
 		}
 		cx.Replicator = db.StartReplication(cx.feed, cx.Replica, replOpts...)
-		for _, n := range cx.nodes {
-			cx.nodeRepls = append(cx.nodeRepls, db.StartReplicationTo(cx.Replica, n.replica))
-		}
 		_ = cx.Dispatcher.Start(ctx) // fails only when started twice
 		if err := d.startMonitor(cx, 0); err != nil {
 			_ = d.Shutdown(context.Background())
@@ -799,9 +807,6 @@ func (d *Deployment) Shutdown(ctx context.Context) error {
 			cx.Replicator.Stop()
 		}
 		_ = cx.Dispatcher.Shutdown(ctx)
-		for _, r := range cx.nodeRepls {
-			r.Stop()
-		}
 		if cx.push != nil {
 			cx.push.Close()
 		}
@@ -889,12 +894,14 @@ func (d *Deployment) Prime(timeout time.Duration) error {
 	return nil
 }
 
-// WaitFresh blocks until every complex (and every node process's replica
-// of a wire complex) has replicated AND propagated every transaction the
-// master had committed at call time, or the timeout elapses. It reports
-// whether full freshness was reached — the paper's "updated pages ...
-// available to the rest of the world within seconds", made observable. Freshness converges even across monitor crashes: the
-// supervised replacement replays from checkpoint and catches up.
+// WaitFresh blocks until every complex has replicated AND propagated every
+// transaction the master had committed at call time, or the timeout
+// elapses. It reports whether full freshness was reached — the paper's
+// "updated pages ... available to the rest of the world within seconds",
+// made observable. It covers a wire complex's nodes too: ApplyBatch returns
+// once every node acked or downgraded the wave. Freshness converges even
+// across monitor crashes: the supervised replacement replays from
+// checkpoint and catches up.
 func (d *Deployment) WaitFresh(timeout time.Duration) bool {
 	target := d.Master.LSN()
 	deadline := time.Now().Add(timeout)
@@ -904,11 +911,6 @@ func (d *Deployment) WaitFresh(timeout time.Duration) bool {
 			if cx.Replica.LSN() < target {
 				fresh = false
 				break
-			}
-			for _, n := range cx.nodes {
-				if n.replica.LSN() < target {
-					fresh = false
-				}
 			}
 			mon := cx.Monitor()
 			if mon == nil {

@@ -8,13 +8,10 @@ import (
 	"time"
 
 	"dupserve/internal/cache"
-	"dupserve/internal/core"
-	"dupserve/internal/db"
 	"dupserve/internal/dispatch"
 	"dupserve/internal/fault"
 	"dupserve/internal/httpserver"
 	"dupserve/internal/obs"
-	"dupserve/internal/odg"
 	"dupserve/internal/overload"
 	"dupserve/internal/recovery"
 	"dupserve/internal/site"
@@ -22,26 +19,13 @@ import (
 	"dupserve/internal/wire"
 )
 
-// startNodeProcess brings up on loopback what olympicsd -role node runs: a
-// replica fed by log shipping, a cache the complex pushes pages into, and a
-// server rendering misses against the replica, all on one wire listener at
-// addr. It returns the server and its bound address.
+// startNodeProcess brings up on loopback what olympicsd -role node runs,
+// wire.NewCacheNode listening at addr: a cache the complex pushes pages
+// into, served with the site's statics. It returns the server and its bound
+// address.
 func startNodeProcess(t *testing.T, spec site.Spec, name, addr string) (*wire.Server, string) {
 	t.Helper()
-	replica := db.New(name + "-replica")
-	c := cache.New(name)
-	var st *site.Site
-	gen := func(key cache.Key, version int64) (*cache.Object, error) {
-		return st.Engine.Generate(key, version)
-	}
-	var err error
-	if st, err = site.BuildReplica(spec, replica, core.NewEngine(odg.New(), c, core.WithGenerator(gen))); err != nil {
-		t.Fatal(err)
-	}
-	ws := wire.NewServer(name)
-	wire.RegisterReplica(ws, replica)
-	wire.RegisterStore(ws, c)
-	wire.RegisterNode(ws, httpserver.New(name, c, gen, replica.LSN))
+	ws := wire.NewCacheNode(name, spec.Statics(), stats.NewRegistry())
 	bound, err := ws.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +50,10 @@ func TestWireComplexRejectsInProcessOptions(t *testing.T) {
 
 // TestWireComplexKeepsRestartedNodeDown restarts a node process empty on its
 // old address after a commit. The restarted process answers pings, but its
-// replica is at LSN 0 and replication stops at the gap, so readmitting it
-// would serve version-0 pages as hits. The node must stay down, and every
-// serve must come from the surviving node at the commit's version.
+// cache's installed version is 0, below the commit's wave the old process
+// acked: it holds none of the pages the complex pushed. The node must stay
+// down, and every serve must be a hit on the surviving node at the commit's
+// version.
 func TestWireComplexKeepsRestartedNodeDown(t *testing.T) {
 	spec := smallSpec()
 	_, addr0 := startNodeProcess(t, spec, "up0", "127.0.0.1:0")
@@ -123,6 +108,106 @@ func TestWireComplexKeepsRestartedNodeDown(t *testing.T) {
 		if obj.Version < tx.LSN || !bytes.Contains(obj.Value, []byte(ev.Participants[0])) {
 			t.Fatalf("serve %d: version %d without the new result, want the commit at lsn %d", i, obj.Version, tx.LSN)
 		}
+	}
+}
+
+// TestWireComplexRendersNodeMisses: a node process holds no database, so a
+// page it lost to an invalidation is rendered by the complex from its
+// replica, every time, since nothing is pushed from the serve path. An
+// unknown path is not found, and a static is the node's own.
+func TestWireComplexRendersNodeMisses(t *testing.T) {
+	spec := smallSpec()
+	_, addr := startNodeProcess(t, spec, "up0", "127.0.0.1:0")
+	d, err := New(Config{Spec: spec, Complexes: []ComplexSpec{{Name: "master", Peers: []string{addr}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = d.Shutdown(context.Background()) })
+	if err := d.Prime(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cx, _ := d.Complex("master")
+	ev := d.MasterSite.Events[0]
+	page := fmt.Sprintf("/en/sports/%s/%s", ev.Sport, ev.Key)
+	if n := cx.push.ApplyInvalidate(cache.Key(page)); n != 1 {
+		t.Fatalf("invalidated %s on %d nodes, want 1", page, n)
+	}
+	for i := 0; i < 2; i++ {
+		obj, outcome, err := cx.Dispatcher.Serve(page)
+		if err != nil || outcome != httpserver.OutcomeMiss {
+			t.Fatalf("serve %d of %s: %v (%v), want a miss the complex renders", i, page, outcome, err)
+		}
+		if obj.Version != cx.Replica.LSN() {
+			t.Fatalf("complex rendered version %d, want its replica's lsn %d", obj.Version, cx.Replica.LSN())
+		}
+	}
+	for path, want := range map[string]httpserver.Outcome{
+		"/en/no-such-page": httpserver.OutcomeNotFound,
+		"/en/welcome":      httpserver.OutcomeStatic,
+	} {
+		if _, outcome, _ := cx.Dispatcher.Serve(path); outcome != want {
+			t.Fatalf("serve %s: %v, want %v", path, outcome, want)
+		}
+	}
+}
+
+// TestWireComplexRestartedNodeRejoinsAfterNextWave: a node restarted empty
+// stays down until a wave reaches it; then its installed version matches
+// what it acked and it is readmitted, holding only that wave. Every page it
+// serves from then on, a hit or a miss the complex renders, has the bytes
+// the surviving full node serves.
+func TestWireComplexRestartedNodeRejoinsAfterNextWave(t *testing.T) {
+	spec := smallSpec()
+	_, addr0 := startNodeProcess(t, spec, "up0", "127.0.0.1:0")
+	n1, addr1 := startNodeProcess(t, spec, "up1", "127.0.0.1:0")
+	d, err := New(Config{Spec: spec, Complexes: []ComplexSpec{{Name: "master", Peers: []string{addr0, addr1}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = d.Shutdown(context.Background()) })
+	if err := d.Prime(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cx, _ := d.Complex("master")
+	n1.Close()
+	startNodeProcess(t, spec, "up1", addr1)
+	cx.Dispatcher.CheckNow()
+	if st, _ := cx.Dispatcher.MemberState("up1"); st != dispatch.StateDown {
+		t.Fatalf("restarted empty node is %v, want down", st)
+	}
+	ev := d.MasterSite.Events[1]
+	if _, err := d.MasterSite.RecordResult(ev, ev.Participants[0], ev.Participants[1], ev.Participants[2], "240.0"); err != nil {
+		t.Fatal(err)
+	}
+	if !d.WaitFresh(10 * time.Second) {
+		t.Fatal("commit never propagated")
+	}
+	cx.Dispatcher.CheckNow()
+	if st, _ := cx.Dispatcher.MemberState("up1"); st == dispatch.StateDown {
+		t.Fatal("node still down after a wave reached it")
+	}
+	hits := 0
+	for _, page := range cx.Site.Pages() {
+		want, _, err := cx.nodes[0].RemoteNode.Serve(page)
+		if err != nil {
+			t.Fatalf("up0 serve %s: %v", page, err)
+		}
+		got, outcome, err := cx.nodes[1].Serve(page)
+		if err != nil || !bytes.Equal(got.Value, want.Value) {
+			t.Fatalf("rejoined up1 serves %s as %v (%v) with other bytes than up0", page, outcome, err)
+		}
+		if outcome == httpserver.OutcomeHit {
+			hits++
+		}
+	}
+	if hits == 0 || hits == len(cx.Site.Pages()) {
+		t.Fatalf("rejoined up1 hit %d of %d pages, want only the last wave's", hits, len(cx.Site.Pages()))
 	}
 }
 

@@ -647,9 +647,13 @@ func (s *Site) Pages() []string {
 
 // Statics returns the static sections of the site (Welcome, Venues, Nagano,
 // Fun — content that never changes during the games).
-func (s *Site) Statics() map[string][]byte {
+func (s *Site) Statics() map[string][]byte { return s.Spec.Statics() }
+
+// Statics returns the static sections of a site built from sp, which a
+// serving node holds without building the site.
+func (sp Spec) Statics() map[string][]byte {
 	out := make(map[string][]byte)
-	for _, lang := range s.Spec.Languages {
+	for _, lang := range sp.Languages {
 		out["/"+lang+"/welcome"] = []byte("<html><body><h1>Welcome to Nagano 1998 (" + lang + ")</h1></body></html>")
 		out["/"+lang+"/venues"] = []byte("<html><body><h1>Venues</h1></body></html>")
 		out["/"+lang+"/nagano"] = []byte("<html><body><h1>About Nagano</h1></body></html>")

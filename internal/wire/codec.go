@@ -16,8 +16,8 @@ import (
 // The codec layer translates propagation-plane messages to and from frame
 // payloads. It is a hand-rolled streaming binary format — uvarint lengths
 // and counts, raw bytes for values — rather than encoding/json or gob:
-// every committed transaction and every rendered page crosses this path, so
-// the encoding must be allocation-lean and byte-stable across processes.
+// every rendered page crosses this path, so the encoding must be
+// allocation-lean and byte-stable across processes.
 
 // ErrCodec wraps every payload decoding failure.
 var ErrCodec = errors.New("wire: malformed payload")
@@ -336,11 +336,13 @@ func DecodeUint(p []byte) (uint64, error) {
 	return v, nil
 }
 
-// Pong is a node's answer to a dispatcher health probe: readiness plus the
-// node's overload signal (see overload.Limiter.Load).
+// Pong is a node's answer to a dispatcher health probe: readiness, the
+// node's overload signal (see overload.Limiter.Load), and the highest object
+// version its cache has accepted (cache.Stats.Installed).
 type Pong struct {
-	Ready bool
-	Load  float64
+	Ready     bool
+	Load      float64
+	Installed int64
 }
 
 // EncodePong renders a TypePing ack payload.
@@ -350,7 +352,8 @@ func EncodePong(dst []byte, p Pong) []byte {
 		b = 1
 	}
 	dst = append(dst, b)
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(p.Load))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.Load))
+	return appendUvarint(dst, uint64(p.Installed))
 }
 
 // DecodePong parses a TypePing ack payload.
@@ -363,6 +366,7 @@ func DecodePong(p []byte) (Pong, error) {
 	} else {
 		d.fail("load")
 	}
+	out.Installed = int64(d.uvarint("installed"))
 	if err := d.done(); err != nil {
 		return Pong{}, err
 	}

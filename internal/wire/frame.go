@@ -1,16 +1,17 @@
-// Package wire is the network transport under the propagation plane: a
-// framed binary protocol over TCP carrying the three flows the paper ran
-// between machines — DB2 log shipping from the master to each complex's
-// replica, trigger-monitor pushes into the caches of the serving nodes, and
-// the Network Dispatcher's health probes (sections 3-4, figures 5-6).
+// Package wire is the network transport between a complex and its serving
+// nodes: a framed binary protocol over TCP carrying trigger-monitor pushes
+// into the nodes' caches and the Network Dispatcher's serves and health
+// probes (sections 3-4, figures 5-6). A node process, NewCacheNode, is a
+// cache and nothing else.
 //
 // The rest of the repository wires those flows as in-process calls, which
 // stays the default (simulations and chaos runs need determinism). This
 // package provides the TCP alternative: a Server that dispatches frame
 // types to registered handlers, and a Client with connection pooling,
 // per-RPC deadlines, exponential-backoff reconnect, and a bounded in-flight
-// window for backpressure. Codec functions translate db.Transaction log
-// records and cache push/invalidate messages to and from frame payloads.
+// window for backpressure. Codec functions translate cache push/invalidate
+// messages (and db.Transaction log records, bench only) to and from frame
+// payloads.
 //
 // Frame format (big-endian), checksummed so a torn or corrupted stream is
 // detected instead of decoded:
@@ -47,7 +48,8 @@ const (
 	// TypeError is a failure response; the payload is the error message.
 	TypeError
 	// TypeTxn ships one committed db.Transaction (master -> replica log
-	// shipping). The ack payload is the replica's LSN after applying.
+	// shipping, bench only). The ack payload is the replica's LSN after
+	// applying.
 	TypeTxn
 	// TypeLSN asks a replica for its current LSN (uvarint ack payload).
 	TypeLSN
@@ -59,8 +61,8 @@ const (
 	TypeInvalidate
 	// TypeInvalidatePrefix drops every key under a prefix.
 	TypeInvalidatePrefix
-	// TypePing is a dispatcher health probe; the ack carries readiness and
-	// the node's load signal.
+	// TypePing is a dispatcher health probe; the ack carries readiness, the
+	// node's load signal and its cache's installed version.
 	TypePing
 	// TypeServe asks a node to satisfy one request path (the Network
 	// Dispatcher forwarding a connection); the ack carries the outcome and

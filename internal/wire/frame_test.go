@@ -256,8 +256,8 @@ func TestScalarCodecsRoundTrip(t *testing.T) {
 	if v, err := DecodeUint(EncodeUint(nil, 1<<40+3)); err != nil || v != 1<<40+3 {
 		t.Fatalf("uint: %d, %v", v, err)
 	}
-	p, err := DecodePong(EncodePong(nil, Pong{Ready: true, Load: 1.25}))
-	if err != nil || !p.Ready || p.Load != 1.25 {
+	p, err := DecodePong(EncodePong(nil, Pong{Ready: true, Load: 1.25, Installed: 300}))
+	if err != nil || !p.Ready || p.Load != 1.25 || p.Installed != 300 {
 		t.Fatalf("pong: %+v, %v", p, err)
 	}
 
@@ -287,7 +287,7 @@ func TestCodecRejectsMalformedPayloads(t *testing.T) {
 		"object": EncodeObject(nil, &cache.Object{Key: "k", Value: []byte("v")}),
 		"objects": EncodeObjects(nil, []*cache.Object{
 			{Key: "k", Value: []byte("v")}, {Key: "k2", Version: 3}}),
-		"pong": EncodePong(nil, Pong{Ready: true, Load: 2}),
+		"pong": EncodePong(nil, Pong{Ready: true, Load: 2, Installed: 300}),
 		"serve": EncodeServeResult(nil, ServeResult{
 			Object: &cache.Object{Key: "k", Value: []byte("v")}}),
 	}

@@ -9,19 +9,51 @@ import (
 	"dupserve/internal/cache"
 	"dupserve/internal/dispatch"
 	"dupserve/internal/httpserver"
+	"dupserve/internal/stats"
 )
 
 // readyReporter / loadSignaler mirror the optional node interfaces the
 // dispatcher probes through (dispatch.ReadyReporter and its unexported load
 // signal); declaring them structurally here keeps wire usable with any node
-// implementation.
+// implementation. installedReporter is a cache node's installed version.
 type readyReporter interface{ Ready() bool }
 type loadSignaler interface{ LoadSignal() float64 }
+type installedReporter interface{ Installed() int64 }
+
+// NewCacheNode builds a serving-node process on a wire server not yet
+// listening: a cache the complex pushes into (RegisterStore), served with
+// statics by an httpserver.Server with no generator (RegisterNode), so a
+// dynamic miss answers OutcomeNotFound and the complex renders it. reg
+// takes the node's cache, server and wire metrics.
+func NewCacheNode(name string, statics map[string][]byte, reg *stats.Registry, opts ...ServerOption) *Server {
+	c := cache.New(name)
+	srv := httpserver.New(name, c, nil, nil)
+	for path, body := range statics {
+		srv.SetStatic(path, body, "text/html; charset=utf-8")
+	}
+	c.RegisterMetrics(reg, nil)
+	srv.RegisterMetrics(reg, nil)
+	m := NewMetrics()
+	m.RegisterMetrics(reg, stats.Labels{"endpoint": "node"})
+	s := NewServer(name, append(opts, WithServerMetrics(m))...)
+	RegisterStore(s, c)
+	RegisterNode(s, cacheNode{srv, c})
+	return s
+}
+
+// cacheNode adds its cache's installed version to a node's server.
+type cacheNode struct {
+	*httpserver.Server
+	c *cache.Cache
+}
+
+func (n cacheNode) Installed() int64 { return n.c.Stats().Installed }
 
 // RegisterNode exposes a serving node over s for the dispatcher's two
 // remote needs: TypeServe forwards one request path and returns the
-// outcome, and TypePing answers health probes with readiness plus the
-// node's load signal — the wire form of the ISS advisor conversation.
+// outcome, and TypePing answers health probes with readiness, the node's
+// load signal and its installed version — the wire form of the ISS advisor
+// conversation.
 func RegisterNode(s *Server, n dispatch.Node) {
 	s.Handle(TypeServe, func(payload []byte) ([]byte, error) {
 		path, err := DecodeString(payload)
@@ -42,6 +74,9 @@ func RegisterNode(s *Server, n dispatch.Node) {
 		}
 		if ls, ok := n.(loadSignaler); ok {
 			p.Load = ls.LoadSignal()
+		}
+		if ir, ok := n.(installedReporter); ok {
+			p.Installed = ir.Installed()
 		}
 		return EncodePong(nil, p), nil
 	})
@@ -108,7 +143,12 @@ func (n *RemoteNode) probe() (Pong, bool) {
 		return p, ok
 	}
 	n.mu.Unlock()
+	return n.Ping()
+}
 
+// Ping sends a TypePing now, whatever the age of the cached pong, and
+// caches the answer. ok is false when the node is unreachable.
+func (n *RemoteNode) Ping() (Pong, bool) {
 	p, ok := Pong{}, false
 	if resp, err := n.c.Call(context.Background(), TypePing, nil); err == nil {
 		if pong, derr := DecodePong(resp); derr == nil {

@@ -8,6 +8,10 @@ import (
 	"dupserve/internal/db"
 )
 
+// Log shipping to a node replica: bench/plant.go is this file's one
+// remaining caller, until the bench builds its plant with deploy. A shipped
+// serving node holds no database.
+
 // RegisterReplica exposes replica over s as a log-shipping target: TypeTxn
 // applies one transaction and acks with the replica's resulting LSN,
 // TypeLSN answers the current LSN. The handler is idempotent below the
@@ -76,12 +80,12 @@ func (r *ReplicaClient) LSN() int64 {
 			return int64(lsn)
 		}
 	}
-	return r.Acked()
+	return r.acked()
 }
 
-// Acked returns the highest LSN the remote replica has acknowledged or
+// acked returns the highest LSN the remote replica has acknowledged or
 // reported, without a round trip.
-func (r *ReplicaClient) Acked() int64 {
+func (r *ReplicaClient) acked() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.lastLSN

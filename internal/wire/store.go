@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dupserve/internal/cache"
@@ -49,8 +50,9 @@ func RegisterStore(s *Server, store core.Store) {
 // core.Store its methods return errors: the GroupClient above it owns the
 // retry-and-downgrade policy, which needs to see failures.
 type StoreClient struct {
-	name string
-	c    *Client
+	name  string
+	c     *Client
+	acked atomic.Int64
 }
 
 // NewStoreClient wraps c as a push target named name (the remote node's
@@ -62,15 +64,24 @@ func NewStoreClient(name string, c *Client) *StoreClient {
 // Name returns the remote node's name.
 func (sc *StoreClient) Name() string { return sc.name }
 
+// Acked returns the highest object version the node acked in a put-batch.
+func (sc *StoreClient) Acked() int64 { return sc.acked.Load() }
+
 // putPayloads sends encoded TypePutBatch payloads one after another, each
-// acked before the next leaves, so the node applies them in order.
-func (sc *StoreClient) putPayloads(payloads [][]byte) error {
+// acked before the next leaves, so the node applies them in order, then
+// records version, the batch's highest, as acked.
+func (sc *StoreClient) putPayloads(payloads [][]byte, version int64) error {
 	for _, p := range payloads {
 		if _, err := sc.c.Call(context.Background(), TypePutBatch, p); err != nil {
 			return err
 		}
 	}
-	return nil
+	for {
+		cur := sc.acked.Load()
+		if version <= cur || sc.acked.CompareAndSwap(cur, version) {
+			return nil
+		}
+	}
 }
 
 // Invalidate drops key on the remote node, reporting whether it was held.
@@ -321,6 +332,10 @@ func (g *GroupClient) ApplyBatch(objs []*cache.Object) {
 	// Only an object too large for any frame fails to encode; no node can
 	// take the batch then, so every member downgrades it.
 	payloads, encErr := batchPayloads(objs)
+	var top int64
+	for _, obj := range objs {
+		top = max(top, obj.Version)
+	}
 	var wg sync.WaitGroup
 	for _, m := range g.members {
 		wg.Add(1)
@@ -329,7 +344,7 @@ func (g *GroupClient) ApplyBatch(objs []*cache.Object) {
 			// Settle older debt first so operations arrive in a safe order: an
 			// undelivered invalidation must not outlive a newer successful push.
 			g.settle(m)
-			push := func(int) error { return m.putPayloads(payloads) }
+			push := func(int) error { return m.putPayloads(payloads, top) }
 			if encErr == nil && retry.Do(push, &g.pushFailures, &g.pushRetries) {
 				// A fresh object supersedes any debt recorded for its key
 				// while this broadcast was in flight.

@@ -14,7 +14,9 @@ import (
 
 	"dupserve/internal/cache"
 	"dupserve/internal/db"
+	"dupserve/internal/httpserver"
 	"dupserve/internal/netsim"
+	"dupserve/internal/stats"
 )
 
 // isTransient reports whether err is a transport-level failure (partition,
@@ -665,8 +667,11 @@ func TestPutBatchSplitsAtMaxPayload(t *testing.T) {
 	n := startBatchNode(t, "big")
 	sc := NewStoreClient("big", Dial("big", n.addr, WithCallTimeout(10*time.Second)))
 	defer sc.Close()
-	if err := sc.putPayloads(payloads); err != nil {
+	if err := sc.putPayloads(payloads, 1); err != nil {
 		t.Fatalf("put-batch: %v", err)
+	}
+	if got := sc.Acked(); got != 1 {
+		t.Fatalf("acked version %d after the wave, want 1", got)
 	}
 	if got := n.metrics.FramesReceived.Value(); got != int64(len(payloads)) {
 		t.Fatalf("node received %d frames, want %d", got, len(payloads))
@@ -682,6 +687,48 @@ func TestPutBatchSplitsAtMaxPayload(t *testing.T) {
 	tooBig := &cache.Object{Key: "/huge", Value: make([]byte, MaxPayload)}
 	if _, err := batchPayloads([]*cache.Object{tooBig}); err == nil {
 		t.Fatal("batchPayloads accepted an object no frame can carry")
+	}
+}
+
+// TestCacheNodeKeepsNewerWaveOverLateOne delivers put-batch wave 2 and then
+// a late wave 1 to a cache node over loopback. The node never goes back: it
+// serves wave 2, counts each refused object in cache_put_older_total, and
+// its pong reports installed version 2.
+func TestCacheNodeKeepsNewerWaveOverLateOne(t *testing.T) {
+	reg := stats.NewRegistry()
+	s := NewCacheNode("up0", nil, reg)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	c := Dial("up0", addr.String())
+	defer c.Close()
+	for _, v := range []int64{2, 1} {
+		if _, err := c.Call(context.Background(), TypePutBatch, EncodeObjects(nil, wave(3, v))); err != nil {
+			t.Fatalf("wave %d: %v", v, err)
+		}
+	}
+	node := NewRemoteNode("up0", c)
+	for i := 0; i < 3; i++ {
+		key := fmt.Sprintf("/k%d", i)
+		obj, outcome, err := node.Serve(key)
+		if err != nil || outcome != httpserver.OutcomeHit {
+			t.Fatalf("%s after the late wave: %v (%v), want a hit", key, outcome, err)
+		}
+		if obj.Version != 2 {
+			t.Fatalf("%s went back to version %d, want 2", key, obj.Version)
+		}
+	}
+	if p, ok := node.Ping(); !ok || p.Installed != 2 {
+		t.Fatalf("pong %+v (reachable %v), want installed 2", p, ok)
+	}
+	var text bytes.Buffer
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := `cache_put_older_total{node="up0"} 3`; !strings.Contains(text.String(), want) {
+		t.Fatalf("node metrics lack %q:\n%s", want, text.String())
 	}
 }
 
